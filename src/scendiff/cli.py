@@ -147,9 +147,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    cfg = load_config(args.config, {"seed": args.seed, "out_dir": args.out})
-    if args.m is not None:
-        cfg["m_scenarios"] = args.m
+    cfg = load_config(args.config, {"seed": args.seed, "out_dir": args.out,
+                                    "m_scenarios": args.m})
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     raw = _load_split_dataset(cfg)

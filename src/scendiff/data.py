@@ -242,80 +242,90 @@ class Dataset:
         return x, c, [s.day_id for s in sel]
 
 
-def _parse_float(cell: str, row_no: int, col: str) -> float:
+def _read_table(path: str | Path):
+    """Yield a CSV file's header, then (row_no, row) for each non-blank row.
+
+    Raises SchemaError on an empty file or a row whose width differs from the
+    header's, and ParseError on non-UTF-8 bytes or a line csv rejects.
+    """
+    with open(path, newline="", encoding="utf-8") as f:
+        reader = csv.reader(f)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise SchemaError(f"{path}: empty file")
+            yield header
+            for row_no, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise SchemaError(
+                        f"{path} row {row_no}: expected {len(header)} cells, got {len(row)}"
+                    )
+                yield row_no, row
+        except (csv.Error, UnicodeDecodeError) as e:
+            raise ParseError(f"{path} line {reader.line_num + 1}: {e}") from None
+
+
+def _parse_date(cell: str, row_no: int) -> date:
     try:
-        return float(cell)
+        return date.fromisoformat(cell.strip())
     except ValueError:
-        raise ParseError(f"row {row_no}: non-numeric {col} value {cell!r}") from None
-
-
-def _is_missing(cell: str) -> bool:
-    return cell.strip() == "" or cell.strip().lower() == "nan"
+        raise ParseError(f"row {row_no}: bad date {cell!r}") from None
 
 
 def load_csv(path: str | Path, track: str) -> Dataset:
     """Read the canonical CSV for one track into a Dataset.
 
-    A (day, zone) pair with missing hours or missing target/weather cells is
-    dropped and counted; duplicate (day, hour, zone) rows or out-of-range
-    hours raise IntegrityError.
+    A (day, zone) pair with missing hours or missing (blank or NaN)
+    target/weather cells is dropped and counted; duplicate (day, hour, zone)
+    rows or out-of-range hours raise IntegrityError, and an hour or zone that
+    is not a whole number raises ParseError.
     """
     if track not in TRACKS:
         raise ParameterError(f"unknown track {track!r}")
-    path = Path(path)
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file") from None
-        expected = ["date", "hour", "zone", "target"]
-        if [h.strip() for h in header[:4]] != expected:
-            raise SchemaError(f"{path}: header must start with {','.join(expected)}")
-        k = len(header) - 4
-        if [h.strip() for h in header[4:]] != [f"w{i+1}" for i in range(k)]:
-            raise SchemaError(f"{path}: weather columns must be named w1..w{k}")
+    table = _read_table(path)
+    header = [h.strip() for h in next(table)]
+    expected = ["date", "hour", "zone", "target"]
+    if header[:4] != expected:
+        raise SchemaError(f"{path}: header must start with {','.join(expected)}")
+    k = len(header) - 4
+    if header[4:] != [f"w{i+1}" for i in range(k)]:
+        raise SchemaError(f"{path}: weather columns must be named w1..w{k}")
 
-        # (day, zone) -> hour -> (target, weather, any_missing)
-        table: dict[tuple[date, int], dict[int, tuple]] = {}
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4 + k:
-                raise SchemaError(f"{path} row {row_no}: expected {4 + k} cells, got {len(row)}")
-            try:
-                day = date.fromisoformat(row[0].strip())
-            except ValueError:
-                raise ParseError(f"row {row_no}: bad date {row[0]!r}") from None
-            hour = int(_parse_float(row[1], row_no, "hour"))
-            if not 0 <= hour <= 23:
-                raise IntegrityError(f"row {row_no}: hour {hour} outside 0..23")
-            zone = int(_parse_float(row[2], row_no, "zone"))
-            if not 1 <= zone <= ZONE_COUNTS[track]:
-                raise IntegrityError(
-                    f"row {row_no}: zone {zone} outside 1..{ZONE_COUNTS[track]} for {track}"
-                )
-            missing = _is_missing(row[3]) or any(_is_missing(cell) for cell in row[4:])
-            target = math.nan if _is_missing(row[3]) else _parse_float(row[3], row_no, "target")
-            weather = [
-                math.nan if _is_missing(cell) else _parse_float(cell, row_no, f"w{j+1}")
-                for j, cell in enumerate(row[4:])
-            ]
-            hours = table.setdefault((day, zone), {})
-            if hour in hours:
-                raise IntegrityError(f"row {row_no}: duplicate hour {hour} for {day} zone {zone}")
-            hours[hour] = (target, weather, missing)
+    # (day, zone) -> hour -> [target, w1..wK]
+    cells: dict[tuple[date, int], dict[int, list]] = {}
+    for row_no, row in table:
+        day = _parse_date(row[0], row_no)
+        try:
+            hour, zone = float(row[1]), float(row[2])
+            values = [float(v) if v.strip() else math.nan for v in row[3:]]
+        except ValueError as e:
+            raise ParseError(f"row {row_no}: {e}") from None
+        if not (hour.is_integer() and zone.is_integer()):
+            raise ParseError(f"row {row_no}: hour {row[1]!r} and zone {row[2]!r} "
+                             "must be whole numbers")
+        hour, zone = int(hour), int(zone)
+        if not 0 <= hour <= 23:
+            raise IntegrityError(f"row {row_no}: hour {hour} outside 0..23")
+        if not 1 <= zone <= ZONE_COUNTS[track]:
+            raise IntegrityError(
+                f"row {row_no}: zone {zone} outside 1..{ZONE_COUNTS[track]} for {track}"
+            )
+        hours = cells.setdefault((day, zone), {})
+        if hour in hours:
+            raise IntegrityError(f"row {row_no}: duplicate hour {hour} for {day} zone {zone}")
+        hours[hour] = values
 
     samples: list[DaySample] = []
     dropped = 0
-    for (day, zone), hours in sorted(table.items()):
-        if len(hours) != HOURS or any(v[2] for v in hours.values()):
+    for (day, zone), hours in sorted(cells.items()):
+        v = np.array([hours[h] for h in sorted(hours)])  # (hours, 1 + K)
+        if len(hours) != HOURS or np.isnan(v).any():
             dropped += 1
             continue
-        x = np.array([hours[h][0] for h in range(HOURS)])
-        w = np.array([hours[h][1] for h in range(HOURS)])  # (24, K)
-        c = w.T.reshape(-1)  # channel-major
-        sample = DaySample(day_id=day, track=track, zone=zone, x=x, c=c)
+        c = v[:, 1:].T.reshape(-1)  # channel-major
+        sample = DaySample(day_id=day, track=track, zone=zone, x=v[:, 0].copy(), c=c)
         sample.validate()
         samples.append(sample)
     return Dataset(samples=samples, dropped=dropped)
@@ -611,17 +621,17 @@ def write_observations(ds: Dataset, path: str | Path, split: str = "test", zone:
 
 
 def read_observations(path: str | Path) -> dict[date, np.ndarray]:
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        if header != ["day"] + [f"h{h}" for h in range(HOURS)]:
-            raise SchemaError(f"{path}: bad observation header")
-        out = {}
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            day = date.fromisoformat(row[0])
-            if day in out:
-                raise IntegrityError(f"row {row_no}: duplicate day {day}")
-            out[day] = np.array([_parse_float(v, row_no, "value") for v in row[1:]])
+    """Inverse of write_observations: {day: (24,) array}."""
+    table = _read_table(path)
+    if next(table) != ["day"] + [f"h{h}" for h in range(HOURS)]:
+        raise SchemaError(f"{path}: bad observation header")
+    out = {}
+    for row_no, row in table:
+        day = _parse_date(row[0], row_no)
+        if day in out:
+            raise IntegrityError(f"row {row_no}: duplicate day {day}")
+        try:
+            out[day] = np.array(list(map(float, row[1:])))
+        except ValueError as e:
+            raise ParseError(f"row {row_no}: {e}") from None
     return out

@@ -24,14 +24,18 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .data import HOURS, Scaler
+from .data import HOURS, Scaler, _parse_date, _read_table
 from .errors import (
     DimensionError,
     InsufficientDataError,
+    IntegrityError,
     ModelValidationError,
     ParameterError,
+    ParseError,
     SamplingDivergenceError,
+    ScendiffError,
     ScheduleTooShortError,
+    SchemaError,
     TrainingDivergenceError,
 )
 
@@ -61,7 +65,6 @@ class Schedule:
     kind: str
     n: int
     beta: np.ndarray
-    alpha: np.ndarray
     alpha_bar: np.ndarray
     sigma: np.ndarray
     sigma_mode: str = "beta"
@@ -71,8 +74,6 @@ class Schedule:
             raise ParameterError(f"schedule needs n >= 1 betas, got {self.beta.shape}")
         if np.any(self.beta <= 0) or np.any(self.beta >= 1):
             raise ParameterError("betas must lie in (0, 1)")
-        if np.any(self.alpha + self.beta != 1.0):
-            raise ParameterError("alpha + beta must equal 1 exactly")
         if np.any(np.diff(self.alpha_bar) >= 0):
             raise ParameterError("alpha_bar must be strictly decreasing")
         if enforce_terminal and self.alpha_bar[-1] >= TERMINAL_ALPHA_BAR:
@@ -110,10 +111,9 @@ def from_betas(
     if sigma_mode not in SIGMA_MODES:
         raise ParameterError(f"sigma_mode must be one of {SIGMA_MODES}")
     beta = np.asarray(beta, dtype=float)
-    alpha = 1.0 - beta
-    alpha_bar = np.cumprod(alpha)
+    alpha_bar = np.cumprod(1.0 - beta)
     sched = Schedule(
-        kind=kind, n=beta.size, beta=beta, alpha=alpha, alpha_bar=alpha_bar,
+        kind=kind, n=beta.size, beta=beta, alpha_bar=alpha_bar,
         sigma=_sigma_from(beta, alpha_bar, sigma_mode), sigma_mode=sigma_mode,
     )
     sched.validate(enforce_terminal=enforce_terminal)
@@ -197,6 +197,14 @@ def chain_forward(x0: np.ndarray, sched: Schedule, rng: np.random.Generator) -> 
     return out
 
 
+def _as_denoiser(params):
+    """The callable (x_noisy, steps, c) -> eps_hat behind params, which are
+    DenoiserParams or already such a callable."""
+    if isinstance(params, nn.DenoiserParams):
+        return lambda x, steps, c: nn.forward_batch(params, x, steps, c)
+    return params
+
+
 def training_loss(
     params, x0: np.ndarray, c: np.ndarray, sched: Schedule,
     rng: np.random.Generator | None = None, *,
@@ -224,20 +232,12 @@ def training_loss(
         noise = rng.standard_normal((b, l))
     abar = sched.alpha_bar[np.asarray(steps) - 1]
     x_noisy = np.sqrt(abar)[:, None] * x0 + np.sqrt(1.0 - abar)[:, None] * noise
-    if callable(params) and not isinstance(params, nn.DenoiserParams):
-        eps_hat = params(x_noisy, steps, c)
-        resid = eps_hat - noise
-        loss = float(np.mean(resid**2))
-        if not math.isfinite(loss):
-            raise TrainingDivergenceError("non-finite loss")
-        return loss, None
-    eps_hat = nn.forward_batch(params, x_noisy, steps, c)
-    resid = eps_hat - noise
+    resid = _as_denoiser(params)(x_noisy, steps, c) - noise
     loss = float(np.mean(resid**2))
     if not math.isfinite(loss):
         raise TrainingDivergenceError("non-finite loss")
     grads = None
-    if want_grads:
+    if want_grads and isinstance(params, nn.DenoiserParams):
         grads = nn.backward_batch(params, x_noisy, steps, c, 2.0 * resid / (b * l))
     return loss, grads
 
@@ -280,11 +280,8 @@ def train(ds, config: TrainConfig, sched: Schedule):
     if config.epochs == 0:
         return params, log
 
-    val = ds.subset(split="validation", zone=config.zone)
-    if not val:
-        raise InsufficientDataError("validation split is empty")
-    x_val = to_model_space(np.stack([s.x for s in val]))
-    c_val = np.stack([s.c for s in val])
+    x_val, c_val, _ = ds.arrays(split="validation", zone=config.zone)
+    x_val = to_model_space(x_val)
     rng_val = np.random.default_rng(ss_val)
     val_steps = rng_val.integers(1, sched.n + 1, size=x_val.shape[0])
     val_noise = rng_val.standard_normal(x_val.shape)
@@ -328,6 +325,7 @@ def _reverse_engine(denoiser, c_rows: np.ndarray, sched: Schedule,
     then one z vector per reverse step from n down to 2. Rows are processed
     in chunks so the per-step noise block stays small.
     """
+    denoiser = _as_denoiser(denoiser)
     r = c_rows.shape[0]
     out = np.empty((r, l))
     for lo in range(0, r, chunk):
@@ -342,18 +340,19 @@ def _reverse_engine(denoiser, c_rows: np.ndarray, sched: Schedule,
                 z[j] = rng.standard_normal((sched.n - 1, l))
         c_chunk = c_rows[lo:hi]
         for i in range(sched.n, 0, -1):
-            if callable(denoiser) and not isinstance(denoiser, nn.DenoiserParams):
-                eps_hat = denoiser(x, np.full(rows, i), c_chunk)
-            else:
-                eps_hat = nn.forward_batch(denoiser, x, np.full(rows, i), c_chunk)
+            eps_hat = denoiser(x, np.full(rows, i), c_chunk)
             coef = sched.beta[i - 1] / math.sqrt(1.0 - sched.alpha_bar[i - 1])
-            x = (x - coef * eps_hat) / math.sqrt(sched.alpha[i - 1])
+            x = (x - coef * eps_hat) / math.sqrt(1.0 - sched.beta[i - 1])
             if i > 1:
                 x = x + sched.sigma[i - 1] * z[:, sched.n - i]
             if not np.all(np.isfinite(x)):
                 raise SamplingDivergenceError(f"non-finite sample at step {i}")
         out[lo:hi] = x
     return out
+
+
+def _seed_sequence(seed) -> np.random.SeedSequence:
+    return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
 
 
 def reverse_chain(denoiser, c: np.ndarray, sched: Schedule, m: int, seed, l: int) -> np.ndarray:
@@ -364,10 +363,34 @@ def reverse_chain(denoiser, c: np.ndarray, sched: Schedule, m: int, seed, l: int
     """
     if m < 1:
         raise ParameterError("m must be >= 1")
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    children = ss.spawn(m)
     c_rows = np.repeat(np.atleast_2d(np.asarray(c, dtype=float)), m, axis=0)
-    return _reverse_engine(denoiser, c_rows, sched, children, l)
+    return _reverse_engine(denoiser, c_rows, sched, _seed_sequence(seed).spawn(m), l)
+
+
+def _scenario_sets(params, conditions, day_ids, day_seqs, sched: Schedule,
+                   m: int, scaler: Scaler | None) -> list[ScenarioSet]:
+    """One ScenarioSet per condition row, day j sampled from m streams spawned
+    from day_seqs[j]; denormalized, clipped and pinned when a scaler is given,
+    otherwise in normalized units."""
+    conditions = np.atleast_2d(np.asarray(conditions, dtype=float))
+    if len(day_ids) != conditions.shape[0]:
+        raise DimensionError(f"{len(day_ids)} day ids for {conditions.shape[0]} condition rows")
+    if m < 1:
+        raise ParameterError("m must be >= 1")
+    seqs = [s for day_seq in day_seqs for s in day_seq.spawn(m)]
+    c_rows = np.repeat(conditions, m, axis=0)
+    x = from_model_space(_reverse_engine(params, c_rows, sched, seqs, HOURS))
+    if scaler is not None:
+        x = scaler.inverse_target(x)
+        lo, hi = scaler.physical_bounds()
+        x = scaler.pin_fixed(np.clip(x, lo, hi))
+    out = []
+    for j, day_id in enumerate(day_ids):
+        s = ScenarioSet(day_id=day_id, m=m, scenarios=x[j * m : (j + 1) * m],
+                        condition=conditions[j].copy())
+        s.validate()
+        out.append(s)
+    return out
 
 
 def reverse_sample(params, c: np.ndarray, sched: Schedule, m: int, seed,
@@ -375,15 +398,8 @@ def reverse_sample(params, c: np.ndarray, sched: Schedule, m: int, seed,
     """Generate a day's scenario set, denormalized, clipped, and with
     learn-split-constant hours pinned when a scaler is given; otherwise
     values stay in normalized units."""
-    x = from_model_space(reverse_chain(params, c, sched, m, seed, HOURS))
-    if scaler is not None:
-        x = scaler.inverse_target(x)
-        lo, hi = scaler.physical_bounds()
-        x = scaler.pin_fixed(np.clip(x, lo, hi))
-    result = ScenarioSet(day_id=day_id or date(1970, 1, 1), m=m, scenarios=x,
-                         condition=np.asarray(c, dtype=float).copy())
-    result.validate()
-    return result
+    return _scenario_sets(params, c, [day_id or date(1970, 1, 1)], [_seed_sequence(seed)],
+                          sched, m, scaler)[0]
 
 
 def sample_days(params, conditions: np.ndarray, day_ids, sched: Schedule, m: int, seed,
@@ -394,29 +410,17 @@ def sample_days(params, conditions: np.ndarray, day_ids, sched: Schedule, m: int
     day and then m grandchildren, so each day's set matches a standalone
     reverse_sample call made with that day's child sequence.
     """
-    conditions = np.atleast_2d(np.asarray(conditions, dtype=float))
-    d = conditions.shape[0]
-    if len(day_ids) != d:
-        raise DimensionError(f"{len(day_ids)} day ids for {d} condition rows")
-    master = np.random.SeedSequence(seed) if not isinstance(seed, np.random.SeedSequence) else seed
-    day_seqs = master.spawn(d)
-    seqs = [s for ds_ in day_seqs for s in ds_.spawn(m)]
-    c_rows = np.repeat(conditions, m, axis=0)
-    x = from_model_space(_reverse_engine(params, c_rows, sched, seqs, HOURS))
-    if scaler is not None:
-        x = scaler.inverse_target(x)
-        lo, hi = scaler.physical_bounds()
-        x = scaler.pin_fixed(np.clip(x, lo, hi))
-    out = []
-    for j in range(d):
-        s = ScenarioSet(day_id=day_ids[j], m=m, scenarios=x[j * m : (j + 1) * m],
-                        condition=conditions[j].copy())
-        s.validate()
-        out.append(s)
-    return out
+    return _scenario_sets(params, conditions, day_ids, _seed_sequence(seed).spawn(len(day_ids)),
+                          sched, m, scaler)
 
 
 CHECKPOINT_MAGIC = "scendiff-checkpoint"
+# header fields load_checkpoint relies on, with their JSON types
+_HEADER_TYPES = {
+    "track": str, "zone": int, "sample_dim": int, "embed_dim": int, "cond_dim": int,
+    "activation": str, "hidden": list, "n_params": int, "schedule": dict,
+    "scaler": (dict, type(None)),
+}
 
 
 def save_checkpoint(path: str | Path, params: nn.DenoiserParams, sched: Schedule,
@@ -461,33 +465,39 @@ def load_checkpoint(path: str | Path):
         header = json.loads(raw[:nl].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ModelValidationError(f"{path}: bad header: {e}") from None
-    if header.get("format") != CHECKPOINT_MAGIC:
+    if not isinstance(header, dict) or header.get("format") != CHECKPOINT_MAGIC:
         raise ModelValidationError(f"{path}: not a model checkpoint")
+    for key, kind in _HEADER_TYPES.items():
+        if not isinstance(header.get(key), kind):
+            raise ModelValidationError(f"{path}: header field {key!r} is missing or mistyped")
+    dims = header["hidden"] + [header[k] for k in ("sample_dim", "embed_dim", "cond_dim")]
+    if not all(isinstance(v, int) and v >= 0 for v in dims):
+        raise ModelValidationError(f"{path}: layer sizes must be non-negative integers")
     block = raw[nl + 1 :]
-    n_params = int(header["n_params"])
+    n_params = header["n_params"]
     if len(block) != 8 * n_params:
         raise ModelValidationError(
             f"{path}: parameter block is {len(block)} bytes, expected {8 * n_params}"
         )
     vec = np.frombuffer(block, dtype="<f8").astype(float)
-    sizes = [int(header["sample_dim"]) + int(header["embed_dim"]) + int(header["cond_dim"])]
-    sizes += [int(h) for h in header["hidden"]]
-    sizes.append(int(header["sample_dim"]))
-    template_layers = [
-        (np.zeros((fan_out, fan_in)), np.zeros(fan_out))
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:])
-    ]
-    template = nn.DenoiserParams(
-        layers=template_layers, activation=header["activation"],
-        sample_dim=int(header["sample_dim"]), embed_dim=int(header["embed_dim"]),
-        cond_dim=int(header["cond_dim"]),
-    )
-    if template.n_params != n_params:
+    sizes = [header["sample_dim"] + header["embed_dim"] + header["cond_dim"],
+             *header["hidden"], header["sample_dim"]]
+    shapes = list(zip(sizes[1:], sizes[:-1]))  # (fan_out, fan_in) per layer
+    # checked before allocating, so a corrupt header cannot ask for huge arrays
+    if sum(fan_out * (fan_in + 1) for fan_out, fan_in in shapes) != n_params:
         raise ModelValidationError(f"{path}: architecture does not match n_params")
-    params = nn.vector_to_params(vec, template)
-    params.validate()
-    sched = Schedule.from_dict(header["schedule"])
-    scaler = Scaler.from_dict(header["scaler"]) if header.get("scaler") else None
+    template = nn.DenoiserParams(
+        layers=[(np.zeros(shape), np.zeros(shape[0])) for shape in shapes],
+        activation=header["activation"], sample_dim=header["sample_dim"],
+        embed_dim=header["embed_dim"], cond_dim=header["cond_dim"],
+    )
+    try:
+        params = nn.vector_to_params(vec, template)
+        params.validate()
+        sched = Schedule.from_dict(header["schedule"])
+        scaler = Scaler.from_dict(header["scaler"]) if header["scaler"] else None
+    except (KeyError, TypeError, ValueError, ScendiffError) as e:
+        raise ModelValidationError(f"{path}: bad checkpoint: {type(e).__name__}: {e}") from None
     return params, sched, scaler, header
 
 
@@ -506,19 +516,17 @@ def write_scenarios(sets: list[ScenarioSet], path: str | Path) -> None:
 
 def read_scenarios(path: str | Path) -> dict[date, np.ndarray]:
     """Inverse of write_scenarios: {day: (M, 24) array}."""
-    from .errors import IntegrityError, SchemaError
-
     rows: dict[date, list] = {}
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        if header != ["day", "scenario"] + [f"h{h}" for h in range(HOURS)]:
-            raise SchemaError(f"{path}: bad scenario header")
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            day = date.fromisoformat(row[0])
-            rows.setdefault(day, []).append((int(row[1]), [float(v) for v in row[2:]]))
+    table = _read_table(path)
+    if next(table) != ["day", "scenario"] + [f"h{h}" for h in range(HOURS)]:
+        raise SchemaError(f"{path}: bad scenario header")
+    for row_no, row in table:
+        day = _parse_date(row[0], row_no)
+        try:
+            entry = (int(row[1]), list(map(float, row[2:])))
+        except ValueError as e:
+            raise ParseError(f"row {row_no}: {e}") from None
+        rows.setdefault(day, []).append(entry)
     out = {}
     for day, entries in rows.items():
         entries.sort(key=lambda e: e[0])

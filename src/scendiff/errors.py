@@ -46,7 +46,7 @@ class SamplingDivergenceError(ScendiffError):
 
 
 class ModelValidationError(ScendiffError):
-    """A retailer model is internally inconsistent (e.g. unreachable SoC target)."""
+    """A model checkpoint is malformed or does not match the run (e.g. its track)."""
 
 
 class IterationLimitError(ScendiffError):

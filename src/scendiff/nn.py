@@ -9,7 +9,7 @@ a standard bias-corrected adaptive-moment update.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -60,13 +60,7 @@ class DenoiserParams:
         return sum(w.size + b.size for w, b in self.layers)
 
     def copy(self) -> "DenoiserParams":
-        return DenoiserParams(
-            layers=[(w.copy(), b.copy()) for w, b in self.layers],
-            activation=self.activation,
-            sample_dim=self.sample_dim,
-            embed_dim=self.embed_dim,
-            cond_dim=self.cond_dim,
-        )
+        return replace(self, layers=[(w.copy(), b.copy()) for w, b in self.layers])
 
 
 def init_params(
@@ -170,11 +164,6 @@ def forward_batch(params: DenoiserParams, x_noisy: np.ndarray, i, c: np.ndarray)
     return out
 
 
-def forward(params: DenoiserParams, x_noisy: np.ndarray, i: int, c: np.ndarray) -> np.ndarray:
-    """Single-sample predicted noise, shape (L,). Deterministic."""
-    return forward_batch(params, x_noisy[None, :], i, c[None, :])[0]
-
-
 def backward_batch(
     params: DenoiserParams, x_noisy: np.ndarray, i, c: np.ndarray, grad_out: np.ndarray
 ):
@@ -197,11 +186,6 @@ def backward_batch(
         if idx > 0:
             g = (g @ w) * _act_grad(pre[idx - 1], params.activation)
     return grads
-
-
-def backward(params: DenoiserParams, x_noisy: np.ndarray, i: int, c: np.ndarray, grad_out: np.ndarray):
-    """Single-sample reverse-mode gradients (exact, no averaging)."""
-    return backward_batch(params, x_noisy[None, :], i, c[None, :], grad_out[None, :])
 
 
 @dataclass
@@ -249,13 +233,7 @@ def adam_step(state: OptimizerState, params: DenoiserParams, grads) -> tuple[Den
         new_layers.append((w, b))
         new_m.append((mw, mb))
         new_v.append((vw, vb))
-    new_params = DenoiserParams(
-        layers=new_layers,
-        activation=params.activation,
-        sample_dim=params.sample_dim,
-        embed_dim=params.embed_dim,
-        cond_dim=params.cond_dim,
-    )
+    new_params = replace(params, layers=new_layers)
     new_params.validate()
     new_state = OptimizerState(
         lr=state.lr, beta1=state.beta1, beta2=state.beta2, eps=state.eps,
@@ -285,10 +263,4 @@ def vector_to_params(vec: np.ndarray, template: DenoiserParams) -> DenoiserParam
         nb = vec[pos : pos + b.size].copy()
         pos += b.size
         layers.append((nw, nb))
-    return DenoiserParams(
-        layers=layers,
-        activation=template.activation,
-        sample_dim=template.sample_dim,
-        embed_dim=template.embed_dim,
-        cond_dim=template.cond_dim,
-    )
+    return replace(template, layers=layers)

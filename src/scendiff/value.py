@@ -23,7 +23,6 @@ from .data import HOURS
 from .errors import (
     CoverageError,
     DimensionError,
-    ModelValidationError,
     ParameterError,
 )
 from .simplex import LPProblem, LPSolution, simplex_solve
@@ -67,25 +66,25 @@ class RetailerModel:
 
     def validate(self) -> None:
         if self.capacity < 0:
-            raise ModelValidationError(f"capacity must be >= 0, got {self.capacity}")
+            raise ParameterError(f"capacity must be >= 0, got {self.capacity}")
         if not (0 < self.eta_c <= 1 and 0 < self.eta_d <= 1):
-            raise ModelValidationError("efficiencies must lie in (0, 1]")
+            raise ParameterError("efficiencies must lie in (0, 1]")
         if self.p_charge < 0 or self.p_discharge < 0:
-            raise ModelValidationError("power limits must be >= 0")
+            raise ParameterError("power limits must be >= 0")
         for name in ("soc_start", "soc_end"):
             v = getattr(self, name)
             if not 0 <= v <= self.capacity:
-                raise ModelValidationError(f"{name}={v} outside [0, {self.capacity}]")
+                raise ParameterError(f"{name}={v} outside [0, {self.capacity}]")
         if np.any(self.pen_surplus < 0) or np.any(self.pen_deficit < 0):
-            raise ModelValidationError("penalties must be >= 0")
+            raise ParameterError("penalties must be >= 0")
         if not np.all(np.isfinite(self.price)):
-            raise ModelValidationError("prices must be finite")
+            raise ParameterError("prices must be finite")
         max_rise = HOURS * self.eta_c * self.p_charge
         max_fall = HOURS * self.p_discharge / self.eta_d
         if self.soc_end - self.soc_start > max_rise + 1e-9:
-            raise ModelValidationError("final state of charge unreachable: cannot charge enough")
+            raise ParameterError("final state of charge unreachable: cannot charge enough")
         if self.soc_start - self.soc_end > max_fall + 1e-9:
-            raise ModelValidationError("final state of charge unreachable: cannot discharge enough")
+            raise ParameterError("final state of charge unreachable: cannot discharge enough")
 
     def to_dict(self) -> dict:
         return {

@@ -199,8 +199,9 @@ def test_exit_5_alignment(tmp_path, capsys):
     assert _stderr_error(capsys)["error"] == "AlignmentError"
 
 
-def test_exit_6_value_coverage(tmp_path, capsys):
-    days = [date(2015, 2, 1), date(2015, 2, 2)]
+def _value_args(tmp_path, days, load_days):
+    """`value` arguments over one-zone wind, pv and load files: scenarios for
+    `days` on every track, observations for `days` (load: `load_days`)."""
     rng = np.random.default_rng(0)
 
     def scen_file(name, day_list):
@@ -219,13 +220,28 @@ def test_exit_6_value_coverage(tmp_path, capsys):
         return p
 
     args = ["value", "--out", str(tmp_path / "ov")]
-    for track, profile_days in (("wind", days), ("pv", days), ("load", days + [date(2015, 2, 3)])):
+    for track, profile_days in (("wind", days), ("pv", days), ("load", load_days)):
         args += [f"--scenarios-{track}", str(scen_file(f"s_{track}.csv", days)),
                  f"--obs-{track}", str(obs_file(f"o_{track}.csv", profile_days, track))]
-    assert main(args) == 6
+    return args
+
+
+def test_exit_6_value_coverage(tmp_path, capsys):
+    days = [date(2015, 2, 1), date(2015, 2, 2)]
+    assert main(_value_args(tmp_path, days, days + [date(2015, 2, 3)])) == 6
     doc = _stderr_error(capsys)
     assert doc["error"] == "CoverageError"
     assert "2015-02-03" in doc["message"]
+
+
+def test_exit_2_bad_retailer_config(tmp_path, capsys):
+    days = [date(2015, 2, 1), date(2015, 2, 2)]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"retailer": {"soc_start": 50.0, "capacity": 10.0}}))
+    assert main(_value_args(tmp_path, days, days) + ["--config", str(cfg)]) == 2
+    doc = _stderr_error(capsys)
+    assert doc["error"] == "ParameterError"
+    assert "soc_start" in doc["message"]
 
 
 def test_no_subcommand_is_usage_error(capsys):

@@ -132,6 +132,14 @@ def test_load_csv_parse_errors_carry_row_numbers(tmp_path):
     _mini_csv(p, ["01/02/2012,0,1,0.5,1.0"])
     with pytest.raises(ParseError, match="bad date"):
         dmod.load_csv(p, "pv")
+    # hour and zone must be whole numbers; 1.0 is one
+    for row in ("2012-01-01,0.7,1,0.5,1.0", "2012-01-01,0,1.5,0.5,1.0",
+                "2012-01-01,nan,1,0.5,1.0"):
+        _mini_csv(p, [row])
+        with pytest.raises(ParseError, match="row 2"):
+            dmod.load_csv(p, "pv")
+    _mini_csv(p, [r.replace(",1,", ",1.0,", 1) for r in _full_day("2012-01-01", 1)])
+    assert dmod.load_csv(p, "pv").days() == [date(2012, 1, 1)]
 
 
 def test_load_csv_schema_errors(tmp_path):

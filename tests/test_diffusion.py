@@ -40,7 +40,6 @@ def test_linear_schedule_defaults():
 
 def test_schedule_identities_hold_exactly():
     for s in (dif.make_schedule(), dif.make_schedule("cosine", n=60)):
-        assert np.all(s.alpha + s.beta == 1.0)  # exact in IEEE double
         assert np.all(np.diff(s.alpha_bar) < 0)
         np.testing.assert_allclose(s.alpha_bar, np.cumprod(1.0 - s.beta), rtol=1e-15)
         assert np.all((s.beta > 0) & (s.beta < 1))
@@ -271,9 +270,9 @@ def test_reverse_engine_draw_order_contract():
         rng = np.random.default_rng(children[j])
         x = rng.standard_normal(4)
         z = rng.standard_normal((2, 4))
-        x = x / math.sqrt(s.alpha[2]) + s.sigma[2] * z[0]  # step 3
-        x = x / math.sqrt(s.alpha[1]) + s.sigma[1] * z[1]  # step 2
-        x = x / math.sqrt(s.alpha[0])                      # step 1: no noise
+        x = x / math.sqrt(1 - s.beta[2]) + s.sigma[2] * z[0]  # step 3
+        x = x / math.sqrt(1 - s.beta[1]) + s.sigma[1] * z[1]  # step 2
+        x = x / math.sqrt(1 - s.beta[0])                      # step 1: no noise
         np.testing.assert_allclose(out[j], x, rtol=1e-12)
 
 
@@ -316,8 +315,9 @@ def test_reverse_sampler_matches_analytic_gaussian_law():
     m_star, v_star = 0.0, 1.0
     for i in range(s.n, 0, -1):
         abar_prev = 1.0 if i == 1 else s.alpha_bar[i - 2]
-        m_star = math.sqrt(s.alpha[i - 1]) * m_star + s.beta[i - 1] * math.sqrt(abar_prev) * mu0
-        v_star = s.alpha[i - 1] * v_star + (s.sigma[i - 1] ** 2 if i > 1 else 0.0)
+        alpha = 1 - s.beta[i - 1]
+        m_star = math.sqrt(alpha) * m_star + s.beta[i - 1] * math.sqrt(abar_prev) * mu0
+        v_star = alpha * v_star + (s.sigma[i - 1] ** 2 if i > 1 else 0.0)
 
     draws = dif.reverse_chain(oracle, np.zeros(0), s, m=8000, seed=17, l=1).ravel()
     assert abs(draws.mean() - m_star) < 4 * math.sqrt(v_star / draws.size)
@@ -424,6 +424,26 @@ def test_checkpoint_rejects_corruption(tmp_path, tiny_model, tiny_schedule):
     (tmp_path / "d.ckpt").write_bytes(b"\xff\xfe garbage")
     with pytest.raises(ModelValidationError):
         dif.load_checkpoint(tmp_path / "d.ckpt")
+
+    # header fields that are missing or of the wrong type, and a header that
+    # is not a JSON object, are rejected before any of them is used
+    def with_header(doc):
+        (tmp_path / "e.ckpt").write_bytes(json.dumps(doc).encode() + raw[nl:])
+        return tmp_path / "e.ckpt"
+
+    for key in ("n_params", "hidden", "schedule", "activation"):
+        broken = json.loads(raw[:nl])
+        del broken[key]
+        with pytest.raises(ModelValidationError, match=key):
+            dif.load_checkpoint(with_header(broken))
+    for key, bad in (("n_params", "abc"), ("hidden", [16, "x"]), ("hidden", [-4]),
+                     ("activation", "tanh"), ("schedule", {"kind": "linear"})):
+        broken = json.loads(raw[:nl])
+        broken[key] = bad
+        with pytest.raises(ModelValidationError):
+            dif.load_checkpoint(with_header(broken))
+    with pytest.raises(ModelValidationError, match="not a model checkpoint"):
+        dif.load_checkpoint(with_header([json.loads(raw[:nl])]))
 
 
 # -------------------------------------------------------------- scenario CSV

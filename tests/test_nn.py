@@ -118,7 +118,8 @@ def test_forward_batch_matches_single_sample_loop():
     out = nn.forward_batch(p, x, steps, c)
     assert out.shape == (7, 5)
     for b in range(7):
-        np.testing.assert_allclose(out[b], nn.forward(p, x[b], int(steps[b]), c[b]), atol=1e-12)
+        one = nn.forward_batch(p, x[b : b + 1], int(steps[b]), c[b : b + 1])
+        np.testing.assert_allclose(out[b], one[0], atol=1e-12)
 
 
 def test_forward_scalar_step_broadcasts():
@@ -127,7 +128,8 @@ def test_forward_scalar_step_broadcasts():
     c = np.zeros((4, 0))
     out = nn.forward_batch(p, x, 5, c)
     for b in range(4):
-        np.testing.assert_allclose(out[b], nn.forward(p, x[b], 5, c[b]), atol=1e-12)
+        np.testing.assert_allclose(out[b], nn.forward_batch(p, x[b : b + 1], 5, c[b : b + 1])[0],
+                                   atol=1e-12)
 
 
 def test_forward_rejects_wrong_dims():
@@ -178,7 +180,8 @@ def test_backward_batch_is_sum_of_per_sample_grads():
     g = rng.standard_normal((3, 4))
     steps = np.array([1, 4, 9])
     total = nn.backward_batch(p, x, steps, c, g)
-    parts = [nn.backward(p, x[b], int(steps[b]), c[b], g[b]) for b in range(3)]
+    parts = [nn.backward_batch(p, x[b : b + 1], int(steps[b]), c[b : b + 1], g[b : b + 1])
+             for b in range(3)]
     for idx in range(len(p.layers)):
         np.testing.assert_allclose(
             total[idx][0], sum(pp[idx][0] for pp in parts), atol=1e-10

@@ -9,7 +9,6 @@ import pytest
 from scendiff.errors import (
     CoverageError,
     DimensionError,
-    ModelValidationError,
     ParameterError,
 )
 from scendiff.value import (
@@ -61,13 +60,13 @@ def test_model_validation_catches_bad_fields():
         dict(price=np.inf),
     ]
     for kw in bad:
-        with pytest.raises(ModelValidationError):
+        with pytest.raises(ParameterError):
             RetailerModel(**kw).validate()
     # terminal state of charge that cannot be reached within a day
-    with pytest.raises(ModelValidationError, match="charge enough"):
+    with pytest.raises(ParameterError, match="charge enough"):
         RetailerModel(capacity=1000.0, p_charge=0.01, soc_start=0.0,
                       soc_end=900.0).validate()
-    with pytest.raises(ModelValidationError, match="discharge enough"):
+    with pytest.raises(ParameterError, match="discharge enough"):
         RetailerModel(capacity=1000.0, p_discharge=0.01, soc_start=900.0,
                       soc_end=0.0).validate()
 
