@@ -602,6 +602,15 @@ def write_manifest(ds: Dataset, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2))
 
 
+def write_report_json(doc: dict, path: str | Path) -> None:
+    """Write a report as strict JSON; a NaN or infinity raises ParameterError."""
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError as e:
+        raise ParameterError(f"{path}: {e}") from None
+    Path(path).write_text(text)
+
+
 def read_manifest(path: str | Path) -> dict:
     doc = json.loads(Path(path).read_text())
     if doc.get("scaler"):
@@ -634,4 +643,6 @@ def read_observations(path: str | Path) -> dict[date, np.ndarray]:
             out[day] = np.array(list(map(float, row[1:])))
         except ValueError as e:
             raise ParseError(f"row {row_no}: {e}") from None
+        if not np.isfinite(out[day]).all():
+            raise ParseError(f"row {row_no}: day {day} has a non-finite value")
     return out

@@ -498,6 +498,9 @@ def load_checkpoint(path: str | Path):
         scaler = Scaler.from_dict(header["scaler"]) if header["scaler"] else None
     except (KeyError, TypeError, ValueError, ScendiffError) as e:
         raise ModelValidationError(f"{path}: bad checkpoint: {type(e).__name__}: {e}") from None
+    k, rest = divmod(header["cond_dim"], HOURS)
+    if scaler and (rest or scaler.cov_offset.shape != (k,) or scaler.cov_scale.shape != (k,)):
+        raise ModelValidationError(f"{path}: scaler covariates do not match cond_dim")
     return params, sched, scaler, header
 
 
@@ -533,4 +536,6 @@ def read_scenarios(path: str | Path) -> dict[date, np.ndarray]:
         if [e[0] for e in entries] != list(range(1, len(entries) + 1)):
             raise IntegrityError(f"{path}: day {day} scenario numbering is not 1..M")
         out[day] = np.array([e[1] for e in entries])
+        if not np.isfinite(out[day]).all():
+            raise ParseError(f"{path}: day {day} has a non-finite scenario value")
     return out

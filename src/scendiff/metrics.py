@@ -10,13 +10,13 @@ nominal base, VS stays unitless (computed on base-normalized values).
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
 
 import numpy as np
 
+from .data import write_report_json
 from .errors import (
     AlignmentError,
     DimensionError,
@@ -175,7 +175,7 @@ class QualityReport:
         }
 
     def write_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2))
+        write_report_json(self.to_dict(), path)
 
     def write_reliability_csv(self, path: str | Path) -> None:
         """Rows `nominal,empirical`, both in percent."""

@@ -110,12 +110,7 @@ def timestep_embedding(i, e: int) -> np.ndarray:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
 def _act(z: np.ndarray, kind: str) -> np.ndarray:

@@ -61,25 +61,24 @@ class LPSolution:
 
 
 def _unit_columns(a: np.ndarray) -> dict[int, int]:
-    """Map row -> column for columns that are exactly a +1 unit vector."""
-    m, n = a.shape
-    out: dict[int, int] = {}
-    nonzero_count = (a != 0).sum(axis=0)
-    for j in range(n):
-        if nonzero_count[j] != 1:
-            continue
-        i = int(np.argmax(a[:, j] != 0))
-        if a[i, j] == 1.0 and i not in out:
-            out[i] = j
-    return out
+    """Map row -> first column that is exactly a +1 unit vector in that row."""
+    nonzero = a != 0
+    single = np.flatnonzero(nonzero.sum(axis=0) == 1)
+    rows = np.nonzero(nonzero[:, single].T)[1]  # row of each one-entry column
+    unit = a[rows, single] == 1.0
+    rows, first = np.unique(rows[unit], return_index=True)
+    return dict(zip(rows.tolist(), single[unit][first].tolist()))
 
 
 def _pivot(tab: np.ndarray, basis: list[int], row: int, col: int) -> None:
+    # only rows with a nonzero in the pivot column and columns with a nonzero
+    # in the pivot row change: any other cell would subtract an exact zero
     tab[row] /= tab[row, col]
-    factors = tab[:, col].copy()
-    factors[row] = 0.0
-    tab -= np.outer(factors, tab[row])
-    tab[:, col] = 0.0
+    rows = np.flatnonzero(tab[:, col])
+    rows = rows[rows != row]
+    cols = np.flatnonzero(tab[row])
+    tab[np.ix_(rows, cols)] -= np.outer(tab[rows, col], tab[row, cols])
+    tab[rows, col] = 0.0
     tab[row, col] = 1.0
     basis[row] = col
 
@@ -183,8 +182,9 @@ def simplex_solve(lp: LPProblem) -> LPSolution:
             basis = [basis[i] for i in keep]
             m = len(keep)
 
-    # phase 2: rebuild the cost row for the real objective
-    tab = np.hstack([tab[:, :n], tab[:, -1:]])
+    # phase 2: drop the artificial columns in place, rebuild the cost row
+    tab[:, n] = tab[:, -1]  # right-hand side moves next to the real columns
+    tab = tab[:, :n + 1]
     tab[-1, :] = 0.0
     tab[-1, :n] = c
     for i in range(m):

@@ -12,14 +12,13 @@ deterministic point-forecast planner (scenario-mean) are the baselines.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
 
 import numpy as np
 
-from .data import HOURS
+from .data import HOURS, write_report_json
 from .errors import (
     CoverageError,
     DimensionError,
@@ -317,7 +316,7 @@ class ValueReport:
         }
 
     def write_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2))
+        write_report_json(self.to_dict(), path)
 
     def write_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as f:

@@ -184,6 +184,20 @@ def test_exit_4_checkpoint_track_mismatch(tmp_path, capsys):
     assert doc["error"] == "ModelValidationError"
     assert "track" in doc["message"]
 
+    # a scaler whose covariate arrays do not match the network's condition width
+    ckpt = tmp_path / "out_pv" / "model_pv_z1.ckpt"
+    raw = ckpt.read_bytes()
+    nl = raw.find(b"\n")
+    header = json.loads(raw[:nl])
+    header["scaler"]["cov_offset"] = header["scaler"]["cov_offset"] * 2
+    ckpt.write_bytes(json.dumps(header).encode() + raw[nl:])
+    rc = main(["generate", "--config", str(tmp_path / "cfg_pv.json"), "--out",
+               str(tmp_path / "op"), "--checkpoint", str(ckpt)])
+    assert rc == 4
+    doc = _stderr_error(capsys)
+    assert doc["error"] == "ModelValidationError"
+    assert "cond_dim" in doc["message"]
+
 
 def test_exit_5_alignment(tmp_path, capsys):
     days = [date(2015, 1, 1), date(2015, 1, 2)]

@@ -400,7 +400,7 @@ def test_checkpoint_round_trip_is_exact(tmp_path, tiny_model, tiny_schedule, pv_
     np.testing.assert_array_equal(out.scenarios, want.scenarios)
 
 
-def test_checkpoint_rejects_corruption(tmp_path, tiny_model, tiny_schedule):
+def test_checkpoint_rejects_corruption(tmp_path, tiny_model, tiny_schedule, pv_normalized):
     params, _ = tiny_model
     p = tmp_path / "model.ckpt"
     dif.save_checkpoint(p, params, tiny_schedule, None, "pv", 1)
@@ -444,6 +444,17 @@ def test_checkpoint_rejects_corruption(tmp_path, tiny_model, tiny_schedule):
             dif.load_checkpoint(with_header(broken))
     with pytest.raises(ModelValidationError, match="not a model checkpoint"):
         dif.load_checkpoint(with_header([json.loads(raw[:nl])]))
+
+    # a scaler must carry one covariate offset and scale per cond_dim / 24 channel
+    dif.save_checkpoint(p, params, tiny_schedule, pv_normalized.scaler, "pv", 1)
+    raw = p.read_bytes()
+    nl = raw.find(b"\n")
+    dif.load_checkpoint(p)
+    for key in ("cov_offset", "cov_scale"):
+        broken = json.loads(raw[:nl])
+        broken["scaler"][key] = broken["scaler"][key] * 2
+        with pytest.raises(ModelValidationError, match="cond_dim"):
+            dif.load_checkpoint(with_header(broken))
 
 
 # -------------------------------------------------------------- scenario CSV

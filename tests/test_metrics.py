@@ -433,3 +433,27 @@ def test_quantile_score_matches_pinball_integral_for_gaussian():
     xq = norm.ppf(q)
     want = float(np.mean(np.where(xq <= 0, -xq * q, xq * (1 - q))))
     assert got == pytest.approx(want, rel=0.10)
+
+
+def test_reports_refuse_non_finite_values(tmp_path, monkeypatch, capsys):
+    """NaN and infinity are not JSON: writing such a report raises a package
+    error, and `evaluate` exits 2 with one JSON error line and no report."""
+    from scendiff.cli import main
+    from scendiff.value import ValueReport
+
+    nan_quality = met.QualityReport(crps=math.nan, qs=1.0, mae_r=1.0, es=1.0, vs=1.0,
+                                    n_days=1, m=2, base=1.0)
+    for report in (nan_quality, ValueReport(aggregate={"oracle": math.inf})):
+        with pytest.raises(ParameterError, match="JSON"):
+            report.write_json(tmp_path / "report.json")
+        assert not (tmp_path / "report.json").exists()
+
+    monkeypatch.setattr(met, "evaluate_files", lambda *a, **k: nan_quality)
+    capsys.readouterr()
+    rc = main(["evaluate", "--scenarios", "s.csv", "--observations", "o.csv",
+               "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "ParameterError"
+    assert not (tmp_path / "out" / "quality_report.json").exists()

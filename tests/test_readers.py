@@ -46,6 +46,17 @@ def test_readers_raise_typed_errors(tmp_path, kind, case):
         read(p)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("kind", ["scenarios", "observations"])
+def test_readers_reject_non_finite_cells(tmp_path, kind, cell):
+    """A NaN or infinite scenario or observation would reach the scores."""
+    read, header, row = READERS[kind]
+    p = tmp_path / f"{kind}.csv"
+    p.write_text(f"{header}\n{row[:-3]}{cell}\n")
+    with pytest.raises(ParseError, match="day 2012-01-01"):
+        read(p)
+
+
 TOKENS = st.one_of(
     st.sampled_from(["", " ", "nan", "inf", "-1", "1e400", "0.7", "24", "x",
                      "2012-02-30", "2012-01-02", '"', ",", "\x00"]),

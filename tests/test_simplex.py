@@ -266,3 +266,84 @@ def test_certificate_rejects_corrupted_solution():
     cert = verify_certificate(lp, sol)
     assert not cert["ok"]
     assert cert["residual"] > 1e-3 or cert["min_x"] < -1e-9
+
+
+# ------------------------------------------------------------- sparse pivot
+
+
+def _dense_pivot(tab, basis, row, col):
+    """Reference: the full-tableau Gauss-Jordan update."""
+    tab[row] /= tab[row, col]
+    factors = tab[:, col].copy()
+    factors[row] = 0.0
+    tab -= np.outer(factors, tab[row])
+    tab[:, col] = 0.0
+    tab[row, col] = 1.0
+    basis[row] = col
+
+
+def _loop_unit_columns(a):
+    """Reference: first +1 unit column per row, one column at a time."""
+    out = {}
+    nonzero_count = (a != 0).sum(axis=0)
+    for j in range(a.shape[1]):
+        if nonzero_count[j] != 1:
+            continue
+        i = int(np.argmax(a[:, j] != 0))
+        if a[i, j] == 1.0 and i not in out:
+            out[i] = j
+    return out
+
+
+def test_sparse_pivot_matches_dense_update():
+    """Cells whose row or column factor is an exact zero are skipped; the
+    result must equal the full outer-product update, over chains of pivots."""
+    rng = np.random.default_rng(3)
+    for trial in range(50):
+        m, n = int(rng.integers(1, 12)), int(rng.integers(2, 20))
+        tab = rng.normal(size=(m + 1, n + 1)) * (rng.random((m + 1, n + 1)) < 0.3)
+        sparse, dense = tab.copy(), tab.copy()
+        basis_s, basis_d = [-1] * m, [-1] * m
+        for _ in range(5):
+            rows, cols = np.nonzero(sparse[:m, :n])
+            if rows.size == 0:
+                break
+            k = int(rng.integers(rows.size))
+            spx._pivot(sparse, basis_s, int(rows[k]), int(cols[k]))
+            _dense_pivot(dense, basis_d, int(rows[k]), int(cols[k]))
+            assert np.array_equal(sparse, dense), f"trial {trial}"
+            assert basis_s == basis_d
+
+
+def test_sparse_pivot_solves_bidding_lp_bit_for_bit(monkeypatch):
+    """An S = 5 bidding LP takes the same pivots with either update: equal
+    iteration count, basis, and x down to the bits."""
+    from scendiff.value import RetailerModel, build_two_stage_lp
+
+    rng = np.random.default_rng(11)
+    pv = 30 * np.clip(np.sin((np.arange(24) - 6) * np.pi / 12), 0, None)
+    scenarios = [(rng.uniform(0, 60, 24), pv * rng.uniform(0.5, 1, 24), rng.uniform(40, 80, 24))
+                 for _ in range(5)]
+    lp = build_two_stage_lp(RetailerModel(), scenarios)
+    fast = simplex_solve(lp)
+    monkeypatch.setattr(spx, "_pivot", _dense_pivot)
+    ref = simplex_solve(lp)
+    assert fast.status == ref.status == "optimal"
+    assert fast.iterations == ref.iterations
+    assert fast.basis == ref.basis
+    assert fast.x.tobytes() == ref.x.tobytes()
+    assert np.float64(fast.objective).tobytes() == np.float64(ref.objective).tobytes()
+
+
+def test_unit_columns_match_loop_reference():
+    rng = np.random.default_rng(5)
+    for trial in range(40):
+        m, n = int(rng.integers(0, 8)), int(rng.integers(1, 16))
+        a = rng.choice([0.0, 0.0, 0.0, 1.0, -1.0, 2.0], size=(m, n))
+        if m:
+            # duplicate +1 unit columns and a -1 unit column ahead of a +1 one
+            i = int(rng.integers(m))
+            unit = np.zeros((m, 1))
+            unit[i] = 1.0
+            a = np.hstack([-unit, a, unit, unit])
+        assert spx._unit_columns(a) == _loop_unit_columns(a), f"trial {trial}"
