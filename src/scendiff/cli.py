@@ -12,6 +12,7 @@ import argparse
 import copy
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -57,13 +58,37 @@ class ConfigError(ScendiffError):
     """Bad or incomplete run configuration."""
 
 
+# retailer curves: 24 hourly values, or one value for every hour
+_HOURLY_CURVES = ("retailer.price", "retailer.pen_surplus", "retailer.pen_deficit")
+
+
+def _valid_value(default, val) -> bool:
+    """Whether val may replace default: the same JSON kind (a list's items
+    that of its first default item), integers non-negative, numbers finite;
+    `data`, null by default, takes a path string."""
+    if isinstance(default, list):
+        return isinstance(val, list) and all(_valid_value(default[0], v) for v in val)
+    if default is None or isinstance(default, str):
+        return isinstance(val, str) or (default is None and val is None)
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        return False
+    if isinstance(default, int):
+        return isinstance(val, int) and val >= 0
+    return math.isfinite(val)
+
+
 def _merge(base: dict, override: dict, path: str = "") -> dict:
     out = copy.deepcopy(base)
     for key, val in override.items():
         if key not in base:
             raise ConfigError(f"unknown config key {path + key!r}")
-        if isinstance(base[key], dict) and isinstance(val, dict):
+        if isinstance(base[key], dict):
+            if not isinstance(val, dict):
+                raise ConfigError(f"config key {path + key!r} must be an object")
             out[key] = _merge(base[key], val, path + key + ".")
+        elif not (_valid_value(base[key], val) or path + key in _HOURLY_CURVES
+                  and _valid_value(base[key][0], val)):
+            raise ConfigError(f"config key {path + key!r} has a bad value: {val!r}")
         else:
             out[key] = copy.deepcopy(val)
     return out
@@ -81,9 +106,7 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
         if not isinstance(user, dict):
             raise ConfigError("config root must be a JSON object")
         cfg = _merge(cfg, user)
-    for key, val in (overrides or {}).items():
-        if val is not None:
-            cfg[key] = val
+    cfg = _merge(cfg, {k: v for k, v in (overrides or {}).items() if v is not None})
     if cfg["track"] not in data_mod.TRACKS:
         raise ConfigError(f"track must be one of {data_mod.TRACKS}, got {cfg['track']!r}")
     return cfg
@@ -92,7 +115,7 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
 def _load_split_dataset(cfg: dict) -> data_mod.Dataset:
     if not cfg["data"]:
         raise ConfigError("config field 'data' (input CSV path) is required")
-    if not Path(cfg["data"]).exists():
+    if not Path(cfg["data"]).is_file():
         raise ConfigError(f"data file not found: {cfg['data']}")
     ds = data_mod.load_csv(cfg["data"], cfg["track"])
     return data_mod.split_random(ds, tuple(cfg["split"]["fractions"]), cfg["seed"])
@@ -155,9 +178,11 @@ def cmd_generate(args) -> int:
     checkpoints = ([Path(args.checkpoint)] if args.checkpoint
                    else [_checkpoint_path(out_dir, cfg["track"], z) for z in cfg["zones"]])
     for ckpt_path in checkpoints:
-        if not ckpt_path.exists():
+        if not ckpt_path.is_file():
             raise ConfigError(f"checkpoint not found: {ckpt_path}")
         params, sched, scaler, header = diffusion.load_checkpoint(ckpt_path)
+        if scaler is None:
+            raise ModelValidationError(f"checkpoint {ckpt_path} carries no scaler")
         if header["track"] != cfg["track"]:
             raise ModelValidationError(
                 f"checkpoint {ckpt_path} is for track {header['track']!r}, "
@@ -214,7 +239,7 @@ def _parse_zone_paths(specs: list[str], what: str) -> dict[int, Path]:
         if z in out:
             raise ConfigError(f"{what}: duplicate zone {z}")
         p = Path(path)
-        if not p.exists():
+        if not p.is_file():
             raise ConfigError(f"{what}: file not found: {p}")
         out[z] = p
     return out

@@ -15,6 +15,7 @@ it, so every public interface keeps speaking normalized units.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -199,7 +200,8 @@ def chain_forward(x0: np.ndarray, sched: Schedule, rng: np.random.Generator) -> 
 
 def _as_denoiser(params):
     """The callable (x_noisy, steps, c) -> eps_hat behind params, which are
-    DenoiserParams or already such a callable."""
+    DenoiserParams or already such a callable. `steps` is a scalar step
+    shared by every row or a (B,) array of per-row steps."""
     if isinstance(params, nn.DenoiserParams):
         return lambda x, steps, c: nn.forward_batch(params, x, steps, c)
     return params
@@ -267,6 +269,8 @@ def train(ds, config: TrainConfig, sched: Schedule):
     """
     if ds.scaler is None:
         raise ParameterError("dataset must be normalized before training")
+    if config.batch_size < 1:
+        raise ParameterError(f"batch_size must be >= 1, got {config.batch_size}")
     x_learn, c_learn, _ = ds.arrays(split="learn", zone=config.zone)
     x_learn = to_model_space(x_learn)
     master = np.random.SeedSequence(config.seed)
@@ -318,12 +322,21 @@ def train(ds, config: TrainConfig, sched: Schedule):
 
 
 def _reverse_engine(denoiser, c_rows: np.ndarray, sched: Schedule,
-                    seed_seqs, l: int, chunk: int = 2048) -> np.ndarray:
+                    seed_seqs, l: int, chunk: int = 256) -> np.ndarray:
     """Ancestral sampling for many (condition, stream) rows at once.
 
+    `denoiser` is DenoiserParams or a callable (x_noisy (B, l), step, c (B, K))
+    -> eps_hat (B, l); it gets the step as a scalar, the same for every row.
     Each row has its own RNG stream drawing, in order, the initial noise and
-    then one z vector per reverse step from n down to 2. Rows are processed
-    in chunks so the per-step noise block stays small.
+    then one z vector per reverse step from n down to 2, so a row's draws
+    do not depend on `chunk` or on the other rows. Its bits do not either as
+    long as BLAS rounds a row of a matrix product the same whatever the row
+    count; OpenBLAS does not for products of a few rows (its small-matrix
+    kernel), where results move in the last bits.
+
+    Rows run in chunks: at 256 rows one hidden layer's activations
+    (256 x 128 x 8 B) stay in L2 cache, and the chunk's noise block,
+    rows x (n - 1) x l float64, is about 10 MB at n = 200.
     """
     denoiser = _as_denoiser(denoiser)
     r = c_rows.shape[0]
@@ -340,11 +353,11 @@ def _reverse_engine(denoiser, c_rows: np.ndarray, sched: Schedule,
                 z[j] = rng.standard_normal((sched.n - 1, l))
         c_chunk = c_rows[lo:hi]
         for i in range(sched.n, 0, -1):
-            eps_hat = denoiser(x, np.full(rows, i), c_chunk)
-            coef = sched.beta[i - 1] / math.sqrt(1.0 - sched.alpha_bar[i - 1])
-            x = (x - coef * eps_hat) / math.sqrt(1.0 - sched.beta[i - 1])
+            eps_hat = denoiser(x, i, c_chunk)
+            x -= sched.beta[i - 1] / math.sqrt(1.0 - sched.alpha_bar[i - 1]) * eps_hat
+            x /= math.sqrt(1.0 - sched.beta[i - 1])
             if i > 1:
-                x = x + sched.sigma[i - 1] * z[:, sched.n - i]
+                x += sched.sigma[i - 1] * z[:, sched.n - i]
             if not np.all(np.isfinite(x)):
                 raise SamplingDivergenceError(f"non-finite sample at step {i}")
         out[lo:hi] = x
@@ -415,11 +428,12 @@ def sample_days(params, conditions: np.ndarray, day_ids, sched: Schedule, m: int
 
 
 CHECKPOINT_MAGIC = "scendiff-checkpoint"
+CHECKPOINT_VERSION = 2  # 2: the header carries the parameter block's SHA-256
 # header fields load_checkpoint relies on, with their JSON types
 _HEADER_TYPES = {
     "track": str, "zone": int, "sample_dim": int, "embed_dim": int, "cond_dim": int,
     "activation": str, "hidden": list, "n_params": int, "schedule": dict,
-    "scaler": (dict, type(None)),
+    "scaler": (dict, type(None)), "sha256": str,
 }
 
 
@@ -428,11 +442,12 @@ def save_checkpoint(path: str | Path, params: nn.DenoiserParams, sched: Schedule
     """Write a model file: one JSON header line, then the raw parameter block.
 
     The block is little-endian float64, layer-major, weights before biases,
-    row-major matrices.
+    row-major matrices; the header's `sha256` is the hex digest of its bytes.
     """
+    block = nn.params_to_vector(params).astype("<f8").tobytes()
     header = {
         "format": CHECKPOINT_MAGIC,
-        "version": 1,
+        "version": CHECKPOINT_VERSION,
         "track": track,
         "zone": zone,
         "sample_dim": params.sample_dim,
@@ -443,19 +458,20 @@ def save_checkpoint(path: str | Path, params: nn.DenoiserParams, sched: Schedule
         "n_params": params.n_params,
         "schedule": sched.to_dict(),
         "scaler": scaler.to_dict() if scaler else None,
+        "sha256": hashlib.sha256(block).hexdigest(),
     }
-    vec = nn.params_to_vector(params).astype("<f8")
     with open(path, "wb") as f:
         f.write(json.dumps(header).encode("utf-8"))
         f.write(b"\n")
-        f.write(vec.tobytes())
+        f.write(block)
 
 
 def load_checkpoint(path: str | Path):
     """Read a model file; returns (params, schedule, scaler, header dict).
 
-    Raises ModelValidationError on a malformed header or a parameter block
-    whose length disagrees with the declared architecture.
+    Raises ModelValidationError on a malformed header, another format
+    version, or a parameter block whose length disagrees with the declared
+    architecture or whose bytes disagree with the header's SHA-256.
     """
     raw = Path(path).read_bytes()
     nl = raw.find(b"\n")
@@ -467,6 +483,9 @@ def load_checkpoint(path: str | Path):
         raise ModelValidationError(f"{path}: bad header: {e}") from None
     if not isinstance(header, dict) or header.get("format") != CHECKPOINT_MAGIC:
         raise ModelValidationError(f"{path}: not a model checkpoint")
+    if header.get("version") != CHECKPOINT_VERSION:
+        raise ModelValidationError(f"{path}: checkpoint format version "
+                                   f"{header.get('version')!r}, expected {CHECKPOINT_VERSION}")
     for key, kind in _HEADER_TYPES.items():
         if not isinstance(header.get(key), kind):
             raise ModelValidationError(f"{path}: header field {key!r} is missing or mistyped")
@@ -479,6 +498,8 @@ def load_checkpoint(path: str | Path):
         raise ModelValidationError(
             f"{path}: parameter block is {len(block)} bytes, expected {8 * n_params}"
         )
+    if hashlib.sha256(block).hexdigest() != header["sha256"]:
+        raise ModelValidationError(f"{path}: parameter block does not match its SHA-256")
     vec = np.frombuffer(block, dtype="<f8").astype(float)
     sizes = [header["sample_dim"] + header["embed_dim"] + header["cond_dim"],
              *header["hidden"], header["sample_dim"]]
@@ -501,6 +522,8 @@ def load_checkpoint(path: str | Path):
     k, rest = divmod(header["cond_dim"], HOURS)
     if scaler and (rest or scaler.cov_offset.shape != (k,) or scaler.cov_scale.shape != (k,)):
         raise ModelValidationError(f"{path}: scaler covariates do not match cond_dim")
+    if scaler and scaler.target_fixed is not None and scaler.target_fixed.shape != (HOURS,):
+        raise ModelValidationError(f"{path}: scaler target_fixed needs {HOURS} hours")
     return params, sched, scaler, header
 
 

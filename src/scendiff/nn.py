@@ -110,13 +110,18 @@ def timestep_embedding(i, e: int) -> np.ndarray:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + np.tanh(0.5 * z))
+    s = np.multiply(0.5, z)
+    np.tanh(s, out=s)
+    s += 1.0
+    s *= 0.5
+    return s
 
 
-def _act(z: np.ndarray, kind: str) -> np.ndarray:
+def _act(z: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.ndarray:
+    """Hidden activation of z, written into `out` (which may be z) when given."""
     if kind == "relu":
-        return np.maximum(0.0, z)
-    return z * _sigmoid(z)
+        return np.maximum(0.0, z, out=out)
+    return np.multiply(z, _sigmoid(z), out=out)
 
 
 def _act_grad(z: np.ndarray, kind: str) -> np.ndarray:
@@ -127,6 +132,10 @@ def _act_grad(z: np.ndarray, kind: str) -> np.ndarray:
 
 
 def _assemble_input(params: DenoiserParams, x_noisy: np.ndarray, i, c: np.ndarray) -> np.ndarray:
+    """One (B, input_dim) block: x_noisy, the step embedding, the condition.
+
+    A scalar step gets one embedding row, broadcast over the batch.
+    """
     x_noisy = np.atleast_2d(np.asarray(x_noisy, dtype=float))
     c = np.atleast_2d(np.asarray(c, dtype=float))
     batch = x_noisy.shape[0]
@@ -134,29 +143,34 @@ def _assemble_input(params: DenoiserParams, x_noisy: np.ndarray, i, c: np.ndarra
         raise DimensionError(f"sample dim {x_noisy.shape[1]} != {params.sample_dim}")
     if c.shape != (batch, params.cond_dim):
         raise DimensionError(f"condition shape {c.shape} != ({batch}, {params.cond_dim})")
-    emb = timestep_embedding(np.broadcast_to(np.asarray(i, dtype=float), (batch,)), params.embed_dim)
-    return np.concatenate([x_noisy, emb, c], axis=1)
+    l, e = params.sample_dim, params.embed_dim
+    inp = np.empty((batch, params.input_dim))
+    inp[:, :l] = x_noisy
+    inp[:, l : l + e] = timestep_embedding(i, e)
+    inp[:, l + e :] = c
+    return inp
 
 
-def _forward_cached(params: DenoiserParams, inp: np.ndarray):
-    """Returns (output, pre-activations, post-activations incl. input)."""
-    acts = [inp]
-    pre = []
-    a = inp
+def _forward(params: DenoiserParams, a: np.ndarray, cache: list | None = None) -> np.ndarray:
+    """Network output for an assembled input block.
+
+    With `cache`, appends (layer input, pre-activation) per layer for
+    backward_batch and gives every activation its own buffer; without it,
+    each hidden activation overwrites its pre-activation.
+    """
     last = len(params.layers) - 1
     for idx, (w, b) in enumerate(params.layers):
-        z = a @ w.T + b
-        pre.append(z)
-        a = z if idx == last else _act(z, params.activation)
-        acts.append(a)
-    return a, pre, acts
+        z = a @ w.T
+        z += b
+        if cache is not None:
+            cache.append((a, z))
+        a = z if idx == last else _act(z, params.activation, out=None if cache is not None else z)
+    return a
 
 
 def forward_batch(params: DenoiserParams, x_noisy: np.ndarray, i, c: np.ndarray) -> np.ndarray:
     """Predicted noise for a batch: x_noisy (B, L), i scalar or (B,), c (B, K)."""
-    inp = _assemble_input(params, x_noisy, i, c)
-    out, _, _ = _forward_cached(params, inp)
-    return out
+    return _forward(params, _assemble_input(params, x_noisy, i, c))
 
 
 def backward_batch(
@@ -172,14 +186,15 @@ def backward_batch(
         raise DimensionError(
             f"grad_out shape {grad_out.shape} != ({inp.shape[0]}, {params.sample_dim})"
         )
-    _, pre, acts = _forward_cached(params, inp)
+    cache: list = []
+    _forward(params, inp, cache)
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(params.layers)
     g = grad_out
     for idx in range(len(params.layers) - 1, -1, -1):
         w, _ = params.layers[idx]
-        grads[idx] = (g.T @ acts[idx], g.sum(axis=0))
+        grads[idx] = (g.T @ cache[idx][0], g.sum(axis=0))
         if idx > 0:
-            g = (g @ w) * _act_grad(pre[idx - 1], params.activation)
+            g = (g @ w) * _act_grad(cache[idx - 1][1], params.activation)
     return grads
 
 

@@ -344,6 +344,8 @@ def run_value_benchmark(
     baseline per model. Raises CoverageError listing missing combinations.
     """
     retailer.validate()
+    if n_planner_scenarios < 1:
+        raise ParameterError(f"n_planner_scenarios must be >= 1, got {n_planner_scenarios}")
     days = list(days)
     missing = []
     for day in days:

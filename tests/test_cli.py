@@ -8,7 +8,7 @@ import pytest
 
 from scendiff import data as dmod
 from scendiff import diffusion as dif
-from scendiff.cli import main
+from scendiff.cli import DEFAULT_CONFIG, ConfigError, load_config, main
 
 TINY = {
     "split": {"fractions": [0.8, 0.1, 0.1]},
@@ -152,6 +152,51 @@ def test_exit_2_missing_data_and_files(tmp_path, capsys):
     cfg.write_text("{not json")
     assert main(["train", "--config", str(cfg)]) == 2
     assert _stderr_error(capsys)["error"] == "ConfigError"
+    cfg.write_text(json.dumps({"track": "pv", "data": str(tmp_path)}))  # a directory
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert "not found" in _stderr_error(capsys)["message"]
+
+
+def _leaves(doc, path=""):
+    for key, val in doc.items():
+        if isinstance(val, dict):
+            yield from _leaves(val, f"{path}{key}.")
+        else:
+            yield f"{path}{key}", val
+
+
+def test_exit_2_bad_config_values(tmp_path, capsys):
+    """Every setting is checked against the kind of its default before use."""
+    cfg = tmp_path / "c.json"
+    for dotted, default in _leaves(DEFAULT_CONFIG):
+        item = default[0] if isinstance(default, list) else default
+        if item is None or isinstance(item, str):
+            bads = [1, ["x"]]
+        elif isinstance(item, int):
+            bads = ["1", 1.5, True, -1]
+        else:
+            bads = ["1", True, None, float("nan"), float("inf")]
+        for bad in bads:
+            doc = bad if not isinstance(default, list) else [bad]
+            for key in reversed(dotted.split(".")):
+                doc = {key: doc}
+            cfg.write_text(json.dumps(doc))
+            with pytest.raises(ConfigError, match=dotted):
+                load_config(str(cfg))
+    for section in ("split", "schedule", "model", "optimizer", "metrics", "retailer"):
+        cfg.write_text(json.dumps({section: [1]}))
+        with pytest.raises(ConfigError, match=section):
+            load_config(str(cfg))
+    # an hourly retailer curve takes one number for every hour, or 24 numbers
+    for price in (42.5, 40, [42.5] * 24):
+        cfg.write_text(json.dumps({"retailer": {"price": price}}))
+        assert load_config(str(cfg))["retailer"]["price"] == price
+    cfg.write_text(json.dumps({"optimizer": {"epochs": -2}}))
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert "optimizer.epochs" in _stderr_error(capsys)["message"]
+    cfg.write_text(json.dumps({"track": "pv"}))
+    assert main(["train", "--config", str(cfg), "--seed", "-1"]) == 2
+    assert "seed" in _stderr_error(capsys)["message"]
 
 
 def test_exit_3_training_divergence(tmp_path, capsys):
@@ -197,6 +242,15 @@ def test_exit_4_checkpoint_track_mismatch(tmp_path, capsys):
     doc = _stderr_error(capsys)
     assert doc["error"] == "ModelValidationError"
     assert "cond_dim" in doc["message"]
+
+    # a checkpoint without a scaler cannot map conditions or scenarios
+    header = json.loads(raw[:nl])
+    header["scaler"] = None
+    ckpt.write_bytes(json.dumps(header).encode() + raw[nl:])
+    rc = main(["generate", "--config", str(tmp_path / "cfg_pv.json"), "--out",
+               str(tmp_path / "op"), "--checkpoint", str(ckpt)])
+    assert rc == 4
+    assert "scaler" in _stderr_error(capsys)["message"]
 
 
 def test_exit_5_alignment(tmp_path, capsys):

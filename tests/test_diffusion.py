@@ -246,6 +246,9 @@ def test_train_requires_scaler_and_validation_split(pv_dataset, tiny_schedule):
                       scaler=norm.scaler)
     with pytest.raises(InsufficientDataError, match="validation"):
         dif.train(norm, cfg, tiny_schedule)
+    with pytest.raises(ParameterError, match="batch_size"):
+        dif.train(dmod.normalize(pv_dataset), dif.TrainConfig(epochs=1, batch_size=0),
+                  tiny_schedule)
 
 
 def test_train_divergence_reports_epoch(pv_normalized, tiny_schedule):
@@ -298,6 +301,21 @@ def test_reverse_engine_chunking_is_invisible():
     big = dif._reverse_engine(_zero_denoiser, c_rows, s, seqs, l=3, chunk=1000)
     small = dif._reverse_engine(_zero_denoiser, c_rows, s, seqs, l=3, chunk=3)
     np.testing.assert_array_equal(big, small)
+
+    # With a real network a row's bits must not depend on how many rows share
+    # its matrix products: the scenario file's bytes, and their agreement with
+    # earlier releases that used other chunk sizes, rely on it. A product of
+    # a few rows (chunk 3 here) goes through OpenBLAS's small-matrix kernel,
+    # which rounds differently, so that case is held to 1e-12 only.
+    p = nn.init_params((128, 128), sample_dim=24, embed_dim=8, cond_dim=24, seed=4)
+    c_rows = np.random.default_rng(6).uniform(0, 1, (600, 24))
+    seqs = np.random.SeedSequence(8).spawn(600)
+    default = dif._reverse_engine(p, c_rows, s, seqs, l=24)
+    for chunk in (128, 300, 1000):
+        np.testing.assert_array_equal(
+            dif._reverse_engine(p, c_rows, s, seqs, l=24, chunk=chunk), default)
+    np.testing.assert_allclose(dif._reverse_engine(p, c_rows, s, seqs, l=24, chunk=3),
+                               default, rtol=1e-12, atol=1e-12)
 
 
 def test_reverse_sampler_matches_analytic_gaussian_law():
@@ -415,6 +433,19 @@ def test_checkpoint_rejects_corruption(tmp_path, tiny_model, tiny_schedule, pv_n
         dif.load_checkpoint(tmp_path / "b.ckpt")
 
     nl = raw.find(b"\n")
+    # one flipped byte in the parameter block breaks its SHA-256
+    flipped = bytearray(raw)
+    flipped[nl + 1 + 8 * 5 + 3] ^= 0x01
+    (tmp_path / "f.ckpt").write_bytes(bytes(flipped))
+    with pytest.raises(ModelValidationError, match="SHA-256"):
+        dif.load_checkpoint(tmp_path / "f.ckpt")
+
+    header = json.loads(raw[:nl])
+    header["version"] = 1
+    (tmp_path / "v.ckpt").write_bytes(json.dumps(header).encode() + raw[nl:])
+    with pytest.raises(ModelValidationError, match="version"):
+        dif.load_checkpoint(tmp_path / "v.ckpt")
+
     header = json.loads(raw[:nl])
     header["hidden"] = [64, 64]
     (tmp_path / "c.ckpt").write_bytes(json.dumps(header).encode() + raw[nl:])
@@ -431,7 +462,7 @@ def test_checkpoint_rejects_corruption(tmp_path, tiny_model, tiny_schedule, pv_n
         (tmp_path / "e.ckpt").write_bytes(json.dumps(doc).encode() + raw[nl:])
         return tmp_path / "e.ckpt"
 
-    for key in ("n_params", "hidden", "schedule", "activation"):
+    for key in ("n_params", "hidden", "schedule", "activation", "sha256"):
         broken = json.loads(raw[:nl])
         del broken[key]
         with pytest.raises(ModelValidationError, match=key):
@@ -455,6 +486,11 @@ def test_checkpoint_rejects_corruption(tmp_path, tiny_model, tiny_schedule, pv_n
         broken["scaler"][key] = broken["scaler"][key] * 2
         with pytest.raises(ModelValidationError, match="cond_dim"):
             dif.load_checkpoint(with_header(broken))
+    # pinned hours need one entry per hour of the day
+    broken = json.loads(raw[:nl])
+    broken["scaler"]["target_fixed"] = [None, 0.0]
+    with pytest.raises(ModelValidationError, match="target_fixed"):
+        dif.load_checkpoint(with_header(broken))
 
 
 # -------------------------------------------------------------- scenario CSV

@@ -132,6 +132,44 @@ def test_forward_scalar_step_broadcasts():
                                    atol=1e-12)
 
 
+def _reference_forward(params, x, i, c):
+    """The allocating forward pass: concatenated input, z * sigmoid(z) and
+    np.maximum into new arrays, one embedding row per batch row."""
+    steps = np.broadcast_to(np.asarray(i, dtype=float), (x.shape[0],))
+    a = np.concatenate([x, nn.timestep_embedding(steps, params.embed_dim), c], axis=1)
+    last = len(params.layers) - 1
+    for idx, (w, b) in enumerate(params.layers):
+        z = a @ w.T + b
+        if idx == last:
+            a = z
+        elif params.activation == "relu":
+            a = np.maximum(0.0, z)
+        else:
+            a = z * (0.5 * (1.0 + np.tanh(0.5 * z)))
+    return a
+
+
+@pytest.mark.parametrize("activation", ["relu", "silu"])
+def test_forward_batch_is_bit_identical_to_allocating_reference(activation):
+    """The in-place forward reorders no arithmetic, so its bits are pinned."""
+    p = nn.init_params((16, 16), sample_dim=24, embed_dim=8, cond_dim=24, seed=2,
+                       activation=activation)
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((37, 24)) * 3.0
+    c = rng.uniform(0, 1, (37, 24))
+    steps = rng.integers(1, 201, size=37)
+    for i in (1, 117, 200, steps):
+        out = nn.forward_batch(p, x, i, c)
+        assert np.array_equal(out, _reference_forward(p, x, i, c))
+    for i in (1, 117, 200):
+        assert np.array_equal(nn.forward_batch(p, x, i, c),
+                              nn.forward_batch(p, x, np.full(37, i), c))
+    # the forward pass leaves its inputs untouched
+    x_before, c_before = x.copy(), c.copy()
+    nn.forward_batch(p, x, 5, c)
+    assert np.array_equal(x, x_before) and np.array_equal(c, c_before)
+
+
 def test_forward_rejects_wrong_dims():
     p = nn.init_params((6,), sample_dim=3, embed_dim=2, cond_dim=2, seed=1)
     with pytest.raises(DimensionError):

@@ -287,6 +287,9 @@ def test_run_value_benchmark_coverage_error():
     with pytest.raises(CoverageError, match="m1:pv"):
         run_value_benchmark({"m1": scen}, obs, RetailerModel(), days,
                             pv_zones=[1], wind_zones=[1, 2])
+    with pytest.raises(ParameterError, match="n_planner_scenarios"):
+        run_value_benchmark({"m1": scen}, obs, RetailerModel(), days,
+                            pv_zones=[1], wind_zones=[1, 2], n_planner_scenarios=0)
 
 
 def test_value_report_validate_rejects_super_oracle_rows():
