@@ -541,24 +541,39 @@ def write_scenarios(sets: list[ScenarioSet], path: str | Path) -> None:
 
 
 def read_scenarios(path: str | Path) -> dict[date, np.ndarray]:
-    """Inverse of write_scenarios: {day: (M, 24) array}."""
-    rows: dict[date, list] = {}
+    """Inverse of write_scenarios: {day: (M, 24) array}.
+
+    Each row's cells are cast into one float block that doubles when full
+    (numpy's str -> float cast accepts exactly what float() does), each
+    distinct date cell is parsed once, and each day's rows are then indexed
+    out of the block in scenario order.
+    """
     table = _read_table(path)
     if next(table) != ["day", "scenario"] + [f"h{h}" for h in range(HOURS)]:
         raise SchemaError(f"{path}: bad scenario header")
+    vals = np.empty((1024, HOURS))
+    dates: dict[str, date] = {}
+    rows: dict[date, list] = {}  # day -> [(scenario number, block row)]
+    k = 0
     for row_no, row in table:
-        day = _parse_date(row[0], row_no)
+        day = dates.get(row[0])
+        if day is None:
+            day = dates[row[0]] = _parse_date(row[0], row_no)
+        if k == len(vals):
+            vals = np.concatenate([vals, np.empty_like(vals)])
         try:
-            entry = (int(row[1]), list(map(float, row[2:])))
+            number = int(row[1])
+            vals[k] = row[2:]
         except ValueError as e:
             raise ParseError(f"row {row_no}: {e}") from None
-        rows.setdefault(day, []).append(entry)
+        rows.setdefault(day, []).append((number, k))
+        k += 1
     out = {}
     for day, entries in rows.items():
-        entries.sort(key=lambda e: e[0])
-        if [e[0] for e in entries] != list(range(1, len(entries) + 1)):
+        entries.sort()
+        if [n for n, _ in entries] != list(range(1, len(entries) + 1)):
             raise IntegrityError(f"{path}: day {day} scenario numbering is not 1..M")
-        out[day] = np.array([e[1] for e in entries])
+        out[day] = vals[[i for _, i in entries]]
         if not np.isfinite(out[day]).all():
             raise ParseError(f"{path}: day {day} has a non-finite scenario value")
     return out

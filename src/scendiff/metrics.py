@@ -3,6 +3,11 @@
 Five scores: continuous ranked probability score (energy-form estimator),
 quantile (pinball) score over the 1..99 percent levels, reliability deviation
 (MAE-r, percentage points), multivariate energy score, and variogram score.
+No score builds an (M, M, L) pairwise tensor: the CRPS spread term is a
+weighted sum of order statistics, the energy score sums over the M(M-1)/2
+unordered scenario pairs, the variogram score over the L(L-1)/2 unordered
+hour pairs, and the reliability curve reads its 99 coverage counts off one
+sorted rank array.
 Averaging follows one convention throughout: per-day values first, then the
 mean over test days; CRPS/QS/ES are reported in percent of the track's
 nominal base, VS stays unitless (computed on base-normalized values).
@@ -43,6 +48,10 @@ def crps(scenarios: np.ndarray, y: np.ndarray, estimator: str = "nrg"):
     Per marginal t: mean_m |x_mt - y_t| - (1/(2 M^2)) sum_{m,m'} |x_mt - x_m't|.
     estimator="fair" swaps the second factor for 1/(2 M (M-1)), the unbiased
     variant (needs M >= 2). With M = 1 the score reduces to the MAE.
+
+    The pair sum is read off the sorted sample (Gneiting & Raftery 2007):
+    sum_{m,m'} |x_m - x_m'| = 2 sum_i (2i - M - 1) x_(i), O(M log M) per
+    marginal. At M = 1 the weight is exactly 0, so the MAE identity is exact.
     """
     scenarios, y = _check_pair(scenarios, y)
     m = scenarios.shape[0]
@@ -51,9 +60,10 @@ def crps(scenarios: np.ndarray, y: np.ndarray, estimator: str = "nrg"):
     if estimator == "fair" and m < 2:
         raise InsufficientDataError("fair estimator needs at least 2 scenarios")
     term1 = np.mean(np.abs(scenarios - y[None, :]), axis=0)
-    pair = np.abs(scenarios[:, None, :] - scenarios[None, :, :]).sum(axis=(0, 1))
-    denom = 2.0 * m * m if estimator == "nrg" else 2.0 * m * (m - 1)
-    per_marginal = term1 - pair / denom
+    rank_weight = 2.0 * np.arange(1, m + 1) - m - 1
+    half_pair = rank_weight @ np.sort(scenarios, axis=0)
+    denom = m * m if estimator == "nrg" else m * (m - 1)
+    per_marginal = term1 - half_pair / denom
     return per_marginal, float(per_marginal.mean())
 
 
@@ -108,40 +118,52 @@ def reliability(scenario_list, obs_list, seed: int = 0):
         at_or_below = (scens <= y[None, :]).sum(axis=0)
         v = rng.uniform(size=y.shape)
         ranks.append((below + v * (at_or_below - below)) / m)
-    r = np.concatenate(ranks)
-    curve = np.array([(r <= q).mean() for q in QUANTILE_LEVELS])
+    r = np.sort(np.concatenate(ranks))
+    curve = np.searchsorted(r, QUANTILE_LEVELS, side="right") / r.size
     mae_r = float(np.mean(np.abs(curve - QUANTILE_LEVELS))) * 100.0
     return curve, mae_r
 
 
 def energy_score(scenarios: np.ndarray, y: np.ndarray) -> float:
     """Multivariate generalization of the CRPS over the full 24-vector:
-    mean_m ||x_m - y|| - (1/(2 M^2)) sum_{m,m'} ||x_m - x_m'||."""
+    mean_m ||x_m - y|| - (1/(2 M^2)) sum_{m,m'} ||x_m - x_m'||.
+
+    The pair sum runs over the M(M-1)/2 unordered pairs and is doubled. Each
+    norm is taken of the difference itself, not by the Gram form
+    ||a||^2 + ||b||^2 - 2 a.b, which cancels on identical rows.
+    """
     scenarios, y = _check_pair(scenarios, y)
     m = scenarios.shape[0]
     term1 = np.mean(np.linalg.norm(scenarios - y[None, :], axis=1))
-    pair = np.linalg.norm(scenarios[:, None, :] - scenarios[None, :, :], axis=2).sum()
-    return float(term1 - pair / (2.0 * m * m))
+    i, j = np.triu_indices(m, 1)
+    diff = scenarios[i] - scenarios[j]
+    half_pair = np.sqrt(np.einsum("pl,pl->p", diff, diff)).sum()
+    return float(term1 - half_pair / (m * m))
 
 
 def variogram_score(scenarios: np.ndarray, y: np.ndarray, gamma: float = 0.5,
                     weights: np.ndarray | None = None) -> float:
     """sum_{t,t'} w_tt' (|y_t - y_t'|^g - mean_m |x_mt - x_mt'|^g)^2 over
-    ordered pairs; unit weights by default."""
+    ordered pairs; unit weights by default.
+
+    The summand is symmetric in (t, t') and zero on the diagonal, so the sum
+    runs over the L(L-1)/2 unordered pairs with weight w_tt' + w_t't.
+    """
     scenarios, y = _check_pair(scenarios, y)
-    if gamma <= 0:
-        raise ParameterError(f"gamma must be positive, got {gamma}")
+    if not 0 < gamma < np.inf:
+        raise ParameterError(f"gamma must be positive and finite, got {gamma}")
     l = y.size
     if weights is None:
         weights = np.ones((l, l))
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (l, l):
         raise DimensionError(f"weights shape {weights.shape} != ({l}, {l})")
-    if np.any(weights < 0):
-        raise ParameterError("weights must be non-negative")
-    vy = np.abs(y[:, None] - y[None, :]) ** gamma
-    vx = np.mean(np.abs(scenarios[:, :, None] - scenarios[:, None, :]) ** gamma, axis=0)
-    return float(np.sum(weights * (vy - vx) ** 2))
+    if not np.all(np.isfinite(weights) & (weights >= 0)):
+        raise ParameterError("weights must be finite and non-negative")
+    t, u = np.triu_indices(l, 1)
+    vy = np.abs(y[t] - y[u]) ** gamma
+    vx = np.mean(np.abs(scenarios[:, t] - scenarios[:, u]) ** gamma, axis=0)
+    return float(np.sum((weights[t, u] + weights[u, t]) * (vy - vx) ** 2))
 
 
 @dataclass
@@ -194,7 +216,8 @@ def evaluate(scenarios_by_day: dict, obs_by_day: dict, base: float = 1.0,
     `base` is the physical value equal to 100% (nominal capacity for pv and
     wind, learn-split maximum for load). CRPS/QS/ES are means over days in
     percent, MAE-r is in percentage points, VS is computed on base-normalized
-    values and left unitless. Day sets must match exactly.
+    values and left unitless. Day sets must match exactly, and every day
+    must carry the same number of scenarios (DimensionError otherwise).
     """
     if base <= 0:
         raise ParameterError(f"base must be positive, got {base}")
@@ -217,6 +240,11 @@ def evaluate(scenarios_by_day: dict, obs_by_day: dict, base: float = 1.0,
         scen_norm.append(x)
         obs_norm.append(y)
         _, c = crps(x, y, estimator=crps_estimator)
+        if x.shape[0] != scen_norm[0].shape[0]:
+            raise DimensionError(
+                f"day {d} has {x.shape[0]} scenarios, but day {days[0]} has "
+                f"{scen_norm[0].shape[0]}; every day needs the same count"
+            )
         per_day[d] = {
             "crps_pct": c * 100.0,
             "qs_pct": quantile_score(x, y) * 100.0,
@@ -231,7 +259,7 @@ def evaluate(scenarios_by_day: dict, obs_by_day: dict, base: float = 1.0,
         es=float(np.mean([v["es_pct"] for v in per_day.values()])),
         vs=float(np.mean([v["vs"] for v in per_day.values()])),
         n_days=len(days),
-        m=int(np.asarray(scenarios_by_day[days[0]]).shape[0]),
+        m=scen_norm[0].shape[0],
         base=base,
         per_day=per_day,
         reliability_curve=curve.tolist(),

@@ -267,6 +267,29 @@ def test_exit_5_alignment(tmp_path, capsys):
     assert _stderr_error(capsys)["error"] == "AlignmentError"
 
 
+def test_exit_2_mixed_scenario_counts(tmp_path, capsys):
+    """Day 1 carries 3 scenarios and the other 11 days 50: the report's `m`
+    would be wrong for most days, so evaluate refuses the file."""
+    rng = np.random.default_rng(0)
+    days = [date(2015, 3, 1 + i) for i in range(12)]
+    sets = [dif.ScenarioSet(d, m, rng.uniform(0, 1, (m, 24)), np.zeros(1))
+            for d, m in zip(days, [3] + [50] * 11)]
+    scen = tmp_path / "s.csv"
+    dif.write_scenarios(sets, scen)
+    obs = tmp_path / "o.csv"
+    ds = dmod.Dataset(samples=[dmod.DaySample(d, "pv", 1, rng.uniform(0, 1, 24), np.zeros(24))
+                               for d in days])
+    dmod.write_observations(ds, obs, split="learn", zone=1)
+    capsys.readouterr()
+    assert main(["evaluate", "--scenarios", str(scen), "--observations",
+                 str(obs), "--out", str(tmp_path / "oe")]) == 2
+    doc = _stderr_error(capsys)
+    assert doc["error"] == "DimensionError"
+    assert "day 2015-03-02 has 50 scenarios" in doc["message"]
+    assert "2015-03-01" in doc["message"]
+    assert not (tmp_path / "oe" / "quality_report.json").exists()
+
+
 def _value_args(tmp_path, days, load_days):
     """`value` arguments over one-zone wind, pv and load files: scenarios for
     `days` on every track, observations for `days` (load: `load_days`)."""

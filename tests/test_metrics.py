@@ -16,13 +16,14 @@ from scendiff.errors import (
 )
 
 
-def _crps_brute(scens, y):
+def _crps_brute(scens, y, estimator="nrg"):
     """Double-loop energy-form estimator, one marginal at a time."""
     m, l = scens.shape
+    pairs = m * m if estimator == "nrg" else m * (m - 1)
     out = np.zeros(l)
     for t in range(l):
         t1 = np.mean([abs(x - y[t]) for x in scens[:, t]])
-        t2 = np.mean([abs(a - b) for a in scens[:, t] for b in scens[:, t]])
+        t2 = sum(abs(a - b) for a in scens[:, t] for b in scens[:, t]) / pairs
         out[t] = t1 - 0.5 * t2
     return out
 
@@ -149,6 +150,44 @@ def test_energy_and_variogram_match_brute_force():
     )
 
 
+def _tie_heavy(m, seed):
+    """PV-like (m, 24) scenarios and observation: night hours are exactly
+    zero everywhere, and every third scenario repeats its predecessor."""
+    rng = np.random.default_rng(seed)
+    scens = rng.uniform(0, 1, (m, 24))
+    scens[:, :6] = 0.0
+    scens[:, 20:] = 0.0
+    scens[1::3] = scens[0:m - 1:3]
+    y = rng.uniform(0, 1, 24)
+    y[:6] = 0.0
+    y[20:] = 0.0
+    y[10] = scens[0, 10]  # an observation tied with scenario values
+    return scens, y
+
+
+@pytest.mark.parametrize("m", [1, 2, 100])
+def test_scores_match_brute_force_on_tie_heavy_inputs(m):
+    """The order-statistics CRPS and the unordered-pair ES and VS agree with
+    the double loops on zero night hours, duplicated rows and few or many
+    scenarios."""
+    scens, y = _tie_heavy(m, seed=20 + m)
+    for estimator in ("nrg", "fair") if m >= 2 else ("nrg",):
+        per, mean = met.crps(scens, y, estimator=estimator)
+        want = _crps_brute(scens, y, estimator)
+        np.testing.assert_allclose(per, want, rtol=1e-12)
+        assert np.all(per[:6] == 0.0) and np.all(per[20:] == 0.0)
+        assert mean == pytest.approx(want.mean(), rel=1e-12)
+    if m == 1:
+        np.testing.assert_array_equal(met.crps(scens, y)[0], np.abs(scens[0] - y))
+    assert met.energy_score(scens, y) == pytest.approx(_es_brute(scens, y), rel=1e-12)
+    w = np.random.default_rng(m).uniform(0, 2, (24, 24))
+    for gamma in (0.5, 1.0):
+        assert met.variogram_score(scens, y, gamma=gamma) == pytest.approx(
+            _vs_brute(scens, y, gamma), rel=1e-12)
+        assert met.variogram_score(scens, y, gamma=gamma, weights=w) == pytest.approx(
+            _vs_brute(scens, y, gamma, w), rel=1e-12)
+
+
 def test_quantile_score_matches_per_term_pinball():
     rng = np.random.default_rng(3)
     scens = rng.uniform(0, 1, (9, 4))
@@ -178,10 +217,16 @@ def test_dimension_errors():
         met.energy_score(np.zeros((3, 4)), np.zeros(5))
     with pytest.raises(DimensionError):
         met.variogram_score(np.zeros((3, 4)), np.zeros(4), weights=np.ones((3, 3)))
-    with pytest.raises(ParameterError):
-        met.variogram_score(np.zeros((3, 4)), np.zeros(4), gamma=0.0)
+    for gamma in (0.0, np.nan, np.inf):
+        with pytest.raises(ParameterError, match="gamma"):
+            met.variogram_score(np.zeros((3, 4)), np.zeros(4), gamma=gamma)
     with pytest.raises(ParameterError):
         met.variogram_score(np.zeros((3, 4)), np.zeros(4), weights=-np.ones((4, 4)))
+    for bad in (np.nan, np.inf, -np.inf):  # NaN < 0 is False: non-finite needs its own check
+        w = np.ones((4, 4))
+        w[1, 2] = bad
+        with pytest.raises(ParameterError, match="finite and non-negative"):
+            met.variogram_score(np.zeros((3, 4)), np.zeros(4), weights=w)
 
 
 # ---------------------------------------------------------------- reliability
@@ -241,6 +286,34 @@ def test_reliability_input_validation():
         met.reliability(scen, obs[:11])
     with pytest.raises(InsufficientDataError):
         met.reliability(scen[:9], obs[:9])
+
+
+def _reliability_loop(scenario_list, obs_list, seed):
+    """Randomized ranks as in `reliability`, then one coverage pass per level."""
+    rng = np.random.default_rng(seed)
+    ranks = []
+    for scens, y in zip(scenario_list, obs_list):
+        below = (scens < y[None, :]).sum(axis=0)
+        at_or_below = (scens <= y[None, :]).sum(axis=0)
+        v = rng.uniform(size=y.shape)
+        ranks.append((below + v * (at_or_below - below)) / scens.shape[0])
+    r = np.concatenate(ranks)
+    curve = np.array([(r <= q).mean() for q in met.QUANTILE_LEVELS])
+    return curve, float(np.mean(np.abs(curve - met.QUANTILE_LEVELS))) * 100.0
+
+
+@pytest.mark.parametrize("m", [10, 100])
+def test_reliability_curve_equals_per_level_loop(m):
+    """The sorted-rank curve is bit-identical to 99 boolean passes, also
+    when ranks land exactly on a level (ties at zero night hours, M = 10 or
+    100 makes k/M a level)."""
+    pairs = [_tie_heavy(m, seed) for seed in range(30)]
+    scen_list = [s for s, _ in pairs]
+    obs_list = [y for _, y in pairs]
+    curve, mae_r = met.reliability(scen_list, obs_list, seed=4)
+    want_curve, want_mae_r = _reliability_loop(scen_list, obs_list, seed=4)
+    assert np.array_equal(curve, want_curve)
+    assert mae_r == want_mae_r
 
 
 def test_reliability_is_deterministic_in_seed():

@@ -57,6 +57,43 @@ def test_readers_reject_non_finite_cells(tmp_path, kind, cell):
         read(p)
 
 
+def test_scenario_reader_block_growth_matches_float(tmp_path):
+    """2,500 rows in shuffled order grow the reader's float block twice; every
+    value equals a per-row float() parse, and a bad cell past the first growth
+    raises ParseError naming its row."""
+    rng = np.random.default_rng(9)
+    forms = [lambda v: format(v, ".17g"), lambda v: f" {v:.6g}", lambda v: format(v, ".3e"),
+             lambda v: "-0", lambda v: "1_0", lambda v: "\u0661.5", lambda v: "1e-400"]
+    rows = []
+    for d in [date(2013, 5, 1 + i) for i in range(25)]:
+        for number in range(1, 101):
+            cells = [forms[i](v) for i, v in zip(rng.integers(0, len(forms), 24),
+                                                 rng.standard_normal(24) * 100)]
+            rows.append([d.isoformat(), str(number)] + cells)
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    lines = ["day,scenario," + HOURS_HEADER] + [",".join(r) for r in rows]
+    p = tmp_path / "scenarios.csv"
+    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    want: dict = {}
+    for r in rows:
+        want.setdefault(date.fromisoformat(r[0]), {})[int(r[1])] = [float(c) for c in r[2:]]
+    got = dif.read_scenarios(p)
+    assert sorted(got) == sorted(want)
+    for d, by_number in want.items():
+        ref = np.array([by_number[n] for n in range(1, 101)])
+        assert np.array_equal(got[d], ref)
+        assert np.array_equal(np.signbit(got[d]), np.signbit(ref))
+
+    row_no = 1500
+    bad = lines[row_no - 1].split(",")
+    bad[7] = "0x10"
+    lines[row_no - 1] = ",".join(bad)
+    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=f"^row {row_no}: could not convert string to float"):
+        dif.read_scenarios(p)
+
+
 TOKENS = st.one_of(
     st.sampled_from(["", " ", "nan", "inf", "-1", "1e400", "0.7", "24", "x",
                      "2012-02-30", "2012-01-02", '"', ",", "\x00"]),
