@@ -73,8 +73,6 @@ class Schedule:
     def validate(self, enforce_terminal: bool = True) -> None:
         if self.n < 1 or self.beta.shape != (self.n,):
             raise ParameterError(f"schedule needs n >= 1 betas, got {self.beta.shape}")
-        if np.any(self.beta <= 0) or np.any(self.beta >= 1):
-            raise ParameterError("betas must lie in (0, 1)")
         if np.any(np.diff(self.alpha_bar) >= 0):
             raise ParameterError("alpha_bar must be strictly decreasing")
         if enforce_terminal and self.alpha_bar[-1] >= TERMINAL_ALPHA_BAR:
@@ -112,6 +110,8 @@ def from_betas(
     if sigma_mode not in SIGMA_MODES:
         raise ParameterError(f"sigma_mode must be one of {SIGMA_MODES}")
     beta = np.asarray(beta, dtype=float)
+    if not np.all((beta > 0) & (beta < 1)):  # before sigma takes their square roots
+        raise ParameterError("betas must lie in (0, 1)")
     alpha_bar = np.cumprod(1.0 - beta)
     sched = Schedule(
         kind=kind, n=beta.size, beta=beta, alpha_bar=alpha_bar,
@@ -198,12 +198,13 @@ def chain_forward(x0: np.ndarray, sched: Schedule, rng: np.random.Generator) -> 
     return out
 
 
-def _as_denoiser(params):
+def _as_denoiser(params, cache: list | None = None):
     """The callable (x_noisy, steps, c) -> eps_hat behind params, which are
     DenoiserParams or already such a callable. `steps` is a scalar step
-    shared by every row or a (B,) array of per-row steps."""
+    shared by every row or a (B,) array of per-row steps. DenoiserParams
+    fill `cache` for nn.backward_batch when it is given."""
     if isinstance(params, nn.DenoiserParams):
-        return lambda x, steps, c: nn.forward_batch(params, x, steps, c)
+        return lambda x, steps, c: nn.forward_batch(params, x, steps, c, cache)
     return params
 
 
@@ -217,7 +218,8 @@ def training_loss(
 
     For each row a step is drawn uniformly from 1..n and a standard-normal
     noise vector is injected (both overridable for tests); the loss is
-    mean over the batch of ||eps - eps_hat||^2 / L. `params` may also be a
+    mean over the batch of ||eps - eps_hat||^2 / L. With gradients, the one
+    forward pass caches what the backward pass needs. `params` may also be a
     plain callable (x_noisy, steps, c) -> eps_hat, in which case gradients
     are skipped. Draw order from rng: steps first, then noise.
     """
@@ -234,13 +236,14 @@ def training_loss(
         noise = rng.standard_normal((b, l))
     abar = sched.alpha_bar[np.asarray(steps) - 1]
     x_noisy = np.sqrt(abar)[:, None] * x0 + np.sqrt(1.0 - abar)[:, None] * noise
-    resid = _as_denoiser(params)(x_noisy, steps, c) - noise
+    cache = [] if want_grads and isinstance(params, nn.DenoiserParams) else None
+    resid = _as_denoiser(params, cache)(x_noisy, steps, c) - noise
     loss = float(np.mean(resid**2))
     if not math.isfinite(loss):
         raise TrainingDivergenceError("non-finite loss")
     grads = None
-    if want_grads and isinstance(params, nn.DenoiserParams):
-        grads = nn.backward_batch(params, x_noisy, steps, c, 2.0 * resid / (b * l))
+    if cache is not None:
+        grads = nn.backward_batch(params, x_noisy, steps, c, 2.0 * resid / (b * l), cache)
     return loss, grads
 
 
@@ -301,19 +304,20 @@ def train(ds, config: TrainConfig, sched: Schedule):
     for epoch in range(1, config.epochs + 1):
         order = rng_shuffle.permutation(n)
         losses = []
-        for lo in range(0, n, config.batch_size):
-            idx = order[lo : lo + config.batch_size]
-            try:
+        try:
+            for lo in range(0, n, config.batch_size):
+                idx = order[lo : lo + config.batch_size]
                 loss, grads = training_loss(
                     params, x_learn[idx], c_learn[idx], sched, rng_batch,
                 )
                 params, state = nn.adam_step(state, params, grads)
-            except TrainingDivergenceError as e:
-                raise TrainingDivergenceError(f"epoch {epoch}: {e}") from None
-            losses.append(loss)
-        val_loss, _ = training_loss(
-            params, x_val, c_val, sched, steps=val_steps, noise=val_noise, want_grads=False,
-        )
+                losses.append(loss)
+            params.validate()
+            val_loss, _ = training_loss(
+                params, x_val, c_val, sched, steps=val_steps, noise=val_noise, want_grads=False,
+            )
+        except TrainingDivergenceError as e:
+            raise TrainingDivergenceError(f"epoch {epoch}: {e}") from None
         log.append({"epoch": epoch, "learn_loss": float(np.mean(losses)), "val_loss": val_loss})
         if val_loss < best_val:
             best_val = val_loss
@@ -441,10 +445,11 @@ def save_checkpoint(path: str | Path, params: nn.DenoiserParams, sched: Schedule
                     scaler: Scaler | None, track: str, zone: int) -> None:
     """Write a model file: one JSON header line, then the raw parameter block.
 
-    The block is little-endian float64, layer-major, weights before biases,
-    row-major matrices; the header's `sha256` is the hex digest of its bytes.
+    The block is params.vector as little-endian float64 (layer-major, each
+    row-major W then its b); the header's `sha256` is the hex digest of its
+    bytes.
     """
-    block = nn.params_to_vector(params).astype("<f8").tobytes()
+    block = params.vector.astype("<f8").tobytes()
     header = {
         "format": CHECKPOINT_MAGIC,
         "version": CHECKPOINT_VERSION,
@@ -454,7 +459,7 @@ def save_checkpoint(path: str | Path, params: nn.DenoiserParams, sched: Schedule
         "embed_dim": params.embed_dim,
         "cond_dim": params.cond_dim,
         "activation": params.activation,
-        "hidden": [w.shape[0] for w, _ in params.layers[:-1]],
+        "hidden": list(params.hidden),
         "n_params": params.n_params,
         "schedule": sched.to_dict(),
         "scaler": scaler.to_dict() if scaler else None,
@@ -500,20 +505,14 @@ def load_checkpoint(path: str | Path):
         )
     if hashlib.sha256(block).hexdigest() != header["sha256"]:
         raise ModelValidationError(f"{path}: parameter block does not match its SHA-256")
-    vec = np.frombuffer(block, dtype="<f8").astype(float)
-    sizes = [header["sample_dim"] + header["embed_dim"] + header["cond_dim"],
-             *header["hidden"], header["sample_dim"]]
-    shapes = list(zip(sizes[1:], sizes[:-1]))  # (fan_out, fan_in) per layer
-    # checked before allocating, so a corrupt header cannot ask for huge arrays
-    if sum(fan_out * (fan_in + 1) for fan_out, fan_in in shapes) != n_params:
-        raise ModelValidationError(f"{path}: architecture does not match n_params")
-    template = nn.DenoiserParams(
-        layers=[(np.zeros(shape), np.zeros(shape[0])) for shape in shapes],
-        activation=header["activation"], sample_dim=header["sample_dim"],
-        embed_dim=header["embed_dim"], cond_dim=header["cond_dim"],
-    )
     try:
-        params = nn.vector_to_params(vec, template)
+        # the layers are views into the block's copy, so a corrupt header
+        # cannot ask for arrays larger than the file
+        params = nn.DenoiserParams(
+            hidden=tuple(header["hidden"]), activation=header["activation"],
+            sample_dim=header["sample_dim"], embed_dim=header["embed_dim"],
+            cond_dim=header["cond_dim"], vector=np.frombuffer(block, dtype="<f8").astype(float),
+        )
         params.validate()
         sched = Schedule.from_dict(header["schedule"])
         scaler = Scaler.from_dict(header["scaler"]) if header["scaler"] else None

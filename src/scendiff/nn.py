@@ -22,16 +22,35 @@ ACTIVATIONS = ("relu", "silu")
 class DenoiserParams:
     """MLP weights plus the input-layout metadata needed to drive them.
 
-    layers[l] = (W, b) with W of shape (fan_out, fan_in); hidden layers use
+    `vector` holds every parameter in one contiguous float64 array (zeros
+    when None), layer-major: each W of shape (fan_out, fan_in) row-major,
+    then its b. layers[l] = (W, b) are views into it. Hidden layers use
     `activation`, the output layer is linear. Input layout is
     concat(x_noisy [sample_dim], embedding [embed_dim], condition [cond_dim]).
     """
 
-    layers: list[tuple[np.ndarray, np.ndarray]]
+    hidden: tuple[int, ...]
     activation: str
     sample_dim: int
     embed_dim: int
     cond_dim: int
+    vector: np.ndarray | None = None
+    layers: list[tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        sizes = [self.input_dim, *self.hidden, self.sample_dim]
+        shapes = list(zip(sizes[1:], sizes[:-1]))  # (fan_out, fan_in) per layer
+        n = sum(fan_out * (fan_in + 1) for fan_out, fan_in in shapes)
+        vec = np.zeros(n) if self.vector is None else np.ascontiguousarray(self.vector, dtype=float)
+        if vec.shape != (n,):
+            raise DimensionError(f"architecture needs {n} parameters, vector has shape {vec.shape}")
+        self.vector = vec
+        self.layers = []
+        pos = 0
+        for fan_out, fan_in in shapes:
+            end = pos + fan_out * fan_in
+            self.layers.append((vec[pos:end].reshape(fan_out, fan_in), vec[end : end + fan_out]))
+            pos = end + fan_out
 
     def validate(self) -> None:
         if self.activation not in ACTIVATIONS:
@@ -47,9 +66,9 @@ class DenoiserParams:
             d = w.shape[0]
         if d != self.sample_dim:
             raise DimensionError(f"output dim {d} != sample dim {self.sample_dim}")
-        for idx, (w, b) in enumerate(self.layers):
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise TrainingDivergenceError(f"non-finite parameters in layer {idx}")
+        bad = _nonfinite_layer(self, self.vector)
+        if bad is not None:
+            raise TrainingDivergenceError(f"non-finite parameters in layer {bad}")
 
     @property
     def input_dim(self) -> int:
@@ -57,10 +76,19 @@ class DenoiserParams:
 
     @property
     def n_params(self) -> int:
-        return sum(w.size + b.size for w, b in self.layers)
+        return self.vector.size
 
     def copy(self) -> "DenoiserParams":
-        return replace(self, layers=[(w.copy(), b.copy()) for w, b in self.layers])
+        return replace(self, vector=self.vector.copy())
+
+
+def _nonfinite_layer(params: DenoiserParams, vec: np.ndarray) -> int | None:
+    """The first layer holding a non-finite entry of vec (laid out as
+    params.vector), or None when every entry is finite."""
+    if np.all(np.isfinite(vec)):
+        return None
+    return next(idx for idx, (w, b) in enumerate(vector_to_params(vec, params).layers)
+                if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))))
 
 
 def init_params(
@@ -75,20 +103,11 @@ def init_params(
     if activation not in ACTIVATIONS:
         raise ParameterError(f"activation must be one of {ACTIVATIONS}")
     rng = np.random.default_rng(seed)
-    sizes = [sample_dim + embed_dim + cond_dim, *hidden, sample_dim]
-    layers = []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        lim = math.sqrt(6.0 / (fan_in + fan_out))
-        w = rng.uniform(-lim, lim, size=(fan_out, fan_in))
-        b = np.zeros(fan_out)
-        layers.append((w, b))
-    params = DenoiserParams(
-        layers=layers,
-        activation=activation,
-        sample_dim=sample_dim,
-        embed_dim=embed_dim,
-        cond_dim=cond_dim,
-    )
+    params = DenoiserParams(hidden=tuple(hidden), activation=activation,
+                            sample_dim=sample_dim, embed_dim=embed_dim, cond_dim=cond_dim)
+    for w, _ in params.layers:
+        lim = math.sqrt(6.0 / sum(w.shape))
+        w[...] = rng.uniform(-lim, lim, size=w.shape)
     params.validate()
     return params
 
@@ -151,13 +170,15 @@ def _assemble_input(params: DenoiserParams, x_noisy: np.ndarray, i, c: np.ndarra
     return inp
 
 
-def _forward(params: DenoiserParams, a: np.ndarray, cache: list | None = None) -> np.ndarray:
-    """Network output for an assembled input block.
+def forward_batch(params: DenoiserParams, x_noisy: np.ndarray, i, c: np.ndarray,
+                  cache: list | None = None) -> np.ndarray:
+    """Predicted noise for a batch: x_noisy (B, L), i scalar or (B,), c (B, K).
 
-    With `cache`, appends (layer input, pre-activation) per layer for
-    backward_batch and gives every activation its own buffer; without it,
-    each hidden activation overwrites its pre-activation.
+    With `cache` (a list), appends (layer input, pre-activation) per layer
+    for backward_batch and gives every activation its own buffer; without
+    it, each hidden activation overwrites its pre-activation.
     """
+    a = _assemble_input(params, x_noisy, i, c)
     last = len(params.layers) - 1
     for idx, (w, b) in enumerate(params.layers):
         z = a @ w.T
@@ -168,109 +189,82 @@ def _forward(params: DenoiserParams, a: np.ndarray, cache: list | None = None) -
     return a
 
 
-def forward_batch(params: DenoiserParams, x_noisy: np.ndarray, i, c: np.ndarray) -> np.ndarray:
-    """Predicted noise for a batch: x_noisy (B, L), i scalar or (B,), c (B, K)."""
-    return _forward(params, _assemble_input(params, x_noisy, i, c))
-
-
 def backward_batch(
-    params: DenoiserParams, x_noisy: np.ndarray, i, c: np.ndarray, grad_out: np.ndarray
-):
-    """Gradients of sum_b grad_out[b] . forward(batch b) w.r.t. every parameter.
+    params: DenoiserParams, x_noisy: np.ndarray, i, c: np.ndarray, grad_out: np.ndarray,
+    cache: list | None = None,
+) -> np.ndarray:
+    """Gradient of sum_b grad_out[b] . forward(batch b) w.r.t. every parameter,
+    one vector in the layout of params.vector.
 
-    Returns a list of (dW, db) mirroring params.layers.
+    `cache` is the one forward_batch filled for this batch; without it the
+    forward pass runs here.
     """
-    inp = _assemble_input(params, x_noisy, i, c)
+    if cache is None:
+        cache = []
+        forward_batch(params, x_noisy, i, c, cache)
     grad_out = np.atleast_2d(np.asarray(grad_out, dtype=float))
-    if grad_out.shape != (inp.shape[0], params.sample_dim):
-        raise DimensionError(
-            f"grad_out shape {grad_out.shape} != ({inp.shape[0]}, {params.sample_dim})"
-        )
-    cache: list = []
-    _forward(params, inp, cache)
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(params.layers)
+    batch = cache[0][0].shape[0]
+    if grad_out.shape != (batch, params.sample_dim):
+        raise DimensionError(f"grad_out shape {grad_out.shape} != ({batch}, {params.sample_dim})")
+    grad = np.empty_like(params.vector)
+    grad_layers = vector_to_params(grad, params).layers
     g = grad_out
     for idx in range(len(params.layers) - 1, -1, -1):
-        w, _ = params.layers[idx]
-        grads[idx] = (g.T @ cache[idx][0], g.sum(axis=0))
+        gw, gb = grad_layers[idx]
+        np.matmul(g.T, cache[idx][0], out=gw)
+        np.sum(g, axis=0, out=gb)
         if idx > 0:
-            g = (g @ w) * _act_grad(cache[idx - 1][1], params.activation)
-    return grads
+            g = (g @ params.layers[idx][0]) * _act_grad(cache[idx - 1][1], params.activation)
+    return grad
+
+
+def vector_to_params(vec: np.ndarray, template: DenoiserParams) -> DenoiserParams:
+    """Parameters with template's architecture whose layers are views into vec."""
+    return replace(template, vector=vec)
 
 
 @dataclass
 class OptimizerState:
-    """Adaptive-moment accumulators mirroring the layer structure."""
+    """Adaptive-moment accumulators, flat vectors in the layout of params.vector."""
 
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
+    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     @classmethod
     def for_params(cls, params: DenoiserParams, lr: float = 1e-3, beta1: float = 0.9,
                    beta2: float = 0.999, eps: float = 1e-8) -> "OptimizerState":
-        state = cls(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
-        state.m = [(np.zeros_like(w), np.zeros_like(b)) for w, b in params.layers]
-        state.v = [(np.zeros_like(w), np.zeros_like(b)) for w, b in params.layers]
-        return state
+        return cls(lr=lr, beta1=beta1, beta2=beta2, eps=eps,
+                   m=np.zeros_like(params.vector), v=np.zeros_like(params.vector))
 
 
-def adam_step(state: OptimizerState, params: DenoiserParams, grads) -> tuple[DenoiserParams, OptimizerState]:
+def adam_step(state: OptimizerState, params: DenoiserParams,
+              grads: np.ndarray) -> tuple[DenoiserParams, OptimizerState]:
     """One bias-corrected adaptive-moment update; returns new params and state.
 
     Raises TrainingDivergenceError naming the layer if a gradient is non-finite.
     """
-    for idx, (gw, gb) in enumerate(grads):
-        if not (np.all(np.isfinite(gw)) and np.all(np.isfinite(gb))):
-            raise TrainingDivergenceError(f"non-finite gradient in layer {idx}")
+    bad = _nonfinite_layer(params, grads)
+    if bad is not None:
+        raise TrainingDivergenceError(f"non-finite gradient in layer {bad}")
     t = state.step + 1
     c1 = 1.0 - state.beta1**t
     c2 = 1.0 - state.beta2**t
-    new_layers = []
-    new_m = []
-    new_v = []
-    for (w, b), (gw, gb), (mw, mb), (vw, vb) in zip(params.layers, grads, state.m, state.v):
-        mw = state.beta1 * mw + (1 - state.beta1) * gw
-        mb = state.beta1 * mb + (1 - state.beta1) * gb
-        vw = state.beta2 * vw + (1 - state.beta2) * gw**2
-        vb = state.beta2 * vb + (1 - state.beta2) * gb**2
-        w = w - state.lr * (mw / c1) / (np.sqrt(vw / c2) + state.eps)
-        b = b - state.lr * (mb / c1) / (np.sqrt(vb / c2) + state.eps)
-        new_layers.append((w, b))
-        new_m.append((mw, mb))
-        new_v.append((vw, vb))
-    new_params = replace(params, layers=new_layers)
-    new_params.validate()
-    new_state = OptimizerState(
-        lr=state.lr, beta1=state.beta1, beta2=state.beta2, eps=state.eps,
-        step=t, m=new_m, v=new_v,
-    )
-    return new_params, new_state
-
-
-def params_to_vector(params: DenoiserParams) -> np.ndarray:
-    """Flatten layer-major, weights before biases, row-major matrices."""
-    chunks = []
-    for w, b in params.layers:
-        chunks.append(w.reshape(-1))
-        chunks.append(b)
-    return np.concatenate(chunks)
-
-
-def vector_to_params(vec: np.ndarray, template: DenoiserParams) -> DenoiserParams:
-    """Rebuild parameters from a flat vector using template shapes."""
-    if vec.size != template.n_params:
-        raise DimensionError(f"vector length {vec.size} != {template.n_params}")
-    layers = []
-    pos = 0
-    for w, b in template.layers:
-        nw = vec[pos : pos + w.size].reshape(w.shape).copy()
-        pos += w.size
-        nb = vec[pos : pos + b.size].copy()
-        pos += b.size
-        layers.append((nw, nb))
-    return replace(template, layers=layers)
+    # the textbook update, term for term (same bits), written in place: every
+    # vector-sized temporary is a fresh allocation whose pages fault on first use
+    m = state.beta1 * state.m
+    m += (1 - state.beta1) * grads
+    v = np.square(grads)
+    v *= 1 - state.beta2
+    v += state.beta2 * state.v
+    denom = v / c2
+    np.sqrt(denom, out=denom)
+    denom += state.eps
+    step = m / c1
+    step *= state.lr
+    step /= denom
+    return replace(params, vector=params.vector - step), replace(state, step=t, m=m, v=v)

@@ -54,8 +54,8 @@ def _loss_and_grads(params, x, i, c, g):
 
 def _max_fd_error(params, x, i, c, g, n_probe, seed, h=1e-6):
     _, grads = _loss_and_grads(params, x, i, c, g)
-    vec = nn.params_to_vector(params)
-    gvec = np.concatenate([np.concatenate([gw.reshape(-1), gb]) for gw, gb in grads])
+    vec = params.vector
+    gvec = grads
     idx = np.random.default_rng(seed).choice(vec.size, size=min(n_probe, vec.size),
                                              replace=False)
     worst = 0.0

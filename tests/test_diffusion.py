@@ -1,6 +1,8 @@
 """Schedules, forward/reverse processes, training loop, and checkpoints."""
 import json
 import math
+import warnings
+from dataclasses import replace
 from datetime import date
 
 import numpy as np
@@ -140,6 +142,18 @@ def test_chain_forward_marginals_match_closed_form():
         assert abs(vals.var() - (1 - abar)) < 5 * (1 - abar) * math.sqrt(2 / n_draws)
 
 
+@pytest.mark.parametrize("sigma_mode", ["beta", "posterior"])
+def test_schedule_from_dict_rejects_bad_betas_without_warnings(sigma_mode):
+    """Betas outside (0, 1) are rejected before sigma takes their square roots."""
+    d = dif.make_schedule("linear", n=10, sigma_mode=sigma_mode, enforce_terminal=False).to_dict()
+    for bad in (-0.1, 0.0, 1.0, 1.5, float("nan")):
+        d["beta"][3] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="betas"):
+                dif.Schedule.from_dict(d)
+
+
 # ------------------------------------------------------------- training loss
 
 
@@ -156,7 +170,7 @@ def test_training_loss_matches_manual_recompute():
     x_noisy = np.sqrt(abar)[:, None] * x0 + np.sqrt(1 - abar)[:, None] * noise
     eps_hat = nn.forward_batch(p, x_noisy, steps, c)
     assert loss == pytest.approx(float(np.mean((eps_hat - noise) ** 2)), rel=1e-12)
-    assert len(grads) == len(p.layers)
+    assert grads.shape == p.vector.shape
 
 
 def test_training_loss_gradients_match_finite_differences():
@@ -168,8 +182,8 @@ def test_training_loss_gradients_match_finite_differences():
     steps = np.array([2, 5, 9, 12])
     noise = rng.standard_normal((4, 3))
     _, grads = dif.training_loss(p, x0, c, s, steps=steps, noise=noise)
-    vec = nn.params_to_vector(p)
-    gvec = np.concatenate([np.concatenate([gw.reshape(-1), gb]) for gw, gb in grads])
+    vec = p.vector
+    gvec = grads
     idx = np.random.default_rng(5).choice(vec.size, size=12, replace=False)
     h = 1e-6
     for j in idx:
@@ -224,7 +238,7 @@ def test_train_is_deterministic_and_logs_losses(pv_normalized, tiny_schedule, ti
     cfg = dif.TrainConfig(epochs=2, batch_size=16, hidden=(16,), embed_dim=4, seed=3)
     a, la = dif.train(pv_normalized, cfg, tiny_schedule)
     b, lb = dif.train(pv_normalized, cfg, tiny_schedule)
-    np.testing.assert_array_equal(nn.params_to_vector(a), nn.params_to_vector(b))
+    np.testing.assert_array_equal(a.vector, b.vector)
     assert la == lb
 
 
@@ -255,6 +269,18 @@ def test_train_divergence_reports_epoch(pv_normalized, tiny_schedule):
     cfg = dif.TrainConfig(epochs=3, batch_size=16, lr=1e160, hidden=(8,), embed_dim=4, seed=0)
     with np.errstate(all="ignore"), pytest.raises(TrainingDivergenceError, match="epoch"):
         dif.train(pv_normalized, cfg, tiny_schedule)
+
+
+def test_train_validation_divergence_reports_epoch(pv_normalized, tiny_schedule):
+    """A validation day whose covariate overflows the network fails the epoch."""
+    samples = list(pv_normalized.samples)
+    j = next(j for j, s in enumerate(samples) if pv_normalized.split[s.day_id] == "validation")
+    samples[j] = replace(samples[j], c=np.full_like(samples[j].c, 1e300))
+    ds = replace(pv_normalized, samples=samples)
+    cfg = dif.TrainConfig(epochs=2, batch_size=16, hidden=(8,), embed_dim=4, seed=0)
+    with np.errstate(all="ignore"), pytest.raises(TrainingDivergenceError,
+                                                  match="^epoch 1: non-finite loss$"):
+        dif.train(ds, cfg, tiny_schedule)
 
 
 # ----------------------------------------------------------- reverse sampler
@@ -405,7 +431,7 @@ def test_checkpoint_round_trip_is_exact(tmp_path, tiny_model, tiny_schedule, pv_
     p = tmp_path / "model.ckpt"
     dif.save_checkpoint(p, params, tiny_schedule, pv_normalized.scaler, "pv", 1)
     loaded, sched, scaler, header = dif.load_checkpoint(p)
-    np.testing.assert_array_equal(nn.params_to_vector(loaded), nn.params_to_vector(params))
+    np.testing.assert_array_equal(loaded.vector, params.vector)
     assert loaded.activation == params.activation
     np.testing.assert_allclose(sched.beta, tiny_schedule.beta, rtol=1e-15)
     assert scaler.track == "pv" and scaler.learn_max == pv_normalized.scaler.learn_max

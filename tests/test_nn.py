@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from scendiff import diffusion as dif
 from scendiff import nn
 from scendiff.errors import DimensionError, ParameterError, TrainingDivergenceError
 
@@ -17,8 +18,8 @@ def _scalar_loss_and_grads(params, x, i, c, g):
 def _fd_check(params, x, i, c, g, n_probe, seed, h=1e-6):
     """Max relative error of analytic grads vs central finite differences."""
     _, grads = _scalar_loss_and_grads(params, x, i, c, g)
-    vec = nn.params_to_vector(params)
-    gvec = np.concatenate([np.concatenate([gw.reshape(-1), gb]) for gw, gb in grads])
+    vec = params.vector
+    gvec = grads
     rng = np.random.default_rng(seed)
     idx = rng.choice(vec.size, size=min(n_probe, vec.size), replace=False)
     worst = 0.0
@@ -220,13 +221,7 @@ def test_backward_batch_is_sum_of_per_sample_grads():
     total = nn.backward_batch(p, x, steps, c, g)
     parts = [nn.backward_batch(p, x[b : b + 1], int(steps[b]), c[b : b + 1], g[b : b + 1])
              for b in range(3)]
-    for idx in range(len(p.layers)):
-        np.testing.assert_allclose(
-            total[idx][0], sum(pp[idx][0] for pp in parts), atol=1e-10
-        )
-        np.testing.assert_allclose(
-            total[idx][1], sum(pp[idx][1] for pp in parts), atol=1e-10
-        )
+    np.testing.assert_allclose(total, sum(parts), atol=1e-10)
 
 
 def test_backward_rejects_bad_grad_out_shape():
@@ -246,11 +241,8 @@ def test_adam_step_matches_reference_update():
     w_ref = p.layers[0][0][0, 0]
     m_ref = v_ref = 0.0
     for t in range(1, 6):
-        grads = [
-            (rng.standard_normal(w.shape), rng.standard_normal(b.shape))
-            for w, b in p.layers
-        ]
-        g_ref = grads[0][0][0, 0]
+        grads = rng.standard_normal(p.n_params)
+        g_ref = grads[0]
         m_ref = 0.9 * m_ref + 0.1 * g_ref
         v_ref = 0.99 * v_ref + 0.01 * g_ref**2
         mhat = m_ref / (1 - 0.9**t)
@@ -265,15 +257,78 @@ def test_adam_step_is_functional_and_rejects_bad_grads():
     p = nn.init_params((4,), sample_dim=2, embed_dim=2, cond_dim=0, seed=9)
     state = nn.OptimizerState.for_params(p)
     w_before = p.layers[0][0].copy()
-    grads = [(np.ones_like(w), np.ones_like(b)) for w, b in p.layers]
+    grads = np.ones_like(p.vector)
     p2, state2 = nn.adam_step(state, p, grads)
     np.testing.assert_array_equal(p.layers[0][0], w_before)  # input untouched
     assert state.step == 0 and state2.step == 1
     assert not np.array_equal(p2.layers[0][0], w_before)
 
-    grads[1] = (np.full_like(p.layers[1][0], np.nan), np.zeros_like(p.layers[1][1]))
+    grad_layers = nn.vector_to_params(grads, p).layers  # views into grads
+    grad_layers[1][0][...] = np.nan
+    grad_layers[1][1][...] = 0.0
     with pytest.raises(TrainingDivergenceError, match="layer 1"):
         nn.adam_step(state, p, grads)
+
+
+def _reference_adam_step(layers, m, v, grads, t, lr, beta1, beta2, eps):
+    """The update as one loop over per-layer (W, b) arrays; the whole-vector
+    adam_step must reproduce its bits."""
+    c1 = 1.0 - beta1**t
+    c2 = 1.0 - beta2**t
+    new_layers, new_m, new_v = [], [], []
+    for (w, b), (gw, gb), (mw, mb), (vw, vb) in zip(layers, grads, m, v):
+        mw = beta1 * mw + (1 - beta1) * gw
+        mb = beta1 * mb + (1 - beta1) * gb
+        vw = beta2 * vw + (1 - beta2) * gw**2
+        vb = beta2 * vb + (1 - beta2) * gb**2
+        w = w - lr * (mw / c1) / (np.sqrt(vw / c2) + eps)
+        b = b - lr * (mb / c1) / (np.sqrt(vb / c2) + eps)
+        new_layers.append((w, b))
+        new_m.append((mw, mb))
+        new_v.append((vw, vb))
+    return new_layers, new_m, new_v
+
+
+def _flat(layers):
+    return np.concatenate([np.concatenate([w.reshape(-1), b]) for w, b in layers])
+
+
+def test_adam_step_bits_match_per_layer_reference():
+    p = nn.init_params((7, 5), sample_dim=3, embed_dim=2, cond_dim=2, seed=12)
+    assert len(p.layers) == 3
+    hyper = dict(lr=0.01, beta1=0.9, beta2=0.99, eps=1e-8)
+    state = nn.OptimizerState.for_params(p, **hyper)
+    layers = [(w.copy(), b.copy()) for w, b in p.layers]
+    m = v = [(np.zeros_like(w), np.zeros_like(b)) for w, b in layers]
+    rng = np.random.default_rng(13)
+    for t in range(1, 6):
+        grads = rng.standard_normal(p.n_params) * 10.0 ** rng.integers(-3, 3)
+        per_layer = nn.vector_to_params(grads, p).layers
+        layers, m, v = _reference_adam_step(layers, m, v, per_layer, t, **hyper)
+        p, state = nn.adam_step(state, p, grads)
+    assert np.array_equal(p.vector, _flat(layers))
+    assert np.array_equal(state.m, _flat(m))
+    assert np.array_equal(state.v, _flat(v))
+
+
+@pytest.mark.parametrize("activation", ["relu", "silu"])
+def test_training_loss_cached_gradients_equal_uncached_backward(activation):
+    """training_loss runs one forward and hands its cache to the backward pass;
+    the gradient bits equal a backward pass that recomputes the forward."""
+    sched = dif.make_schedule("cosine", n=20)
+    p = nn.init_params((16, 16), sample_dim=24, embed_dim=8, cond_dim=24, seed=4,
+                       activation=activation)
+    rng = np.random.default_rng(14)
+    x0 = rng.standard_normal((33, 24))
+    c = rng.uniform(0, 1, (33, 24))
+    steps = rng.integers(1, 21, size=33)
+    noise = rng.standard_normal((33, 24))
+    loss, grads = dif.training_loss(p, x0, c, sched, steps=steps, noise=noise)
+    abar = sched.alpha_bar[steps - 1]
+    x_noisy = np.sqrt(abar)[:, None] * x0 + np.sqrt(1.0 - abar)[:, None] * noise
+    resid = nn.forward_batch(p, x_noisy, steps, c) - noise
+    assert loss == float(np.mean(resid**2))
+    assert np.array_equal(grads, nn.backward_batch(p, x_noisy, steps, c, 2.0 * resid / resid.size))
 
 
 # ------------------------------------------------------------- vectorization
@@ -281,7 +336,7 @@ def test_adam_step_is_functional_and_rejects_bad_grads():
 
 def test_params_vector_round_trip_and_ordering():
     p = nn.init_params((5,), sample_dim=3, embed_dim=2, cond_dim=1, seed=10)
-    vec = nn.params_to_vector(p)
+    vec = p.vector
     assert vec.size == p.n_params
     assert vec[0] == p.layers[0][0][0, 0]  # row-major weights come first
     assert vec[p.layers[0][0].size] == p.layers[0][1][0]  # then that layer's bias
@@ -291,3 +346,17 @@ def test_params_vector_round_trip_and_ordering():
         np.testing.assert_array_equal(b, b2)
     with pytest.raises(DimensionError):
         nn.vector_to_params(vec[:-1], p)
+
+
+def test_layers_are_views_into_one_vector():
+    p = nn.init_params((5,), sample_dim=3, embed_dim=2, cond_dim=1, seed=10)
+    for w, b in p.layers:
+        assert np.shares_memory(w, p.vector) and np.shares_memory(b, p.vector)
+    vec = np.arange(p.n_params, dtype=float)
+    q = nn.vector_to_params(vec, p)
+    assert q.vector is vec  # no copy
+    q.layers[1][1][0] = -1.0
+    assert vec[-p.sample_dim] == -1.0  # the output bias is the vector's tail
+    r = q.copy()
+    assert not np.shares_memory(r.vector, vec)
+    assert all(np.shares_memory(w, r.vector) for w, _ in r.layers)
