@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import csv
 import json
 import math
 import sys
@@ -158,12 +157,9 @@ def cmd_train(args) -> int:
         ckpt = _checkpoint_path(out_dir, cfg["track"], zone)
         diffusion.save_checkpoint(ckpt, params, sched, ds.scaler, cfg["track"], zone)
         log_path = out_dir / f"loss_{cfg['track']}_z{zone}.csv"
-        with open(log_path, "w", newline="", encoding="utf-8") as f:
-            writer = csv.writer(f)
-            writer.writerow(["epoch", "learn_loss", "val_loss"])
-            for row in log:
-                writer.writerow([row["epoch"], format(row["learn_loss"], ".17g"),
-                                 format(row["val_loss"], ".17g")])
+        data_mod._write_table(log_path, ["epoch", "learn_loss", "val_loss"],
+                              ("%s", "%.17g", "%.17g"),
+                              ((r["epoch"], r["learn_loss"], r["val_loss"]) for r in log))
         print(ckpt)
         print(log_path)
     return 0
@@ -342,7 +338,7 @@ _ERROR_CODES = (
     (AlignmentError, EXIT_ALIGNMENT),
     (CoverageError, EXIT_COVERAGE),
     (ScendiffError, EXIT_CONFIG),
-    (FileNotFoundError, EXIT_CONFIG),
+    (OSError, EXIT_CONFIG),
 )
 
 

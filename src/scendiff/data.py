@@ -16,6 +16,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from datetime import date, timedelta
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -267,6 +268,31 @@ def _read_table(path: str | Path):
             raise ParseError(f"{path} line {reader.line_num + 1}: {e}") from None
 
 
+def _quote(cell):
+    """A text cell as csv's QUOTE_MINIMAL writes it; other cells unchanged."""
+    if isinstance(cell, str) and any(c in cell for c in ',"\r\n'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+def _write_table(path: str | Path, header: list[str], fmt: tuple[str, ...], rows) -> None:
+    """Write the bytes csv.writer writes, by one %-template per table.
+
+    `fmt` has one conversion per column: "%.17g" for floats, "%d" for Python
+    ints, "%s" for text and for ints that may be numpy or float (csv.writer
+    writes their str()). `rows` yields tuples; text is quoted as QUOTE_MINIMAL.
+    """
+    line = ",".join(fmt) + "\r\n"
+    text_cols = [j for j, f in enumerate(fmt) if f == "%s"]
+    rows = iter(rows)
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        f.write(",".join(map(_quote, header)) + "\r\n")
+        while block := list(islice(rows, 16)):  # a few KB of text per block
+            if any(_quote(v) is not v for j in text_cols for v in {r[j] for r in block}):
+                block = [tuple(map(_quote, r)) for r in block]
+            f.writelines([line % r for r in block])
+
+
 def _parse_date(cell: str, row_no: int) -> date:
     try:
         return date.fromisoformat(cell.strip())
@@ -293,13 +319,14 @@ def load_csv(path: str | Path, track: str) -> Dataset:
     if header[4:] != [f"w{i+1}" for i in range(k)]:
         raise SchemaError(f"{path}: weather columns must be named w1..w{k}")
 
-    # (day, zone) -> hour -> [target, w1..wK]
+    # (day, zone) -> hour -> (target, w1..wK): tuples, as every row stays alive until the end
     cells: dict[tuple[date, int], dict[int, list]] = {}
+    dates: dict[str, date] = {}
     for row_no, row in table:
-        day = _parse_date(row[0], row_no)
+        day = dates.get(row[0]) or dates.setdefault(row[0], _parse_date(row[0], row_no))
         try:
             hour, zone = float(row[1]), float(row[2])
-            values = [float(v) if v.strip() else math.nan for v in row[3:]]
+            values = tuple([float(v) if v.strip() else math.nan for v in row[3:]])
         except ValueError as e:
             raise ParseError(f"row {row_no}: {e}") from None
         if not (hour.is_integer() and zone.is_integer()):
@@ -334,15 +361,11 @@ def load_csv(path: str | Path, track: str) -> Dataset:
 def write_csv(ds: Dataset, path: str | Path) -> None:
     """Write a Dataset back to the canonical schema (17 significant digits)."""
     k = ds.samples[0].n_channels if ds.samples else 0
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["date", "hour", "zone", "target"] + [f"w{i+1}" for i in range(k)])
-        for s in sorted(ds.samples, key=lambda s: (s.day_id, s.zone)):
-            w = s.c.reshape(k, HOURS) if k else np.zeros((0, HOURS))
-            for h in range(HOURS):
-                row = [s.day_id.isoformat(), h, s.zone, format(s.x[h], ".17g")]
-                row += [format(w[j, h], ".17g") for j in range(k)]
-                writer.writerow(row)
+    rows = ((s.day_id.isoformat(), h, s.zone, *v)
+            for s in sorted(ds.samples, key=lambda s: (s.day_id, s.zone))
+            for h, v in enumerate(np.column_stack([s.x, s.c.reshape(k, HOURS).T]).tolist()))
+    _write_table(path, ["date", "hour", "zone", "target"] + [f"w{i+1}" for i in range(k)],
+                 ("%s", "%d", "%s") + ("%.17g",) * (k + 1), rows)
 
 
 def split_random(ds: Dataset, fractions: tuple[float, float, float], seed: int) -> Dataset:
@@ -621,12 +644,9 @@ def read_manifest(path: str | Path) -> dict:
 
 def write_observations(ds: Dataset, path: str | Path, split: str = "test", zone: int = 1) -> None:
     """Write one `day,h0..h23` row per selected day, in the dataset's units."""
-    sel = ds.subset(split=split, zone=zone)
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["day"] + [f"h{h}" for h in range(HOURS)])
-        for s in sorted(sel, key=lambda s: s.day_id):
-            writer.writerow([s.day_id.isoformat()] + [format(v, ".17g") for v in s.x])
+    sel = sorted(ds.subset(split=split, zone=zone), key=lambda s: s.day_id)
+    _write_table(path, ["day"] + [f"h{h}" for h in range(HOURS)], ("%s",) + ("%.17g",) * HOURS,
+                 ((s.day_id.isoformat(), *s.x.tolist()) for s in sel))
 
 
 def read_observations(path: str | Path) -> dict[date, np.ndarray]:

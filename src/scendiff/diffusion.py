@@ -14,7 +14,6 @@ it, so every public interface keeps speaking normalized units.
 """
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
@@ -25,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .data import HOURS, Scaler, _parse_date, _read_table
+from .data import HOURS, Scaler, _parse_date, _read_table, _write_table
 from .errors import (
     DimensionError,
     InsufficientDataError,
@@ -528,15 +527,10 @@ def load_checkpoint(path: str | Path):
 
 def write_scenarios(sets: list[ScenarioSet], path: str | Path) -> None:
     """CSV `day,scenario,h0..h23` in physical units, scenarios numbered 1..M."""
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["day", "scenario"] + [f"h{h}" for h in range(HOURS)])
-        for s in sets:
-            for m in range(s.m):
-                writer.writerow(
-                    [s.day_id.isoformat(), m + 1]
-                    + [format(v, ".17g") for v in s.scenarios[m]]
-                )
+    rows = ((s.day_id.isoformat(), m, *v)
+            for s in sets for m, v in enumerate(s.scenarios.tolist(), start=1))
+    _write_table(path, ["day", "scenario"] + [f"h{h}" for h in range(HOURS)],
+                 ("%s", "%d") + ("%.17g",) * HOURS, rows)
 
 
 def read_scenarios(path: str | Path) -> dict[date, np.ndarray]:
@@ -555,9 +549,7 @@ def read_scenarios(path: str | Path) -> dict[date, np.ndarray]:
     rows: dict[date, list] = {}  # day -> [(scenario number, block row)]
     k = 0
     for row_no, row in table:
-        day = dates.get(row[0])
-        if day is None:
-            day = dates[row[0]] = _parse_date(row[0], row_no)
+        day = dates.get(row[0]) or dates.setdefault(row[0], _parse_date(row[0], row_no))
         if k == len(vals):
             vals = np.concatenate([vals, np.empty_like(vals)])
         try:

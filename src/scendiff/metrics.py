@@ -14,14 +14,13 @@ nominal base, VS stays unitless (computed on base-normalized values).
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
 
 import numpy as np
 
-from .data import write_report_json
+from .data import _write_table, write_report_json
 from .errors import (
     AlignmentError,
     DimensionError,
@@ -201,11 +200,8 @@ class QualityReport:
 
     def write_reliability_csv(self, path: str | Path) -> None:
         """Rows `nominal,empirical`, both in percent."""
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            writer = csv.writer(f)
-            writer.writerow(["nominal", "empirical"])
-            for q, freq in zip(QUANTILE_LEVELS, self.reliability_curve):
-                writer.writerow([format(q * 100, ".17g"), format(freq * 100, ".17g")])
+        _write_table(path, ["nominal", "empirical"], ("%.17g", "%.17g"),
+                     zip(QUANTILE_LEVELS * 100, np.multiply(self.reliability_curve, 100)))
 
 
 def evaluate(scenarios_by_day: dict, obs_by_day: dict, base: float = 1.0,

@@ -11,14 +11,13 @@ deterministic point-forecast planner (scenario-mean) are the baselines.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
 
 import numpy as np
 
-from .data import HOURS, write_report_json
+from .data import HOURS, _write_table, write_report_json
 from .errors import (
     CoverageError,
     DimensionError,
@@ -319,13 +318,10 @@ class ValueReport:
         write_report_json(self.to_dict(), path)
 
     def write_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            writer = csv.writer(f)
-            writer.writerow(["model", "day", "pv_zone", "wind_zone", "profit"])
-            for r in self.rows:
-                day = r["day"].isoformat() if isinstance(r["day"], date) else r["day"]
-                writer.writerow([r["model"], day, r["pv_zone"], r["wind_zone"],
-                                 format(r["profit"], ".17g")])
+        rows = ((r["model"], r["day"].isoformat() if isinstance(r["day"], date) else r["day"],
+                 r["pv_zone"], r["wind_zone"], r["profit"]) for r in self.rows)
+        _write_table(path, ["model", "day", "pv_zone", "wind_zone", "profit"],
+                     ("%s", "%s", "%s", "%s", "%.17g"), rows)
 
 
 def run_value_benchmark(

@@ -253,6 +253,29 @@ def test_exit_4_checkpoint_track_mismatch(tmp_path, capsys):
     assert "scaler" in _stderr_error(capsys)["message"]
 
 
+def test_exit_2_os_errors(tmp_path, capsys):
+    """A path the OS refuses is one JSON error line, never a traceback."""
+    data = tmp_path / "pv.csv"
+    assert main(["synth", "--profile", "sine_pv", "--days", "5", "--out", str(data)]) == 0
+    capsys.readouterr()
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    cases = [
+        (["--scenarios", str(tmp_path), "--observations", str(data),
+          "--out", str(tmp_path / "o1")], "IsADirectoryError"),
+        (["--scenarios", str(data), "--observations", str(data),
+          "--out", str(a_file)], "FileExistsError"),
+        (["--scenarios", str(data), "--observations", str(data),
+          "--out", str(a_file / "sub")], "NotADirectoryError"),
+    ]
+    for args, error in cases:
+        assert main(["evaluate"] + args) == 2
+        assert _stderr_error(capsys)["error"] == error
+    # a write that fails inside the CSV writer takes the same route
+    assert main(["synth", "--profile", "sine_pv", "--days", "5", "--out", str(tmp_path)]) == 2
+    assert _stderr_error(capsys)["error"] == "IsADirectoryError"
+
+
 def test_exit_5_alignment(tmp_path, capsys):
     days = [date(2015, 1, 1), date(2015, 1, 2)]
     sets = [dif.ScenarioSet(d, 2, np.full((2, 24), 0.5), np.zeros(1)) for d in days]

@@ -142,6 +142,23 @@ def test_load_csv_parse_errors_carry_row_numbers(tmp_path):
     assert dmod.load_csv(p, "pv").days() == [date(2012, 1, 1)]
 
 
+def test_load_csv_parses_each_date_cell_once(tmp_path, monkeypatch):
+    p = tmp_path / "d.csv"
+    rows = _full_day("2012-01-01", 1)
+    rows[1] = rows[5] = rows[1].replace("2012-01-01", "2012-13-01")  # file rows 3 and 7
+    _mini_csv(p, rows)
+    with pytest.raises(ParseError, match="row 3: bad date '2012-13-01'"):
+        dmod.load_csv(p, "pv")
+    calls = []
+    parse = dmod._parse_date
+    monkeypatch.setattr(dmod, "_parse_date", lambda cell, row_no: calls.append(cell)
+                        or parse(cell, row_no))
+    _mini_csv(p, _full_day("2012-01-01", 1) + _full_day("2012-01-02", 1)
+              + _full_day("2012-01-01", 2))
+    assert dmod.load_csv(p, "pv").days() == [date(2012, 1, 1), date(2012, 1, 2)]
+    assert calls == ["2012-01-01", "2012-01-02"]
+
+
 def test_load_csv_schema_errors(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("")
