@@ -97,11 +97,13 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
         try:
-            user = json.loads(Path(path).read_text())
+            user = json.loads(Path(path).read_text(encoding="utf-8"))
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}") from None
-        except json.JSONDecodeError as e:
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise ConfigError(f"config is not valid JSON: {e}") from None
+        except RecursionError:
+            raise ConfigError("config is nested too deeply to parse") from None
         if not isinstance(user, dict):
             raise ConfigError("config root must be a JSON object")
         cfg = _merge(cfg, user)

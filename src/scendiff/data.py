@@ -11,9 +11,11 @@ The number of weather channels K is read from the header.
 """
 from __future__ import annotations
 
-import csv
 import json
 import math
+import os
+import re
+import warnings
 from dataclasses import dataclass, field, replace
 from datetime import date, timedelta
 from itertools import islice
@@ -243,29 +245,151 @@ class Dataset:
         return x, c, [s.day_id for s in sel]
 
 
-def _read_table(path: str | Path):
-    """Yield a CSV file's header, then (row_no, row) for each non-blank row.
+# a date cell this wide may have been cut short by the parser's string field
+_DATE_WIDTH = 16
+# a blank cell after the first column, for readers where blank means missing
+_BLANK = re.compile(r",[^\S\n]*(?=,|\n|\Z)")
 
-    Raises SchemaError on an empty file or a row whose width differs from the
-    header's, and ParseError on non-UTF-8 bytes or a line csv rejects.
+
+def _loadtxt(lines, dtype: np.dtype, skiprows: int = 0, max_rows: int | None = None) -> np.ndarray:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a file with no data rows
+        return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1,
+                          skiprows=skiprows, max_rows=max_rows, encoding="utf-8")
+
+
+def _parses(lines: list[str], dtype: np.dtype) -> bool:
+    try:
+        return _loadtxt(lines, dtype).size == len(lines)  # a blank cell alone is skipped
+    except ValueError:
+        return False
+
+
+def _data_lines(path: str | Path) -> list[tuple[int, str]]:
+    """(file line, text) of each data line, skipping empty lines as np.loadtxt does."""
+    with open(path, encoding="utf-8") as f:
+        lines = f.read().split("\n")
+    return [(n, text) for n, text in enumerate(lines[1:], start=2) if text]
+
+
+def _line_ends(path: str | Path) -> int:
+    """The number of line ends (LF, CR or CRLF) in a file, a bound on its
+    data rows. Raises ParseError naming the file line of the first NUL
+    character: numpy's string fields drop a trailing NUL, so `2012-01-01\\0`
+    would pass as a date."""
+    ends, last = 0, b""
+    with open(path, "rb") as f:
+        while block := f.read(1 << 20):
+            if b"\0" in block:
+                break
+            ends += block.count(b"\n") + block.count(b"\r") - block.count(b"\r\n")
+            ends -= last == b"\r" and block[:1] == b"\n"  # a CRLF split between blocks
+            last = block[-1:]
+        else:
+            return ends
+    with open(path, encoding="utf-8", errors="replace") as f:
+        text = f.read()
+    line = text.count("\n", 0, text.index("\0")) + 1
+    raise ParseError(f"row {line}: NUL character")
+
+
+def _read_table(path: str | Path, header_dtype, missing: bool = False) -> np.ndarray:
+    """Read a CSV file into a structured array with one np.loadtxt pass.
+
+    `header_dtype(cells)` checks the header's cells and returns a structured
+    dtype whose fields cover every column (a subarray field covers several).
+    numpy's C parser reads every cell: no quoting, `#` is no comment, and a
+    number takes no `_` separator or non-ASCII digit. Empty lines are skipped.
+    With `missing`, a blank cell after the first column reads as NaN.
+
+    Raises SchemaError on an empty file or a row of the wrong width, and
+    ParseError on non-UTF-8 bytes, a NUL character or a cell that does not
+    parse; each names its file line, which only this error path looks for.
     """
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
+    try:
+        with open(path, encoding="utf-8") as f:
+            header = f.readline()
+        if not header:
+            raise SchemaError(f"{path}: empty file")
+        dtype = np.dtype(header_dtype(header.rstrip("\n").split(",")))
+        before = os.stat(path)
+        ends = _line_ends(path)
         try:
-            header = next(reader, None)
-            if header is None:
-                raise SchemaError(f"{path}: empty file")
-            yield header
-            for row_no, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise SchemaError(
-                        f"{path} row {row_no}: expected {len(header)} cells, got {len(row)}"
-                    )
-                yield row_no, row
-        except (csv.Error, UnicodeDecodeError) as e:
-            raise ParseError(f"{path} line {reader.line_num + 1}: {e}") from None
+            # numpy reads a named file in blocks (an open file it reads line by
+            # line); an absolute path is never taken for a URL. With max_rows
+            # it allocates the table once instead of growing it by repeated
+            # reallocation, whose heap layout, and so peak RSS, varied by run.
+            table = _loadtxt(os.path.abspath(path), dtype, skiprows=1, max_rows=ends)
+        except UnicodeDecodeError:  # a ValueError, but reported below
+            raise
+        except ValueError:
+            pass
+        else:
+            after = os.stat(path)
+            if (after.st_size, after.st_mtime_ns) != (before.st_size, before.st_mtime_ns):
+                raise ParseError(f"{path}: changed while it was read")
+            return table
+        numbered = _data_lines(path)
+    except UnicodeDecodeError:
+        raw = Path(path).read_bytes()
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as e:
+            head = raw[: e.start]
+            line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+            raise ParseError(f"{path} line {line}: {e}") from None
+        raise ParseError(f"{path}: changed while it was read") from None
+    lines = [text for _, text in numbered]
+    if missing:
+        lines = _BLANK.sub(",nan", "\n".join(lines)).split("\n")
+        try:
+            return _loadtxt(lines, dtype)
+        except ValueError:
+            pass
+    # the first line that fails lies in lines[lo:hi]
+    lo, hi = 0, len(lines)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _parses(lines[lo:mid], dtype) else (lo, mid)
+    row_no, text = numbered[lo]
+    cells = text.split(",")
+    kinds = [dtype[name].base for name in dtype.names
+             for _ in range(int(np.prod(dtype[name].shape)))]
+    if len(cells) != len(kinds):
+        raise SchemaError(f"{path} row {row_no}: expected {len(kinds)} cells, got {len(cells)}")
+    for cell, kind in zip(cells, kinds):
+        if kind.kind == "f" and not (missing and not cell.strip()) and not _parses([cell], kind):
+            raise ParseError(f"row {row_no}: could not convert string to float: {cell!r}")
+    raise ParseError(f"{path} row {row_no}: np.loadtxt rejects this line")
+
+
+def _row_line(path: str | Path, i: int) -> int:
+    """The file line of data row i (error messages only)."""
+    return _data_lines(path)[i][0]
+
+
+def _first_repeat(key: np.ndarray) -> int | None:
+    """The first row whose key an earlier row already has, or None."""
+    order = np.argsort(key, kind="stable")
+    repeat = order[1:][key[order][1:] == key[order][:-1]]
+    return int(repeat.min()) if repeat.size else None
+
+
+def _day_index(path: str | Path, cells: np.ndarray) -> tuple[list[date], np.ndarray]:
+    """Parse each distinct date cell once; returns the dates in order of first
+    appearance and each row's index into them (cells naming one date share it)."""
+    if not cells.size:
+        return [], np.zeros(0, dtype=np.intp)
+    heads = np.flatnonzero(np.r_[True, cells[1:] != cells[:-1]])  # runs of one cell
+    distinct, first, inverse = np.unique(cells[heads], return_index=True, return_inverse=True)
+    index: dict[date, int] = {}
+    of_cell = np.empty(len(distinct), dtype=np.intp)
+    for k in np.argsort(first):  # in file order
+        i = int(heads[first[k]])
+        day = _parse_date(str(distinct[k]), lambda i=i: _row_line(path, i))
+        of_cell[k] = index.setdefault(day, len(index))
+    runs = np.diff(np.r_[heads, cells.size])
+    return list(index), np.repeat(of_cell[inverse.reshape(-1)], runs)
 
 
 def _quote(cell):
@@ -293,11 +417,14 @@ def _write_table(path: str | Path, header: list[str], fmt: tuple[str, ...], rows
             f.writelines([line % r for r in block])
 
 
-def _parse_date(cell: str, row_no: int) -> date:
+def _parse_date(cell: str, find_row) -> date:
+    """An ISO date; `find_row()` returns the cell's file line, asked for only on error."""
     try:
-        return date.fromisoformat(cell.strip())
+        if len(cell) < _DATE_WIDTH:
+            return date.fromisoformat(cell.strip())
     except ValueError:
-        raise ParseError(f"row {row_no}: bad date {cell!r}") from None
+        pass
+    raise ParseError(f"row {find_row()}: bad date {cell!r}")
 
 
 def load_csv(path: str | Path, track: str) -> Dataset:
@@ -310,52 +437,57 @@ def load_csv(path: str | Path, track: str) -> Dataset:
     """
     if track not in TRACKS:
         raise ParameterError(f"unknown track {track!r}")
-    table = _read_table(path)
-    header = [h.strip() for h in next(table)]
     expected = ["date", "hour", "zone", "target"]
-    if header[:4] != expected:
-        raise SchemaError(f"{path}: header must start with {','.join(expected)}")
-    k = len(header) - 4
-    if header[4:] != [f"w{i+1}" for i in range(k)]:
-        raise SchemaError(f"{path}: weather columns must be named w1..w{k}")
 
-    # (day, zone) -> hour -> (target, w1..wK): tuples, as every row stays alive until the end
-    cells: dict[tuple[date, int], dict[int, list]] = {}
-    dates: dict[str, date] = {}
-    for row_no, row in table:
-        day = dates.get(row[0]) or dates.setdefault(row[0], _parse_date(row[0], row_no))
-        try:
-            hour, zone = float(row[1]), float(row[2])
-            values = tuple([float(v) if v.strip() else math.nan for v in row[3:]])
-        except ValueError as e:
-            raise ParseError(f"row {row_no}: {e}") from None
-        if not (hour.is_integer() and zone.is_integer()):
-            raise ParseError(f"row {row_no}: hour {row[1]!r} and zone {row[2]!r} "
-                             "must be whole numbers")
-        hour, zone = int(hour), int(zone)
-        if not 0 <= hour <= 23:
-            raise IntegrityError(f"row {row_no}: hour {hour} outside 0..23")
-        if not 1 <= zone <= ZONE_COUNTS[track]:
-            raise IntegrityError(
-                f"row {row_no}: zone {zone} outside 1..{ZONE_COUNTS[track]} for {track}"
-            )
-        hours = cells.setdefault((day, zone), {})
-        if hour in hours:
-            raise IntegrityError(f"row {row_no}: duplicate hour {hour} for {day} zone {zone}")
-        hours[hour] = values
+    def header_dtype(cells):
+        header = [h.strip() for h in cells]
+        if header[:4] != expected:
+            raise SchemaError(f"{path}: header must start with {','.join(expected)}")
+        k = len(header) - 4
+        if header[4:] != [f"w{i+1}" for i in range(k)]:
+            raise SchemaError(f"{path}: weather columns must be named w1..w{k}")
+        return [("date", f"U{_DATE_WIDTH}"), ("hour", "f8"), ("zone", "f8"), ("v", "f8", (1 + k,))]
 
+    rows = _read_table(path, header_dtype, missing=True)
+    days, day = _day_index(path, rows["date"])
+    hour, zone, v = (np.array(rows[name]) for name in ("hour", "zone", "v"))
+    del rows  # its date strings are most of its bytes
+    whole = np.isfinite(hour) & np.isfinite(zone) & (hour == np.floor(hour)) & (zone == np.floor(zone))
+    if not whole.all():
+        row_no, text = _data_lines(path)[int(np.argmin(whole))]
+        cells = text.split(",")
+        raise ParseError(f"row {row_no}: hour {cells[1]!r} and zone {cells[2]!r} "
+                         "must be whole numbers")
+    hour, zone = hour.astype(np.intp), zone.astype(np.intp)
+    n_zones = ZONE_COUNTS[track]
+    if ((hour < 0) | (hour > 23)).any():
+        i = int(np.argmax((hour < 0) | (hour > 23)))
+        raise IntegrityError(f"row {_row_line(path, i)}: hour {hour[i]} outside 0..23")
+    if ((zone < 1) | (zone > n_zones)).any():
+        i = int(np.argmax((zone < 1) | (zone > n_zones)))
+        raise IntegrityError(
+            f"row {_row_line(path, i)}: zone {zone[i]} outside 1..{n_zones} for {track}"
+        )
+    group = day * n_zones + zone - 1  # one group per (day, zone)
+    i = _first_repeat(group * HOURS + hour)
+    if i is not None:
+        raise IntegrityError(f"row {_row_line(path, i)}: duplicate hour {hour[i]} "
+                             f"for {days[day[i]]} zone {zone[i]}")
+
+    groups, slot = np.unique(group, return_inverse=True)  # the (day, zone) pairs present
+    block = np.full((groups.size, HOURS, v.shape[1]), np.nan)
+    block[slot.reshape(-1), hour] = v
+    date_rank = np.argsort(np.argsort(np.array(days, dtype="datetime64[D]")))
     samples: list[DaySample] = []
-    dropped = 0
-    for (day, zone), hours in sorted(cells.items()):
-        v = np.array([hours[h] for h in sorted(hours)])  # (hours, 1 + K)
-        if len(hours) != HOURS or np.isnan(v).any():
-            dropped += 1
-            continue
-        c = v[:, 1:].T.reshape(-1)  # channel-major
-        sample = DaySample(day_id=day, track=track, zone=zone, x=v[:, 0].copy(), c=c)
-        sample.validate()
-        samples.append(sample)
-    return Dataset(samples=samples, dropped=dropped)
+    for k in np.lexsort((groups % n_zones, date_rank[groups // n_zones])):
+        b = block[k]
+        if not np.isnan(b).any():
+            sample = DaySample(day_id=days[groups[k] // n_zones], track=track,
+                               zone=int(groups[k] % n_zones) + 1, x=b[:, 0].copy(),
+                               c=b[:, 1:].T.flatten())  # channel-major
+            sample.validate()
+            samples.append(sample)
+    return Dataset(samples=samples, dropped=groups.size - len(samples))
 
 
 def write_csv(ds: Dataset, path: str | Path) -> None:
@@ -651,18 +783,18 @@ def write_observations(ds: Dataset, path: str | Path, split: str = "test", zone:
 
 def read_observations(path: str | Path) -> dict[date, np.ndarray]:
     """Inverse of write_observations: {day: (24,) array}."""
-    table = _read_table(path)
-    if next(table) != ["day"] + [f"h{h}" for h in range(HOURS)]:
-        raise SchemaError(f"{path}: bad observation header")
-    out = {}
-    for row_no, row in table:
-        day = _parse_date(row[0], row_no)
-        if day in out:
-            raise IntegrityError(f"row {row_no}: duplicate day {day}")
-        try:
-            out[day] = np.array(list(map(float, row[1:])))
-        except ValueError as e:
-            raise ParseError(f"row {row_no}: {e}") from None
-        if not np.isfinite(out[day]).all():
-            raise ParseError(f"row {row_no}: day {day} has a non-finite value")
-    return out
+    def header_dtype(cells):
+        if cells != ["day"] + [f"h{h}" for h in range(HOURS)]:
+            raise SchemaError(f"{path}: bad observation header")
+        return [("day", f"U{_DATE_WIDTH}"), ("h", "f8", (HOURS,))]
+
+    rows = _read_table(path, header_dtype)
+    days, day = _day_index(path, rows["day"])
+    i = _first_repeat(day)
+    if i is not None:
+        raise IntegrityError(f"row {_row_line(path, i)}: duplicate day {days[day[i]]}")
+    finite = np.isfinite(rows["h"]).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ParseError(f"row {_row_line(path, i)}: day {days[day[i]]} has a non-finite value")
+    return dict(zip(days, np.ascontiguousarray(rows["h"])))

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .data import HOURS, Scaler, _parse_date, _read_table, _write_table
+from .data import _DATE_WIDTH, HOURS, Scaler, _day_index, _read_table, _write_table
 from .errors import (
     DimensionError,
     InsufficientDataError,
@@ -485,6 +485,8 @@ def load_checkpoint(path: str | Path):
         header = json.loads(raw[:nl].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ModelValidationError(f"{path}: bad header: {e}") from None
+    except RecursionError:
+        raise ModelValidationError(f"{path}: bad header: nested too deeply to parse") from None
     if not isinstance(header, dict) or header.get("format") != CHECKPOINT_MAGIC:
         raise ModelValidationError(f"{path}: not a model checkpoint")
     if header.get("version") != CHECKPOINT_VERSION:
@@ -536,35 +538,30 @@ def write_scenarios(sets: list[ScenarioSet], path: str | Path) -> None:
 def read_scenarios(path: str | Path) -> dict[date, np.ndarray]:
     """Inverse of write_scenarios: {day: (M, 24) array}.
 
-    Each row's cells are cast into one float block that doubles when full
-    (numpy's str -> float cast accepts exactly what float() does), each
-    distinct date cell is parsed once, and each day's rows are then indexed
-    out of the block in scenario order.
+    One np.loadtxt pass reads every cell (see data._read_table), each
+    distinct date cell is parsed once, and each day's array is a view of
+    one block of rows in (day, scenario) order: the table itself when the
+    file is in that order, as write_scenarios leaves it, else one sorted copy.
     """
-    table = _read_table(path)
-    if next(table) != ["day", "scenario"] + [f"h{h}" for h in range(HOURS)]:
-        raise SchemaError(f"{path}: bad scenario header")
-    vals = np.empty((1024, HOURS))
-    dates: dict[str, date] = {}
-    rows: dict[date, list] = {}  # day -> [(scenario number, block row)]
-    k = 0
-    for row_no, row in table:
-        day = dates.get(row[0]) or dates.setdefault(row[0], _parse_date(row[0], row_no))
-        if k == len(vals):
-            vals = np.concatenate([vals, np.empty_like(vals)])
-        try:
-            number = int(row[1])
-            vals[k] = row[2:]
-        except ValueError as e:
-            raise ParseError(f"row {row_no}: {e}") from None
-        rows.setdefault(day, []).append((number, k))
-        k += 1
-    out = {}
-    for day, entries in rows.items():
-        entries.sort()
-        if [n for n, _ in entries] != list(range(1, len(entries) + 1)):
-            raise IntegrityError(f"{path}: day {day} scenario numbering is not 1..M")
-        out[day] = vals[[i for _, i in entries]]
-        if not np.isfinite(out[day]).all():
-            raise ParseError(f"{path}: day {day} has a non-finite scenario value")
-    return out
+    def header_dtype(cells):
+        if cells != ["day", "scenario"] + [f"h{h}" for h in range(HOURS)]:
+            raise SchemaError(f"{path}: bad scenario header")
+        return [("day", f"U{_DATE_WIDTH}"), ("scenario", "f8"), ("h", "f8", (HOURS,))]
+
+    rows = _read_table(path, header_dtype)
+    days, day = _day_index(path, rows["day"])
+    number = rows["scenario"]
+    order = np.lexsort((number, day))  # by day, then scenario number
+    counts = np.bincount(day, minlength=len(days))
+    ends = np.cumsum(counts)
+    # scenario numbers must run 1..M within each day
+    bad = number[order] != np.arange(1, day.size + 1) - np.repeat(ends - counts, counts)
+    if bad.any():
+        raise IntegrityError(f"{path}: day {days[day[order][bad].min()]} "
+                             "scenario numbering is not 1..M")
+    values = rows["h"] if (order[1:] > order[:-1]).all() else rows["h"][order]
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        d = days[day[order][~finite].min()]
+        raise ParseError(f"{path}: day {d} has a non-finite scenario value")
+    return {d: values[e - c:e] for d, c, e in zip(days, counts, ends)}

@@ -7,7 +7,9 @@ No score builds an (M, M, L) pairwise tensor: the CRPS spread term is a
 weighted sum of order statistics, the energy score sums over the M(M-1)/2
 unordered scenario pairs, the variogram score over the L(L-1)/2 unordered
 hour pairs, and the reliability curve reads its 99 coverage counts off one
-sorted rank array.
+sorted rank array. The quantile score reads its quantiles off one sort of
+each day's scenarios, and the index plans (quantile positions, scenario and
+hour pairs) are built once per size and shared read-only.
 Averaging follows one convention throughout: per-day values first, then the
 mean over test days; CRPS/QS/ES are reported in percent of the track's
 nominal base, VS stays unitless (computed on base-normalized values).
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import date
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -66,10 +69,60 @@ def crps(scenarios: np.ndarray, y: np.ndarray, estimator: str = "nrg"):
     return per_marginal, float(per_marginal.mean())
 
 
+@lru_cache(maxsize=16)
+def _hazen_plan(m: int, levels: bytes):
+    """Order-statistic indices and weights of the hazen quantiles of M values,
+    by numpy's own virtual-index, clamp and gamma steps (read-only arrays)."""
+    q = np.frombuffer(levels)
+    alpha = beta = 0.5  # hazen: plotting positions (k - 0.5)/M
+    virtual = m * q + (alpha + q * (1 - alpha - beta)) - 1
+    lower = np.floor(virtual)
+    upper = lower + 1
+    lower[virtual >= m - 1] = upper[virtual >= m - 1] = -1
+    lower[virtual < 0] = upper[virtual < 0] = 0
+    lower, upper = lower.astype(np.intp), upper.astype(np.intp)
+    gamma = virtual - lower
+    plan = (lower, upper, gamma, 1 - gamma, gamma >= 0.5)
+    for a in plan:
+        a.flags.writeable = False
+    return plan
+
+
+@lru_cache(maxsize=16)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(n, 1): the n(n-1)/2 unordered index pairs (read-only)."""
+    i, j = np.triu_indices(n, 1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
 def empirical_quantiles(scenarios: np.ndarray, levels: np.ndarray = QUANTILE_LEVELS) -> np.ndarray:
     """(n_levels, L) quantiles via linear interpolation of order statistics
-    at plotting positions (k - 0.5)/M."""
-    return np.quantile(np.asarray(scenarios, dtype=float), levels, axis=0, method="hazen")
+    at plotting positions (k - 0.5)/M.
+
+    The quantiles are read off one np.sort of the sample, with the index and
+    weight plan built once per (M, levels) and numpy's own interpolation
+    (its `_lerp`), so they equal np.quantile(method="hazen") bit for bit: a
+    partition and a sort leave the same order statistics. Only the sign of a
+    zero quantile may differ, where a column holds both 0.0 and -0.0, as
+    the two algorithms may order those equal values differently.
+    """
+    scenarios = np.asarray(scenarios, dtype=float)
+    levels = np.asarray(levels, dtype=float)
+    if levels.ndim != 1 or not np.all((levels >= 0) & (levels <= 1)):
+        raise ParameterError("quantile levels must be a vector of values in [0, 1]")
+    plan = _hazen_plan(scenarios.shape[0], levels.tobytes())
+    lower, upper = plan[:2]
+    gamma, one_minus, high = (a.reshape((-1,) + (1,) * (scenarios.ndim - 1)) for a in plan[2:])
+    ordered = np.sort(scenarios, axis=0)
+    a, b = ordered[lower], ordered[upper]
+    diff = b - a
+    out = np.add(a, diff * gamma)
+    np.subtract(b, diff * one_minus, out=out, where=high)
+    nan_cols = np.isnan(ordered[-1])  # NaN sorts last; np.quantile gives NaN there
+    if nan_cols.any():
+        np.copyto(out, ordered[-1], where=nan_cols)
+    return out
 
 
 def quantile_score(scenarios: np.ndarray, y: np.ndarray,
@@ -134,8 +187,9 @@ def energy_score(scenarios: np.ndarray, y: np.ndarray) -> float:
     scenarios, y = _check_pair(scenarios, y)
     m = scenarios.shape[0]
     term1 = np.mean(np.linalg.norm(scenarios - y[None, :], axis=1))
-    i, j = np.triu_indices(m, 1)
-    diff = scenarios[i] - scenarios[j]
+    i, j = _pairs(m)
+    diff = np.take(scenarios, i, axis=0)  # np.take gathers rows faster than x[i]
+    diff -= np.take(scenarios, j, axis=0)
     half_pair = np.sqrt(np.einsum("pl,pl->p", diff, diff)).sum()
     return float(term1 - half_pair / (m * m))
 
@@ -159,7 +213,7 @@ def variogram_score(scenarios: np.ndarray, y: np.ndarray, gamma: float = 0.5,
         raise DimensionError(f"weights shape {weights.shape} != ({l}, {l})")
     if not np.all(np.isfinite(weights) & (weights >= 0)):
         raise ParameterError("weights must be finite and non-negative")
-    t, u = np.triu_indices(l, 1)
+    t, u = _pairs(l)
     vy = np.abs(y[t] - y[u]) ** gamma
     vx = np.mean(np.abs(scenarios[:, t] - scenarios[:, u]) ** gamma, axis=0)
     return float(np.sum((weights[t, u] + weights[u, t]) * (vy - vx) ** 2))

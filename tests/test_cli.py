@@ -276,6 +276,29 @@ def test_exit_2_os_errors(tmp_path, capsys):
     assert _stderr_error(capsys)["error"] == "IsADirectoryError"
 
 
+def test_malformed_json_inputs_are_one_error_line(tmp_path, capsys):
+    """A config that is not UTF-8 or that nests past the parser's depth, and a
+    checkpoint header that nests past it, end in one JSON line, not a traceback."""
+    deep = "[" * 200_000 + "]" * 200_000
+    cfg = tmp_path / "c.json"
+    for raw in (b'{"track": "pv\xff"}', deep.encode()):
+        cfg.write_bytes(raw)
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert _stderr_error(capsys)["error"] == "ConfigError"
+
+    data = tmp_path / "pv.csv"
+    assert main(["synth", "--profile", "sine_pv", "--days", "10", "--out", str(data)]) == 0
+    ckpt = tmp_path / "deep.ckpt"
+    ckpt.write_bytes(deep.encode() + b"\n")
+    capsys.readouterr()
+    rc = main(["generate", "--config", str(_write_config(tmp_path, "pv", data)),
+               "--checkpoint", str(ckpt), "--out", str(tmp_path / "out")])
+    assert rc == 4
+    doc = _stderr_error(capsys)
+    assert doc["error"] == "ModelValidationError"
+    assert "nested too deeply" in doc["message"]
+
+
 def test_exit_5_alignment(tmp_path, capsys):
     days = [date(2015, 1, 1), date(2015, 1, 2)]
     sets = [dif.ScenarioSet(d, 2, np.full((2, 24), 0.5), np.zeros(1)) for d in days]

@@ -140,6 +140,10 @@ def test_load_csv_parse_errors_carry_row_numbers(tmp_path):
             dmod.load_csv(p, "pv")
     _mini_csv(p, [r.replace(",1,", ",1.0,", 1) for r in _full_day("2012-01-01", 1)])
     assert dmod.load_csv(p, "pv").days() == [date(2012, 1, 1)]
+    # a blank cell means missing; a bad cell after it still names its row
+    _mini_csv(p, ["2012-01-01,0,1, ,1.0", "2012-01-01,1,1,0.5,1.0", "2012-01-01,2,1,0.5,abc"])
+    with pytest.raises(ParseError, match="^row 4: could not convert string to float: 'abc'$"):
+        dmod.load_csv(p, "pv")
 
 
 def test_load_csv_parses_each_date_cell_once(tmp_path, monkeypatch):

@@ -198,16 +198,39 @@ def test_quantile_score_matches_per_term_pinball():
 
 
 def test_empirical_quantiles_match_numpy_hazen():
+    """Read off one sort, the quantiles equal np.quantile's bit for bit, on
+    continuous, tied and all-zero columns, at the default and custom levels."""
     rng = np.random.default_rng(4)
-    scens = rng.standard_normal((20, 3))
-    got = met.empirical_quantiles(scens)
-    want = np.quantile(scens, met.QUANTILE_LEVELS, axis=0, method="hazen")
-    np.testing.assert_array_equal(got, want)
+    for m in (2, 3, 7, 10, 20, 100, 257):
+        scens = rng.standard_normal((m, 5))
+        scens[:, 1] = np.round(scens[:, 1]) + 2.0  # ties
+        scens[:, 2] = 0.0
+        scens[: m // 2, 3] = 1.5  # a point mass beside a continuous part
+        for levels in (met.QUANTILE_LEVELS, np.array([0.0, 0.001, 0.25, 0.5, 0.999, 1.0])):
+            got = met.empirical_quantiles(scens, levels)
+            want = np.quantile(scens, levels, axis=0, method="hazen")
+            assert np.array_equal(got, want)
+            assert got.tobytes() == want.tobytes()
     # median of an even ensemble is the midpoint of the central pair
     two = np.array([[0.0, 0.0], [1.0, 2.0]])
     np.testing.assert_allclose(
         met.empirical_quantiles(two, np.array([0.5]))[0], [0.5, 1.0]
     )
+
+
+def test_score_plans_are_cached_and_read_only():
+    """The index pairs and quantile plans are built once per size and shared,
+    so no caller may write into them."""
+    i, j = met._pairs(100)
+    assert met._pairs(100)[0] is i
+    np.testing.assert_array_equal(np.stack([i, j]), np.triu_indices(100, 1))
+    plan = met._hazen_plan(100, met.QUANTILE_LEVELS.tobytes())
+    for a in (i, j) + plan:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[...] = 0
+    with pytest.raises(ParameterError):
+        met.empirical_quantiles(np.zeros((3, 2)), np.array([0.5, 1.5]))
 
 
 def test_dimension_errors():

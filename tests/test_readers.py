@@ -2,6 +2,7 @@
 every malformed file into a typed package error, and the CLI reports it as
 one JSON line with a documented exit code."""
 import json
+import math
 from datetime import date
 
 import numpy as np
@@ -32,6 +33,16 @@ CASES = {
                  ParseError),
     "short_row": (lambda header, row: f"{header}\n{row.rsplit(',', 1)[0]}\n", SchemaError),
     "non_numeric": (lambda header, row: f"{header}\n{row[:-3]}abc\n", ParseError),
+    # numpy's C parser: `#` starts no comment, quotes are not stripped, and a
+    # date cell is cut at its string field, so a cell that fills it is refused
+    "hash_in_number": (lambda header, row: f"{header}\n{row}#x\n", ParseError),
+    "quoted_number": (lambda header, row: f'{header}\n{row[:-3]}"0.5"\n', ParseError),
+    "extra_cell": (lambda header, row: f"{header}\n{row},0.5\n", SchemaError),
+    "long_date": (lambda header, row: f"{header}\n"
+                  f"{row.replace('2012-01-01', '2012-01-01' + ' ' * 6 + 'x')}\n", ParseError),
+    # a string field also drops a trailing NUL
+    "nul_in_date": (lambda header, row: header + "\n" + row.replace("01,", "01\0,", 1) + "\n",
+                    ParseError),
 }
 
 
@@ -46,6 +57,60 @@ def test_readers_raise_typed_errors(tmp_path, kind, case):
         read(p)
 
 
+@pytest.mark.parametrize("kind", sorted(READERS))
+def test_readers_name_the_file_line_past_blank_lines(tmp_path, kind):
+    """np.loadtxt skips empty lines; the error still names the line in the file."""
+    read, header, row = READERS[kind]
+    p = tmp_path / f"{kind}.csv"
+    p.write_text(f"{header}\n\n{row}\n\n\n{row[:-3]}abc\n")
+    with pytest.raises(ParseError, match="^row 6: could not convert string to float: 'abc'$"):
+        read(p)
+
+
+def _as_arrays(parsed):
+    if isinstance(parsed, dict):
+        return {d: v.tolist() for d, v in parsed.items()}
+    return [(s.day_id, s.zone, s.x.tolist(), s.c.tolist()) for s in parsed.samples]
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+def test_readers_accept_cr_and_mixed_line_ends(valid, tmp_path, kind):
+    """CR-only and mixed CRLF/LF/CR files read as the CRLF file does."""
+    read = READERS[kind][0]
+    lines = valid[1][kind]
+    p = tmp_path / f"{kind}.csv"
+    p.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+    want = _as_arrays(read(p))
+    assert want
+    ends = ["\r\n", "\n", "\r"]
+    for text in ("\r".join(lines) + "\r",
+                 "".join(line + ends[i % 3] for i, line in enumerate(lines))):
+        p.write_bytes(text.encode())
+        assert _as_arrays(read(p)) == want
+
+
+def test_scenario_reader_counts_a_crlf_split_between_scan_blocks(tmp_path):
+    """The readers size their table by the file's line ends, counted in 1 MiB
+    blocks. A CRLF whose CR ends one block is one line end, and the last row
+    of a file over 1 MiB is read."""
+    header, row = READERS["scenarios"][1:]
+    rows = [row.replace(",1,", f",{k + 1},", 1) for k in range(10_000)]
+    cr = (1 << 20) - 1  # the byte offset the CR of one row must land on
+    end = len(header)  # offset of the CR ending each line
+    for i, r in enumerate(rows):
+        if end + 2 + len(r) > cr:
+            rows[i - 1] = rows[i - 1].rpartition(",")[0] + "," + " " * (cr - end) + "0.5"
+            break
+        end += 2 + len(r)
+    text = "\r\n".join([header] + rows) + "\r\n"
+    assert text[cr:cr + 2] == "\r\n"
+    p = tmp_path / "scenarios.csv"
+    p.write_bytes(text.encode())
+    assert dmod._line_ends(p) == len(rows) + 1
+    scen = dif.read_scenarios(p)[date(2012, 1, 1)]
+    assert scen.shape == (len(rows), 24) and (scen == 0.5).all()
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("kind", ["scenarios", "observations"])
 def test_readers_reject_non_finite_cells(tmp_path, kind, cell):
@@ -58,12 +123,13 @@ def test_readers_reject_non_finite_cells(tmp_path, kind, cell):
 
 
 def test_scenario_reader_block_growth_matches_float(tmp_path):
-    """2,500 rows in shuffled order grow the reader's float block twice; every
-    value equals a per-row float() parse, and a bad cell past the first growth
-    raises ParseError naming its row."""
+    """2,500 rows in shuffled order; every value equals a per-row float() parse
+    for each form both parsers accept, a `_` separator or a non-ASCII digit,
+    which float() takes and the reader does not, raises ParseError naming its
+    file line, and so does a bad cell deep in the file."""
     rng = np.random.default_rng(9)
     forms = [lambda v: format(v, ".17g"), lambda v: f" {v:.6g}", lambda v: format(v, ".3e"),
-             lambda v: "-0", lambda v: "1_0", lambda v: "\u0661.5", lambda v: "1e-400"]
+             lambda v: "-0", lambda v: "1e-400"]
     rows = []
     for d in [date(2013, 5, 1 + i) for i in range(25)]:
         for number in range(1, 101):
@@ -84,6 +150,18 @@ def test_scenario_reader_block_growth_matches_float(tmp_path):
         ref = np.array([by_number[n] for n in range(1, 101)])
         assert np.array_equal(got[d], ref)
         assert np.array_equal(np.signbit(got[d]), np.signbit(ref))
+
+    # float() takes these; numpy's C parser, and so the reader, does not
+    for row_no, cell in ((700, "1_0"), (2100, "\u0661.5")):
+        assert math.isfinite(float(cell))
+        bad = list(lines)
+        cells = bad[row_no - 1].split(",")
+        cells[7] = cell
+        bad[row_no - 1] = ",".join(cells)
+        p.write_text("\n".join(bad) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"^row {row_no}: could not convert string "
+                                             f"to float: '{cell}'$"):
+            dif.read_scenarios(p)
 
     row_no = 1500
     bad = lines[row_no - 1].split(",")
