@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
@@ -324,6 +325,9 @@ def train(ds, config: TrainConfig, sched: Schedule):
     return best_params, log
 
 
+NOISE_SLAB = 25  # reverse steps of z noise a chunk draws at once: 25 x 256 x 24 x 8 B = 1.2 MB
+
+
 def _reverse_engine(denoiser, c_rows: np.ndarray, sched: Schedule,
                     seed_seqs, l: int, chunk: int = 256) -> np.ndarray:
     """Ancestral sampling for many (condition, stream) rows at once.
@@ -338,33 +342,76 @@ def _reverse_engine(denoiser, c_rows: np.ndarray, sched: Schedule,
     kernel), where results move in the last bits.
 
     Rows run in chunks: at 256 rows one hidden layer's activations
-    (256 x 128 x 8 B) stay in L2 cache, and the chunk's noise block,
-    rows x (n - 1) x l float64, is about 10 MB at n = 200.
+    (256 x 128 x 8 B) stay in L2 cache. Chunks are independent, so they run
+    concurrently on a thread pool of min(CPUs this process may run on,
+    chunk count) threads; numpy's matrix products and large ufuncs release
+    the interpreter lock. One chunk or one CPU runs in the calling thread.
+    Each worker samples under the caller's numpy error state. Errors are
+    those of the first failing chunk in row order, as if the chunks ran one
+    after another, and the chunks not yet started are cancelled.
     """
     denoiser = _as_denoiser(denoiser)
     r = c_rows.shape[0]
     out = np.empty((r, l))
-    for lo in range(0, r, chunk):
+    errstate = dict(np.geterr(), call=np.geterrcall())
+
+    def run(lo: int) -> None:
         hi = min(lo + chunk, r)
-        rows = hi - lo
-        x = np.empty((rows, l))
-        z = np.empty((rows, max(sched.n - 1, 0), l))
-        for j in range(rows):
-            rng = np.random.default_rng(seed_seqs[lo + j])
-            x[j] = rng.standard_normal(l)
-            if sched.n > 1:
-                z[j] = rng.standard_normal((sched.n - 1, l))
-        c_chunk = c_rows[lo:hi]
-        for i in range(sched.n, 0, -1):
-            eps_hat = denoiser(x, i, c_chunk)
-            x -= sched.beta[i - 1] / math.sqrt(1.0 - sched.alpha_bar[i - 1]) * eps_hat
-            x /= math.sqrt(1.0 - sched.beta[i - 1])
-            if i > 1:
-                x += sched.sigma[i - 1] * z[:, sched.n - i]
-            if not np.all(np.isfinite(x)):
-                raise SamplingDivergenceError(f"non-finite sample at step {i}")
-        out[lo:hi] = x
+        with np.errstate(**errstate):
+            _reverse_chunk(denoiser, c_rows[lo:hi], sched, seed_seqs[lo:hi], out[lo:hi])
+
+    starts = range(0, r, chunk)
+    workers = min(_cpu_count(), len(starts))
+    if workers <= 1:
+        for lo in starts:
+            run(lo)
+        return out
+    # imported only for a pool: its modules add about 0.6 MB of RSS, which
+    # commands that never sample need not carry
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(workers)
+    try:
+        for f in [pool.submit(run, lo) for lo in starts]:
+            f.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
     return out
+
+
+def _reverse_chunk(denoiser, c: np.ndarray, sched: Schedule, seed_seqs, x: np.ndarray) -> None:
+    """Run the reverse chain for the rows of one chunk in place in `x`.
+
+    Each row's generator draws its initial noise, then its z vectors
+    NOISE_SLAB steps at a time; the draws follow one another in the stream
+    exactly as one (n - 1, l) draw would, so every value is unchanged.
+    """
+    rows, l = x.shape
+    rngs = [np.random.default_rng(s) for s in seed_seqs]
+    for j, rng in enumerate(rngs):
+        rng.standard_normal(out=x[j])
+    z = np.empty((rows, min(NOISE_SLAB, max(sched.n - 1, 0)), l))
+    for i in range(sched.n, 0, -1):
+        k = (sched.n - i) % NOISE_SLAB  # step i's z vector within its slab
+        if i > 1 and k == 0:
+            steps = min(NOISE_SLAB, i - 1)
+            for j, rng in enumerate(rngs):
+                rng.standard_normal(out=z[j, :steps])
+        eps_hat = denoiser(x, i, c)
+        x -= sched.beta[i - 1] / math.sqrt(1.0 - sched.alpha_bar[i - 1]) * eps_hat
+        x /= math.sqrt(1.0 - sched.beta[i - 1])
+        if i > 1:
+            x += sched.sigma[i - 1] * z[:, k]
+        if not np.all(np.isfinite(x)):
+            raise SamplingDivergenceError(f"non-finite sample at step {i}")
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def _seed_sequence(seed) -> np.random.SeedSequence:

@@ -1,6 +1,10 @@
 """Schedules, forward/reverse processes, training loop, and checkpoints."""
+import concurrent.futures
 import json
 import math
+import sys
+import threading
+import time
 import warnings
 from dataclasses import replace
 from datetime import date
@@ -342,6 +346,154 @@ def test_reverse_engine_chunking_is_invisible():
             dif._reverse_engine(p, c_rows, s, seqs, l=24, chunk=chunk), default)
     np.testing.assert_allclose(dif._reverse_engine(p, c_rows, s, seqs, l=24, chunk=3),
                                default, rtol=1e-12, atol=1e-12)
+
+
+def _sequential_engine(denoiser, c_rows, sched, seed_seqs, l, chunk=256):
+    """The reverse engine as it was before chunks ran on a thread pool: one
+    chunk after another, each drawing every row's whole (n - 1, l) z block
+    up front. The threaded engine must reproduce its bytes."""
+    denoiser = dif._as_denoiser(denoiser)
+    r = c_rows.shape[0]
+    out = np.empty((r, l))
+    for lo in range(0, r, chunk):
+        hi = min(lo + chunk, r)
+        rows = hi - lo
+        x = np.empty((rows, l))
+        z = np.empty((rows, max(sched.n - 1, 0), l))
+        for j in range(rows):
+            rng = np.random.default_rng(seed_seqs[lo + j])
+            x[j] = rng.standard_normal(l)
+            if sched.n > 1:
+                z[j] = rng.standard_normal((sched.n - 1, l))
+        c_chunk = c_rows[lo:hi]
+        for i in range(sched.n, 0, -1):
+            eps_hat = denoiser(x, i, c_chunk)
+            x -= sched.beta[i - 1] / math.sqrt(1.0 - sched.alpha_bar[i - 1]) * eps_hat
+            x /= math.sqrt(1.0 - sched.beta[i - 1])
+            if i > 1:
+                x += sched.sigma[i - 1] * z[:, sched.n - i]
+            if not np.all(np.isfinite(x)):
+                raise SamplingDivergenceError(f"non-finite sample at step {i}")
+        out[lo:hi] = x
+    return out
+
+
+def _set_cpus(monkeypatch, cpus):
+    """Make the engine see `cpus` CPUs in its affinity set."""
+    monkeypatch.setattr(dif.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+
+
+def _counting_pools(monkeypatch):
+    """Record the worker count of every thread pool the engine starts."""
+    sizes = []
+
+    real = concurrent.futures.ThreadPoolExecutor
+
+    def pool(workers):
+        sizes.append(workers)
+        return real(workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", pool)
+    return sizes
+
+
+@pytest.fixture
+def fast_switching():
+    """Switch threads far more often than usual, so that state shared by
+    the sampler's workers would show as changed bytes."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 8])
+@pytest.mark.parametrize("n", [1, 2, 6, 27])
+def test_reverse_engine_matches_sequential_reference(monkeypatch, fast_switching, cpus, n):
+    """Same bytes as the sequential engine whatever the CPU count (8 can
+    mean more threads than cores), including chain lengths whose n - 1 z
+    vectors are not a whole number of noise slabs, and no more threads than
+    chunks: none for one chunk or one CPU."""
+    _set_cpus(monkeypatch, cpus)
+    pools = _counting_pools(monkeypatch)
+    s = dif.make_schedule("cosine", n=n)
+    p = nn.init_params((128, 128), sample_dim=24, embed_dim=8, cond_dim=24, seed=4)
+    for rows in (1, 255, 256, 257, 600):
+        c_rows = np.random.default_rng(rows).uniform(0, 1, (rows, 24))
+        seqs = np.random.SeedSequence(rows).spawn(rows)
+        threads = set()
+
+        def net(x, i, c):
+            threads.add(threading.get_ident())
+            return nn.forward_batch(p, x, i, c)
+
+        pools.clear()
+        got = dif._reverse_engine(net, c_rows, s, seqs, l=24)
+        np.testing.assert_array_equal(got, _sequential_engine(p, c_rows, s, seqs, l=24))
+        chunks = -(-rows // 256)
+        workers = min(cpus, chunks)
+        assert pools == ([workers] if workers > 1 else [])
+        assert len(threads) <= workers
+        if workers == 1:
+            assert threads == {threading.get_ident()}
+
+
+def _overflowing(x, i, c):
+    return np.full_like(x, 1e300) * 1e300
+
+
+@pytest.mark.parametrize("rows", [200, 600])
+def test_reverse_engine_keeps_the_callers_numpy_error_state(monkeypatch, rows):
+    """Workers sample under the caller's np.errstate: an overflow raises under
+    "raise" and passes silently to the finiteness check under "ignore", for
+    one chunk in the calling thread and for several on the pool."""
+    _set_cpus(monkeypatch, 2)
+    s = dif.make_schedule("cosine", n=5)
+    c_rows = np.zeros((rows, 0))
+    seqs = np.random.SeedSequence(1).spawn(rows)
+    with np.errstate(all="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        dif._reverse_engine(_overflowing, c_rows, s, seqs, l=3)
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("error")
+        with pytest.raises(SamplingDivergenceError, match="^non-finite sample at step 5$"):
+            dif._reverse_engine(_overflowing, c_rows, s, seqs, l=3)
+
+
+def test_reverse_engine_raises_the_first_failing_chunks_error(monkeypatch):
+    """Chunk 3 diverges first in time and chunk 1 later, at another step: the
+    error is chunk 1's, as in a sequential run, and the chunks not started by
+    then are cancelled."""
+    _set_cpus(monkeypatch, 2)
+    s = dif.make_schedule("cosine", n=10)
+    chunk, n_chunks = 4, 10
+    c_rows = np.repeat(np.arange(n_chunks, dtype=float), chunk)[:, None]
+    seqs = np.random.SeedSequence(0).spawn(chunk * n_chunks)
+    diverged = {1: threading.Event(), 3: threading.Event()}
+    started = set()
+
+    def denoiser(x, i, c):
+        k = int(c[0, 0])
+        started.add(k)
+        if k == 1 and i == 3:
+            assert diverged[3].wait(10), "chunk 3 never diverged"
+            diverged[1].set()
+            return np.full_like(x, np.inf)
+        if k == 3 and i == 9:
+            diverged[3].set()
+            return np.full_like(x, np.inf)
+        if k > 3:
+            diverged[1].wait(10)
+            time.sleep(0.02)
+        return np.zeros_like(x)
+
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(SamplingDivergenceError, match="^non-finite sample at step 3$"):
+        dif._reverse_engine(denoiser, c_rows, s, seqs, l=2, chunk=chunk)
+    # the two workers may each start one more chunk before the error is read
+    assert {0, 1, 2, 3} <= started <= {0, 1, 2, 3, 4, 5}
 
 
 def test_reverse_sampler_matches_analytic_gaussian_law():
