@@ -1,11 +1,17 @@
-"""Dense two-phase primal simplex for standard-form linear programs.
+"""Dense two-phase primal simplex for bounded-variable linear programs.
 
-Problems arrive as min c.x subject to A x = b, x >= 0 (the value module does
-its own inequality-to-slack and free-variable-splitting transformations).
-Phase 1 minimizes the sum of artificial variables over rows that have no
-ready-made unit column; phase 2 optimizes the real objective. Pricing is
-Dantzig's rule, switching permanently to Bland's rule after a run of
-degenerate pivots so cycling cannot occur.
+Problems arrive as min c.x subject to A x = b, 0 <= x <= u, where an entry of
+u may be +inf (the value module does its own inequality-to-slack and
+free-variable-splitting transformations). Upper bounds never become rows
+(Chvátal, *Linear Programming*, ch. 8): a nonbasic variable rests at 0 or at
+its bound, and one at its bound is complemented (x = u - x'), so every
+nonbasic column sits at zero and the tableau keeps its form. The ratio test
+also stops a basic variable at its bound, and an entering variable that
+reaches its own bound first is flipped there without a pivot; a flip counts
+as one iteration. Phase 1 minimizes the sum of artificial variables over
+rows that have no ready-made unit column; phase 2 optimizes the real
+objective. Pricing is Dantzig's rule, switching permanently to Bland's rule
+after a run of degenerate iterations so cycling cannot occur.
 """
 from __future__ import annotations
 
@@ -19,17 +25,17 @@ FEAS_TOL = 1e-7
 OPT_TOL = 1e-9
 PIVOT_TOL = 1e-9
 MAX_ITER = 50_000
-STALL_LIMIT = 50  # degenerate pivots before Bland's rule engages
+STALL_LIMIT = 50  # degenerate iterations before Bland's rule engages
 
 
 @dataclass
 class LPProblem:
-    """min c.x s.t. A x = b, x >= 0, with a name -> column map for extraction."""
+    """min c.x s.t. A x = b, 0 <= x <= upper; `upper` None means all +inf."""
 
     c: np.ndarray
     a: np.ndarray
     b: np.ndarray
-    names: dict[str, int] = field(default_factory=dict)
+    upper: np.ndarray | None = None
 
     def validate(self) -> None:
         self.c = np.asarray(self.c, dtype=float)
@@ -43,9 +49,12 @@ class LPProblem:
         if not (np.all(np.isfinite(self.a)) and np.all(np.isfinite(self.b))
                 and np.all(np.isfinite(self.c))):
             raise ParameterError("LP coefficients must be finite")
-        for name, j in self.names.items():
-            if not 0 <= j < n:
-                raise DimensionError(f"name {name!r} maps to column {j} outside 0..{n-1}")
+        self.upper = (np.full(n, np.inf) if self.upper is None
+                      else np.asarray(self.upper, dtype=float))
+        if self.upper.shape != (n,):
+            raise DimensionError(f"A is {self.a.shape} but upper is {self.upper.shape}")
+        if not np.all(self.upper >= 0):  # also refuses NaN
+            raise ParameterError("upper bounds must be >= 0 (+inf for none), not NaN")
 
 
 @dataclass
@@ -55,9 +64,6 @@ class LPSolution:
     x: np.ndarray
     iterations: int
     basis: list[int] = field(default_factory=list)
-
-    def value_of(self, lp: LPProblem, name: str) -> float:
-        return float(self.x[lp.names[name]])
 
 
 def _unit_columns(a: np.ndarray) -> dict[int, int]:
@@ -70,26 +76,31 @@ def _unit_columns(a: np.ndarray) -> dict[int, int]:
     return dict(zip(rows.tolist(), single[unit][first].tolist()))
 
 
-def _pivot(tab: np.ndarray, basis: list[int], row: int, col: int) -> None:
-    # only rows with a nonzero in the pivot column and columns with a nonzero
-    # in the pivot row change: any other cell would subtract an exact zero
+def _pivot(tab: np.ndarray, basis: list[int], row: int, col: int, rows: np.ndarray) -> None:
+    # `rows` are the tableau rows with a nonzero in the pivot column, which the
+    # caller's ratio test has just found. Only those rows and the columns with
+    # a nonzero in the pivot row change: any other cell would subtract an
+    # exact zero.
     tab[row] /= tab[row, col]
-    rows = np.flatnonzero(tab[:, col])
     rows = rows[rows != row]
-    cols = np.flatnonzero(tab[row])
-    tab[np.ix_(rows, cols)] -= np.outer(tab[rows, col], tab[row, cols])
+    cols = tab[row].nonzero()[0]
+    tab[rows[:, None], cols] -= tab[rows, col][:, None] * tab[row, cols]
     tab[rows, col] = 0.0
     tab[row, col] = 1.0
     basis[row] = col
 
 
-def _run_simplex(tab: np.ndarray, basis: list[int], n_cols: int, start_iter: int):
+def _run_simplex(tab: np.ndarray, basis: list[int], upper: np.ndarray,
+                 flipped: np.ndarray, start_iter: int):
     """Iterate on the tableau until optimal/unbounded; returns (status, iters).
 
-    tab rows 0..m-1 are constraints [B^-1 A | B^-1 b]; the last row holds the
-    reduced costs and, in its final cell, minus the current objective.
+    tab rows 0..m-1 are constraints [B^-1 A | B^-1 b] over the complemented
+    variables; the last row holds the reduced costs and, in its final cell,
+    minus the current objective. Columns 0..len(upper)-1 may enter; `flipped`
+    marks the complemented ones and is updated in place.
     """
-    m = tab.shape[0] - 1
+    n_cols = upper.size
+    ubasic = upper[basis]  # bound of each row's basic variable, kept by each pivot
     iters = start_iter
     stall = 0
     bland = False
@@ -103,24 +114,50 @@ def _run_simplex(tab: np.ndarray, basis: list[int], n_cols: int, start_iter: int
                 return "optimal", iters
             col = int(neg[0])
         else:
-            col = int(np.argmin(costs))
+            col = int(costs.argmin())
             if costs[col] >= -OPT_TOL:
                 return "optimal", iters
-        ratios = np.full(m, np.inf)
-        positive = tab[:m, col] > PIVOT_TOL
-        ratios[positive] = tab[:m, -1][positive] / tab[:m, col][positive]
-        row = int(np.argmin(ratios))
-        if not np.isfinite(ratios[row]):
+        # the entering column's nonzero rows; the last is the cost row
+        nz = tab[:, col].nonzero()[0]
+        rows = nz[:-1]
+        alpha = tab[rows, col]
+        value = tab[rows, -1]
+        # step at which each basic variable meets a bound (falling to 0 or
+        # rising to its upper bound), and last the entering variable's own
+        ratios = np.full(nz.size, np.inf)
+        ratios[-1] = upper[col]
+        np.divide(value, alpha, out=ratios[:-1], where=alpha > PIVOT_TOL)
+        np.divide(ubasic[rows] - value, -alpha, out=ratios[:-1], where=alpha < -PIVOT_TOL)
+        k = int(ratios.argmin())
+        if not np.isfinite(ratios[k]):
             return "unbounded", iters
         if bland:
-            # among minimal ratios pick the row whose basic variable has the
-            # smallest index (guarantees termination)
-            tied = np.flatnonzero(np.isclose(ratios, ratios[row], rtol=0, atol=1e-12))
-            row = int(min(tied, key=lambda i: basis[i]))
-        leaving_value = tab[row, -1]
-        _pivot(tab, basis, row, col)
+            # among minimal steps take the variable with the smallest index
+            # (guarantees termination)
+            tied = np.flatnonzero(np.isclose(ratios, ratios[k], rtol=0, atol=1e-12))
+            k = int(min(tied, key=lambda i: basis[rows[i]] if i < rows.size else col))
+        if k == rows.size:
+            # bound flip: the entering variable crosses to its bound and is
+            # complemented there; the basis stays
+            moved = ratios[k]
+            tab[nz, -1] -= moved * tab[nz, col]
+            tab[nz, col] = -tab[nz, col]
+            flipped[col] = not flipped[col]
+        else:
+            row = int(rows[k])
+            if alpha[k] < 0:
+                # the basic variable leaves at its bound: complement it first,
+                # which negates its row and turns its value into u - value
+                leaving = basis[row]
+                tab[row] = -tab[row]
+                tab[row, leaving] = 1.0
+                tab[row, -1] += ubasic[row]
+                flipped[leaving] = not flipped[leaving]
+            moved = tab[row, -1]
+            _pivot(tab, basis, row, col, nz)
+            ubasic[row] = upper[col]
         iters += 1
-        if leaving_value <= FEAS_TOL:
+        if moved <= FEAS_TOL:
             stall += 1
             if stall >= STALL_LIMIT:
                 bland = True
@@ -129,18 +166,20 @@ def _run_simplex(tab: np.ndarray, basis: list[int], n_cols: int, start_iter: int
 
 
 def simplex_solve(lp: LPProblem) -> LPSolution:
-    """Solve min c.x, A x = b, x >= 0 by the two-phase tableau method."""
+    """Solve min c.x, A x = b, 0 <= x <= upper by the two-phase tableau method."""
     lp.validate()
     a = lp.a.copy()
     b = lp.b.copy()
     c = lp.c.copy()
+    upper = lp.upper
     m, n = a.shape
 
     neg = b < 0
     a[neg] *= -1.0
     b[neg] *= -1.0
 
-    crash = _unit_columns(a)
+    # a unit column starts basic at b_i, so only where that is within its bound
+    crash = {i: j for i, j in _unit_columns(a).items() if b[i] <= upper[j]}
     art_rows = [i for i in range(m) if i not in crash]
     n_art = len(art_rows)
     total = n + n_art
@@ -154,6 +193,7 @@ def simplex_solve(lp: LPProblem) -> LPSolution:
     for k, i in enumerate(art_rows):
         tab[i, n + k] = 1.0
         basis[i] = n + k
+    flipped = np.zeros(total, dtype=bool)
 
     iters = 0
     if n_art:
@@ -161,7 +201,8 @@ def simplex_solve(lp: LPProblem) -> LPSolution:
         tab[-1, n:total] = 1.0
         for i in art_rows:
             tab[-1] -= tab[i]
-        status, iters = _run_simplex(tab, basis, total, iters)
+        bounds = np.concatenate([upper, np.full(n_art, np.inf)])
+        status, iters = _run_simplex(tab, basis, bounds, flipped, iters)
         if status == "unbounded":  # cannot happen: phase-1 objective >= 0
             raise ParameterError("phase 1 reported unbounded")
         if -tab[-1, -1] > FEAS_TOL:
@@ -172,7 +213,8 @@ def simplex_solve(lp: LPProblem) -> LPSolution:
             if basis[i] >= n:
                 pivots = np.flatnonzero(np.abs(tab[i, :n]) > PIVOT_TOL)
                 if pivots.size:
-                    _pivot(tab, basis, i, int(pivots[0]))
+                    j = int(pivots[0])
+                    _pivot(tab, basis, i, j, np.flatnonzero(tab[:, j]))
                     iters += 1
                 else:
                     drop_rows.append(i)  # redundant constraint
@@ -181,20 +223,25 @@ def simplex_solve(lp: LPProblem) -> LPSolution:
             tab = np.vstack([tab[keep], tab[-1:]])
             basis = [basis[i] for i in keep]
             m = len(keep)
+        flipped = flipped[:n]
 
-    # phase 2: drop the artificial columns in place, rebuild the cost row
+    # phase 2: drop the artificial columns in place, rebuild the cost row in
+    # the complemented variables; the flipped ones' u_j c_j is a constant
     tab[:, n] = tab[:, -1]  # right-hand side moves next to the real columns
     tab = tab[:, :n + 1]
+    cost = np.where(flipped, -c, c)
     tab[-1, :] = 0.0
-    tab[-1, :n] = c
+    tab[-1, :n] = cost
+    if flipped.any():
+        tab[-1, -1] = -float(c[flipped] @ upper[flipped])
     for i in range(m):
-        if c[basis[i]] != 0.0:
-            tab[-1] -= c[basis[i]] * tab[i]
-    status, iters = _run_simplex(tab, basis, n, iters)
+        if cost[basis[i]] != 0.0:
+            tab[-1] -= cost[basis[i]] * tab[i]
+    status, iters = _run_simplex(tab, basis, upper, flipped, iters)
 
     x = np.zeros(n)
-    for i in range(m):
-        x[basis[i]] = tab[i, -1]
+    x[np.array(basis, dtype=int)] = tab[:m, -1]
+    x[flipped] = upper[flipped] - x[flipped]
     if status == "unbounded":
         return LPSolution("unbounded", float("-inf"), x, iters, list(basis))
     return LPSolution("optimal", float(c @ x), x, iters, list(basis))
@@ -205,27 +252,37 @@ def verify_certificate(lp: LPProblem, sol: LPSolution) -> dict:
 
     Recomputes the primal residual and the reduced costs from the basis via a
     fresh linear solve (no tableau reuse). Returns a dict with the residuals
-    and an `ok` flag: feasibility residual <= 1e-7, x >= -1e-9, reduced costs
-    >= -1e-9 (scaled by the objective magnitude).
+    and an `ok` flag: feasibility residual <= 1e-7 (scaled by |b|),
+    x >= -1e-9, x <= upper + 1e-9, and reduced costs >= -1e-9 (scaled by the
+    objective magnitude). A nonbasic variable at its upper bound needs the
+    opposite sign, so `min_reduced_cost` counts its reduced cost negated
+    (and one with a zero bound, at both bounds at once, by magnitude).
     """
     if sol.status != "optimal":
         raise ParameterError(f"cannot certify a {sol.status} solution")
-    a = np.asarray(lp.a, dtype=float)
-    b = np.asarray(lp.b, dtype=float)
-    c = np.asarray(lp.c, dtype=float)
+    lp.validate()
+    a, b, c, upper = lp.a, lp.b, lp.c, lp.upper
     resid = float(np.max(np.abs(a @ sol.x - b))) if a.size else 0.0
     min_x = float(sol.x.min()) if sol.x.size else 0.0
+    max_excess = float(np.max(sol.x - upper, initial=-np.inf))
     basis = [j for j in sol.basis if 0 <= j < a.shape[1]]
     bmat = a[:, basis]
     y, *_ = np.linalg.lstsq(bmat.T, c[basis], rcond=None)
     reduced = c - a.T @ y
+    nonbasic = np.ones(a.shape[1], dtype=bool)
+    nonbasic[basis] = False
+    at_upper = nonbasic & (sol.x >= upper - 1e-9)
+    signed = np.where(at_upper, -reduced, reduced)
+    fixed = at_upper & (upper <= 1e-9)  # at both bounds: either sign is optimal
+    signed[fixed] = np.abs(reduced[fixed])
     scale = 1.0 + float(np.abs(c).max()) if c.size else 1.0
-    min_reduced = float(reduced.min())
-    ok = resid <= FEAS_TOL * (1.0 + float(np.abs(b).max())) and min_x >= -1e-9 \
-        and min_reduced >= -1e-9 * scale
+    min_reduced = float(signed.min()) if signed.size else 0.0
+    ok = resid <= FEAS_TOL * (1.0 + float(np.abs(b).max(initial=0.0))) and min_x >= -1e-9 \
+        and max_excess <= 1e-9 and min_reduced >= -1e-9 * scale
     return {
         "ok": bool(ok),
         "residual": resid,
         "min_x": min_x,
+        "max_excess": max_excess,
         "min_reduced_cost": min_reduced,
     }

@@ -4,8 +4,8 @@ A retailer with a wind + pv + load portfolio and a battery bids energy
 quantities b_t into the day-ahead market at known prices. The first stage
 fixes the 24 bids; the second stage (per scenario) operates the battery and
 settles imbalances at asymmetric surplus/deficit penalties. The
-deterministic equivalent is one standard-form LP solved by the bundled
-simplex. Realized profit comes from replaying the bids against the day's
+deterministic equivalent is one LP in equality form with the battery's
+ratings as column bounds, solved by the bundled simplex. Realized profit comes from replaying the bids against the day's
 observations; an oracle (observations as the single scenario) and a
 deterministic point-forecast planner (scenario-mean) are the baselines.
 """
@@ -110,14 +110,58 @@ def _net_scenarios(scenarios) -> np.ndarray:
     return np.stack(rows)
 
 
-def build_two_stage_lp(model: RetailerModel, scenarios, bids: np.ndarray | None = None) -> LPProblem:
+# One scenario's block of columns: charge and discharge (24 each), the state
+# of charge at the end of hours 1..23 (hours 0 and 24 are the constants
+# soc_start and soc_end), surplus and deficit (24 each).
+CHARGE = slice(0, HOURS)
+DISCHARGE = slice(HOURS, 2 * HOURS)
+SOC = slice(2 * HOURS, 3 * HOURS - 1)
+SURPLUS = slice(3 * HOURS - 1, 4 * HOURS - 1)
+DEFICIT = slice(4 * HOURS - 1, 5 * HOURS - 1)
+PER_SCENARIO = 5 * HOURS - 1
+ROWS_PER_SCENARIO = 2 * HOURS  # imbalance rows, then state-of-charge rows
+# free bids: positive then negative parts, ahead of every scenario block
+BID_POS = slice(0, HOURS)
+BID_NEG = slice(HOURS, 2 * HOURS)
+
+
+@dataclass(frozen=True)
+class ColumnLayout:
+    """Where the bidding LP's variables sit: the free bids (if any) in
+    BID_POS and BID_NEG, then scenario s in `block(s)`, sliced by CHARGE,
+    DISCHARGE, SOC, SURPLUS and DEFICIT."""
+
+    n_scenarios: int
+    free_bids: bool
+
+    @property
+    def n_first(self) -> int:
+        return 2 * HOURS if self.free_bids else 0
+
+    def block(self, s: int) -> slice:
+        if not 0 <= s < self.n_scenarios:
+            raise DimensionError(f"scenario {s} outside 0..{self.n_scenarios - 1}")
+        start = self.n_first + s * PER_SCENARIO
+        return slice(start, start + PER_SCENARIO)
+
+
+@dataclass
+class BiddingLP(LPProblem):
+    """A bidding LP together with its column layout."""
+
+    layout: ColumnLayout = field(kw_only=True)
+
+
+def build_two_stage_lp(model: RetailerModel, scenarios, bids: np.ndarray | None = None) -> BiddingLP:
     """Deterministic equivalent of the two-stage bidding problem.
 
     Variables per scenario: charge, discharge (24 each), state of charge for
     hours 1..23 (the terminal value is substituted as a constant), surplus and
-    deficit (24 each), plus slacks for the charge/discharge/SoC upper bounds.
+    deficit (24 each). The battery's power and energy ratings are the upper
+    bounds of the charge, discharge and state-of-charge variables, not rows.
     First-stage bids are free, split into positive and negative parts; passing
     `bids` instead pins them and drops the first stage (dispatch replay).
+    Rows per scenario: 24 imbalance rows, then 24 state-of-charge rows.
     The objective is min of (penalty cost - day-ahead revenue).
     """
     model.validate()
@@ -125,113 +169,68 @@ def build_two_stage_lp(model: RetailerModel, scenarios, bids: np.ndarray | None 
     n_s = net.shape[0]
     if bids is not None:
         bids = _as_curve(bids, "bids")
+    layout = ColumnLayout(n_s, free_bids=bids is None)
 
-    free_bids = bids is None
-    n_first = 2 * HOURS if free_bids else 0
-    per_s = 5 * HOURS - 1 + 2 * HOURS + (HOURS - 1)  # ch,dis,soc,sur,def + slacks
-    n = n_first + n_s * per_s
-    rows_per_s = 2 * HOURS + 2 * HOURS + (HOURS - 1)  # imbalance, soc, bounds
-    m = n_s * rows_per_s
+    # one scenario's rows over its own block; every scenario has the same
+    hours = np.arange(HOURS)
+    block = np.zeros((ROWS_PER_SCENARIO, PER_SCENARIO))
+    # imbalance: b_t - (net_t + dis_t - ch_t) = def_t - sur_t
+    block[hours, DISCHARGE.start + hours] = -1.0
+    block[hours, CHARGE.start + hours] = 1.0
+    block[hours, DEFICIT.start + hours] = -1.0
+    block[hours, SURPLUS.start + hours] = 1.0
+    # state of charge: soc_t = soc_{t-1} + eta_c ch_t - dis_t / eta_d,
+    # with soc_0 = soc_start and soc_24 = soc_end substituted as constants
+    soc_rows = HOURS + hours
+    block[soc_rows, CHARGE.start + hours] = -model.eta_c
+    block[soc_rows, DISCHARGE.start + hours] = 1.0 / model.eta_d
+    block[soc_rows[:-1], SOC.start + hours[:-1]] = 1.0
+    block[soc_rows[1:], SOC.start + hours[:-1]] = -1.0
+    soc_rhs = np.zeros(HOURS)
+    soc_rhs[0] = model.soc_start
+    soc_rhs[-1] = -model.soc_end
+    cost = np.zeros(PER_SCENARIO)
+    cost[SURPLUS] = model.pen_surplus / n_s
+    cost[DEFICIT] = model.pen_deficit / n_s
+    bound = np.full(PER_SCENARIO, np.inf)
+    bound[CHARGE] = model.p_charge
+    bound[DISCHARGE] = model.p_discharge
+    bound[SOC] = model.capacity
 
-    a = np.zeros((m, n))
+    n_first = layout.n_first
+    m = n_s * ROWS_PER_SCENARIO
+    a = np.zeros((m, n_first + n_s * PER_SCENARIO))
     b = np.zeros(m)
-    c = np.zeros(n)
-    names: dict[str, int] = {}
-
-    if free_bids:
-        for t in range(HOURS):
-            names[f"bid_pos_{t}"] = t
-            names[f"bid_neg_{t}"] = HOURS + t
-            c[t] = -model.price[t]
-            c[HOURS + t] = model.price[t]
-
     for s in range(n_s):
-        base = n_first + s * per_s
-        ch = base
-        dis = base + HOURS
-        soc = base + 2 * HOURS  # 23 variables: end-of-hour SoC for t=1..23
-        sur = base + 3 * HOURS - 1
-        dfc = base + 4 * HOURS - 1
-        sl_ch = base + 5 * HOURS - 1
-        sl_dis = base + 6 * HOURS - 1
-        sl_soc = base + 7 * HOURS - 1  # 23 slack columns
-        for t in range(HOURS):
-            names[f"ch_{s}_{t}"] = ch + t
-            names[f"dis_{s}_{t}"] = dis + t
-            names[f"sur_{s}_{t}"] = sur + t
-            names[f"def_{s}_{t}"] = dfc + t
-            c[sur + t] = model.pen_surplus[t] / n_s
-            c[dfc + t] = model.pen_deficit[t] / n_s
-        for t in range(HOURS - 1):
-            names[f"soc_{s}_{t + 1}"] = soc + t
+        row = s * ROWS_PER_SCENARIO
+        a[row:row + ROWS_PER_SCENARIO, layout.block(s)] = block
+        if layout.free_bids:
+            a[row + hours, BID_POS.start + hours] = 1.0
+            a[row + hours, BID_NEG.start + hours] = -1.0
+        b[row:row + HOURS] = net[s] - (0.0 if layout.free_bids else bids)
+        b[row + HOURS:row + ROWS_PER_SCENARIO] = soc_rhs
+    first_cost = [-model.price, model.price] if layout.free_bids else []
+    c = np.concatenate([*first_cost, np.tile(cost, n_s)])
+    upper = np.concatenate([np.full(n_first, np.inf), np.tile(bound, n_s)])
 
-        row = s * rows_per_s
-        # imbalance: b_t - (net_t + dis_t - ch_t) = def_t - sur_t
-        for t in range(HOURS):
-            r = row + t
-            if free_bids:
-                a[r, t] = 1.0
-                a[r, HOURS + t] = -1.0
-            a[r, dis + t] = -1.0
-            a[r, ch + t] = 1.0
-            a[r, dfc + t] = -1.0
-            a[r, sur + t] = 1.0
-            b[r] = net[s, t] - (0.0 if free_bids else bids[t])
-        # state of charge: soc_t = soc_{t-1} + eta_c ch_t - dis_t / eta_d,
-        # with soc_0 = soc_start and soc_24 = soc_end substituted as constants
-        for t in range(HOURS):
-            r = row + HOURS + t
-            a[r, ch + t] = -model.eta_c
-            a[r, dis + t] = 1.0 / model.eta_d
-            if t == 0:
-                a[r, soc + 0] = 1.0
-                b[r] = model.soc_start
-            elif t < HOURS - 1:
-                a[r, soc + t] = 1.0
-                a[r, soc + t - 1] = -1.0
-                b[r] = 0.0
-            else:
-                a[r, soc + t - 1] = -1.0
-                b[r] = -model.soc_end
-        # bounds: ch <= p_charge, dis <= p_discharge, soc <= capacity
-        for t in range(HOURS):
-            r = row + 2 * HOURS + t
-            a[r, ch + t] = 1.0
-            a[r, sl_ch + t] = 1.0
-            b[r] = model.p_charge
-            r2 = row + 3 * HOURS + t
-            a[r2, dis + t] = 1.0
-            a[r2, sl_dis + t] = 1.0
-            b[r2] = model.p_discharge
-        for t in range(HOURS - 1):
-            r = row + 4 * HOURS + t
-            a[r, soc + t] = 1.0
-            a[r, sl_soc + t] = 1.0
-            b[r] = model.capacity
-
-    lp = LPProblem(c=c, a=a, b=b, names=names)
+    lp = BiddingLP(c=c, a=a, b=b, upper=upper, layout=layout)
     lp.validate()
     return lp
 
 
-def extract_bids(lp: LPProblem, sol: LPSolution) -> np.ndarray:
-    return np.array(
-        [sol.value_of(lp, f"bid_pos_{t}") - sol.value_of(lp, f"bid_neg_{t}") for t in range(HOURS)]
-    )
+def extract_bids(lp: BiddingLP, sol: LPSolution) -> np.ndarray:
+    return sol.x[BID_POS] - sol.x[BID_NEG]
 
 
-def extract_schedule(lp: LPProblem, sol: LPSolution, model: RetailerModel, s: int = 0) -> dict:
+def extract_schedule(lp: BiddingLP, sol: LPSolution, model: RetailerModel, s: int = 0) -> dict:
     """Per-scenario battery/imbalance schedule; soc has 25 entries (hours 0..24)."""
-    ch = np.array([sol.value_of(lp, f"ch_{s}_{t}") for t in range(HOURS)])
-    dis = np.array([sol.value_of(lp, f"dis_{s}_{t}") for t in range(HOURS)])
-    soc_mid = [sol.value_of(lp, f"soc_{s}_{t}") for t in range(1, HOURS)]
-    soc = np.array([model.soc_start, *soc_mid, model.soc_end])
-    sur = np.array([sol.value_of(lp, f"sur_{s}_{t}") for t in range(HOURS)])
-    dfc = np.array([sol.value_of(lp, f"def_{s}_{t}") for t in range(HOURS)])
-    return {"charge": ch, "discharge": dis, "soc": soc, "surplus": sur, "deficit": dfc}
+    x = sol.x[lp.layout.block(s)]
+    soc = np.concatenate([[model.soc_start], x[SOC], [model.soc_end]])
+    return {"charge": x[CHARGE], "discharge": x[DISCHARGE], "soc": soc,
+            "surplus": x[SURPLUS], "deficit": x[DEFICIT]}
 
 
-def solve_bidding(model: RetailerModel, scenarios) -> tuple[LPProblem, LPSolution]:
+def solve_bidding(model: RetailerModel, scenarios) -> tuple[BiddingLP, LPSolution]:
     """Build and solve the free-bid problem; raises unless optimal."""
     lp = build_two_stage_lp(model, scenarios)
     sol = simplex_solve(lp)

@@ -381,6 +381,23 @@ def test_exit_2_bad_retailer_config(tmp_path, capsys):
     assert "soc_start" in doc["message"]
 
 
+def test_value_with_a_zero_capacity_battery(tmp_path, capsys):
+    """Every battery bound is zero (charge, discharge and state of charge are
+    fixed at 0): the LPs still solve and `value` exits 0."""
+    days = [date(2015, 2, 1), date(2015, 2, 2)]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"retailer": {"capacity": 0.0, "p_charge": 0.0,
+                                            "p_discharge": 0.0, "soc_start": 0.0,
+                                            "soc_end": 0.0}}))
+    assert main(_value_args(tmp_path, days, days) + ["--config", str(cfg)]) == 0
+    out = tmp_path / "ov"
+    assert capsys.readouterr().out.split() == [str(out / "value_report.json"),
+                                               str(out / "value_report.csv")]
+    doc = json.loads((out / "value_report.json").read_text())
+    assert doc["n_simulated"] == 2 and len(doc["rows"]) == 6
+    assert doc["aggregate"]["ddpm"] <= doc["oracle_total"] + 1e-6
+
+
 def test_no_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

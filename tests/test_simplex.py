@@ -60,12 +60,24 @@ def test_textbook_production_problem():
         [3.0, 2.0, 0.0, 0.0, 1.0],
     ])
     b = np.array([4.0, 12.0, 18.0])
-    lp = LPProblem(c=c, a=a, b=b, names={"x": 0, "y": 1})
+    lp = LPProblem(c=c, a=a, b=b)
     sol = simplex_solve(lp)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(-36.0, abs=1e-9)
-    assert sol.value_of(lp, "x") == pytest.approx(2.0, abs=1e-9)
-    assert sol.value_of(lp, "y") == pytest.approx(6.0, abs=1e-9)
+    np.testing.assert_allclose(sol.x[:2], [2.0, 6.0], atol=1e-9)
+    assert verify_certificate(lp, sol)["ok"]
+
+
+def test_textbook_production_problem_with_bounds():
+    """The same problem with x <= 4 and y <= 6 as column bounds: one row,
+    y ends at its bound (nonbasic, complemented) and x basic."""
+    lp = LPProblem(c=np.array([-3.0, -5.0, 0.0]), a=np.array([[3.0, 2.0, 1.0]]),
+                   b=np.array([18.0]), upper=np.array([4.0, 6.0, np.inf]))
+    sol = simplex_solve(lp)
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(-36.0, abs=1e-9)
+    np.testing.assert_allclose(sol.x, [2.0, 6.0, 0.0], atol=1e-9)
+    assert sol.basis == [0]
     assert verify_certificate(lp, sol)["ok"]
 
 
@@ -234,9 +246,24 @@ def test_problem_validation():
     with pytest.raises(ParameterError):
         simplex_solve(LPProblem(c=np.array([np.inf, 0.0]),
                                 a=np.ones((1, 2)), b=np.ones(1)))
-    with pytest.raises(DimensionError):
-        LPProblem(c=np.zeros(2), a=np.ones((1, 2)), b=np.ones(1),
-                  names={"x": 5}).validate()
+    lp = LPProblem(c=np.zeros(2), a=np.ones((1, 2)), b=np.ones(1))
+    lp.validate()
+    assert lp.upper.shape == (2,) and np.all(lp.upper == np.inf)
+
+
+@pytest.mark.parametrize("upper", [np.ones(3), np.ones(1), np.ones((2, 1)), np.float64(1.0)])
+def test_upper_bound_of_wrong_shape_is_refused(upper):
+    lp = LPProblem(c=np.zeros(2), a=np.ones((1, 2)), b=np.ones(1), upper=upper)
+    with pytest.raises(DimensionError, match="upper"):
+        simplex_solve(lp)
+
+
+@pytest.mark.parametrize("bad", [np.nan, -1.0, -np.inf, -1e-300])
+def test_upper_bound_nan_or_negative_is_refused(bad):
+    lp = LPProblem(c=np.zeros(2), a=np.ones((1, 2)), b=np.ones(1),
+                   upper=np.array([np.inf, bad]))
+    with pytest.raises(ParameterError, match="upper"):
+        simplex_solve(lp)
 
 
 def test_iteration_limit(monkeypatch):
@@ -267,12 +294,150 @@ def test_certificate_rejects_corrupted_solution():
     assert not cert["ok"]
     assert cert["residual"] > 1e-3 or cert["min_x"] < -1e-9
 
+    # min -x0 s.t. x0 + x1 = 3, x0 <= 2: x0 rests at its bound, x1 is basic
+    bounded = LPProblem(c=np.array([-1.0, 0.0]), a=np.array([[1.0, 1.0]]),
+                        b=np.array([3.0]), upper=np.array([2.0, np.inf]))
+    sol = simplex_solve(bounded)
+    np.testing.assert_allclose(sol.x, [2.0, 1.0], atol=1e-12)
+    assert sol.basis == [1]
+    cert = verify_certificate(bounded, sol)
+    assert cert["ok"] and cert["max_excess"] == 0.0
+    # above its bound, with A x = b still holding
+    sol.x = np.array([2.5, 0.5])
+    cert = verify_certificate(bounded, sol)
+    assert not cert["ok"]
+    assert cert["max_excess"] == pytest.approx(0.5) and cert["residual"] == 0.0
+    # at its bound, but the objective now rewards lowering x0: the reduced
+    # cost +1 has the wrong sign for a variable at its upper bound
+    sol.x = np.array([2.0, 1.0])
+    flipped_cost = LPProblem(c=np.array([1.0, 0.0]), a=bounded.a, b=bounded.b,
+                             upper=bounded.upper)
+    cert = verify_certificate(flipped_cost, sol)
+    assert not cert["ok"]
+    assert cert["min_reduced_cost"] == pytest.approx(-1.0)
+    assert cert["residual"] == 0.0 and cert["min_x"] >= 0.0 and cert["max_excess"] <= 0.0
+
+
+# ------------------------------------------------------------- upper bounds
+
+
+def _random_box_lp(rng: np.random.Generator, reachable: bool) -> LPProblem:
+    """Random equality-form LP whose columns are free above (+inf), boxed, or
+    fixed at zero. With `reachable`, b comes from a point inside the box;
+    otherwise from a point that may leave it (and b may be out of reach)."""
+    m = int(rng.integers(2, 6))
+    n = m + int(rng.integers(1, 6))
+    a = rng.uniform(-3, 3, (m, n))
+    kind = rng.choice(3, size=n, p=[0.4, 0.45, 0.15])  # +inf, boxed, zero
+    upper = np.choose(kind, [np.full(n, np.inf), rng.uniform(0.5, 3.0, n), np.zeros(n)])
+    if reachable:
+        x = rng.uniform(0.0, 1.0, n) * np.where(np.isinf(upper), 2.0, upper)
+    else:
+        x = rng.uniform(-1.0, 4.0, n)
+    return LPProblem(c=rng.uniform(-2, 2, n), a=a, b=a @ x, upper=upper)
+
+
+def _scipy_bounds(upper):
+    return [(0.0, None if np.isinf(u) else u) for u in upper]
+
+
+_SCIPY_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}  # linprog's codes
+
+
+def test_random_bounded_lps_match_scipy():
+    rng = np.random.default_rng(19)
+    seen = []
+    for trial in range(120):
+        lp = _random_box_lp(rng, reachable=trial % 4 != 3)
+        sol = simplex_solve(lp)
+        ref = linprog(lp.c, A_eq=lp.a, b_eq=lp.b, bounds=_scipy_bounds(lp.upper),
+                      method="highs")
+        assert sol.status == _SCIPY_STATUS[ref.status], f"trial {trial}"
+        seen.append(sol.status)
+        if sol.status == "optimal":
+            assert sol.objective == pytest.approx(ref.fun, abs=1e-6), f"trial {trial}"
+            assert np.all(np.abs(sol.x[lp.upper == 0.0]) <= 1e-12), f"trial {trial}"
+            cert = verify_certificate(lp, sol)
+            assert cert["ok"], f"trial {trial}: {cert}"
+    assert {"optimal", "infeasible", "unbounded"} <= set(seen)
+
+
+def test_all_zero_upper_bounds():
+    """Every column fixed at zero: b = 0 is solved by x = 0, any other b is
+    out of reach."""
+    a = np.array([[1.0, 2.0, -1.0], [0.0, 1.0, 1.0]])
+    for b, want in ((np.zeros(2), "optimal"), (np.array([1.0, 0.0]), "infeasible")):
+        lp = LPProblem(c=np.array([-1.0, 1.0, -2.0]), a=a, b=b, upper=np.zeros(3))
+        sol = simplex_solve(lp)
+        assert sol.status == want
+        ref = linprog(lp.c, A_eq=a, b_eq=b, bounds=_scipy_bounds(lp.upper), method="highs")
+        assert _SCIPY_STATUS[ref.status] == want
+        if want == "optimal":
+            assert np.array_equal(sol.x, np.zeros(3))
+            assert verify_certificate(lp, sol)["ok"]
+
+
+@pytest.mark.parametrize("upper", [
+    [5.0] * 7,  # loose: the bounds never bind
+    [5.0, 5.0, 5.0, 5.0, 5.0, 0.5, 5.0],  # binds x5 at its bound
+    [np.inf, np.inf, np.inf, 0.02, np.inf, np.inf, np.inf],  # binds x3
+    [1.0, 1.0, 1.0, 1.0, 0.0, 1.0, 0.0],  # fixes x4 and x6 at zero
+])
+def test_bounded_beale_problem_reaches_blands_rule(monkeypatch, upper):
+    """Beale's cycling example with upper bounds: Dantzig pricing alone still
+    cycles (hits the iteration limit), and the stall-triggered Bland rule
+    reaches scipy's optimum."""
+    c = np.array([0.0, 0.0, 0.0, -0.75, 150.0, -0.02, 6.0])
+    a = np.array([
+        [1.0, 0.0, 0.0, 0.25, -60.0, -0.04, 9.0],
+        [0.0, 1.0, 0.0, 0.50, -90.0, -0.02, 3.0],
+        [0.0, 0.0, 1.0, 0.00, 0.0, 1.0, 0.0],
+    ])
+    b = np.array([0.0, 0.0, 1.0])
+    lp = LPProblem(c=c, a=a, b=b, upper=np.array(upper))
+    sol = simplex_solve(lp)
+    ref = linprog(c, A_eq=a, b_eq=b, bounds=_scipy_bounds(lp.upper), method="highs")
+    assert sol.status == "optimal" and ref.status == 0
+    assert sol.objective == pytest.approx(ref.fun, abs=1e-9)
+    assert verify_certificate(lp, sol)["ok"]
+    monkeypatch.setattr(spx, "STALL_LIMIT", 10**9)
+    monkeypatch.setattr(spx, "MAX_ITER", 2_000)
+    with pytest.raises(IterationLimitError):
+        simplex_solve(lp)
+
+
+def test_bound_flip_is_one_iteration(monkeypatch):
+    """min -x0 s.t. 2 x0 + x1 = 10, x0 <= 2: x0 reaches its own bound before x1
+    reaches zero, so it flips there with no pivot, and that flip is an
+    iteration that counts toward MAX_ITER."""
+    lp = LPProblem(c=np.array([-1.0, 0.0]), a=np.array([[2.0, 1.0]]),
+                   b=np.array([10.0]), upper=np.array([2.0, np.inf]))
+    sol = simplex_solve(lp)
+    assert sol.status == "optimal"
+    np.testing.assert_allclose(sol.x, [2.0, 6.0], atol=1e-12)
+    assert sol.basis == [1] and sol.iterations == 1
+    monkeypatch.setattr(spx, "MAX_ITER", 1)
+    with pytest.raises(IterationLimitError):
+        simplex_solve(lp)
+
+
+def test_unit_column_above_its_bound_is_not_a_starting_basis():
+    """x1 is the only unit column of the only row, but b = 5 exceeds its
+    bound 3, so it cannot start basic at 5; phase 1 finds x0 = 1, x1 = 3."""
+    lp = LPProblem(c=np.array([1.0, 0.0]), a=np.array([[2.0, 1.0]]),
+                   b=np.array([5.0]), upper=np.array([np.inf, 3.0]))
+    assert spx._unit_columns(lp.a) == {0: 1}
+    sol = simplex_solve(lp)
+    assert sol.status == "optimal"
+    np.testing.assert_allclose(sol.x, [1.0, 3.0], atol=1e-12)
+    assert verify_certificate(lp, sol)["ok"]
+
 
 # ------------------------------------------------------------- sparse pivot
 
 
-def _dense_pivot(tab, basis, row, col):
-    """Reference: the full-tableau Gauss-Jordan update."""
+def _dense_pivot(tab, basis, row, col, rows):
+    """Reference: the full-tableau Gauss-Jordan update (ignores `rows`)."""
     tab[row] /= tab[row, col]
     factors = tab[:, col].copy()
     factors[row] = 0.0
@@ -309,8 +474,10 @@ def test_sparse_pivot_matches_dense_update():
             if rows.size == 0:
                 break
             k = int(rng.integers(rows.size))
-            spx._pivot(sparse, basis_s, int(rows[k]), int(cols[k]))
-            _dense_pivot(dense, basis_d, int(rows[k]), int(cols[k]))
+            row, col = int(rows[k]), int(cols[k])
+            nonzero = np.flatnonzero(sparse[:, col])
+            spx._pivot(sparse, basis_s, row, col, nonzero)
+            _dense_pivot(dense, basis_d, row, col, nonzero)
             assert np.array_equal(sparse, dense), f"trial {trial}"
             assert basis_s == basis_d
 

@@ -6,12 +6,21 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
+from scendiff import data as dmod
 from scendiff.errors import (
     CoverageError,
     DimensionError,
     ParameterError,
 )
 from scendiff.value import (
+    BID_NEG,
+    BID_POS,
+    CHARGE,
+    DEFICIT,
+    DISCHARGE,
+    SOC,
+    SURPLUS,
+    ColumnLayout,
     RetailerModel,
     ValueReport,
     build_two_stage_lp,
@@ -23,6 +32,7 @@ from scendiff.value import (
     run_value_benchmark,
     solve_bidding,
 )
+from scendiff.simplex import LPProblem, simplex_solve
 
 HOURS = 24
 
@@ -84,19 +94,105 @@ def test_model_dict_round_trip():
 
 
 def test_lp_dimensions_and_names():
+    """Battery ratings are column bounds, not rows; the layout slices every
+    variable block out of the column vector."""
     rng = np.random.default_rng(0)
     scens = [_triple(rng.uniform(0, 1, HOURS)) for _ in range(3)]
     model = RetailerModel()
     lp = build_two_stage_lp(model, scens)
-    per_s = 5 * HOURS - 1 + 2 * HOURS + (HOURS - 1)
-    rows_per_s = 4 * HOURS + (HOURS - 1)
+    per_s = 5 * HOURS - 1
+    rows_per_s = 2 * HOURS
     assert lp.a.shape == (3 * rows_per_s, 2 * HOURS + 3 * per_s)
-    assert "bid_pos_0" in lp.names and "bid_neg_23" in lp.names
-    assert "soc_2_23" in lp.names and "soc_0_24" not in lp.names
+    assert lp.layout == ColumnLayout(n_scenarios=3, free_bids=True)
+    np.testing.assert_array_equal(lp.c[BID_POS], -model.price)
+    np.testing.assert_array_equal(lp.c[BID_NEG], model.price)
+    assert np.all(np.isinf(lp.upper[:2 * HOURS]))
+    last = lp.layout.block(2)
+    assert last.stop == lp.a.shape[1]
+    want = [(CHARGE, model.p_charge), (DISCHARGE, model.p_discharge),
+            (SOC, model.capacity), (SURPLUS, np.inf), (DEFICIT, np.inf)]
+    for part, bound in want:
+        assert np.all(lp.upper[last][part] == bound)
+    assert lp.upper[last][SOC].size == HOURS - 1  # hours 1..23; 0 and 24 are fixed
 
     pinned = build_two_stage_lp(model, scens, bids=np.zeros(HOURS))
     assert pinned.a.shape == (3 * rows_per_s, 3 * per_s)
-    assert "bid_pos_0" not in pinned.names
+    assert not pinned.layout.free_bids and pinned.layout.block(0) == slice(0, per_s)
+
+
+def _slack_row_lp(model, scenarios, bids=None) -> LPProblem:
+    """Reference: the bidding LP with every charge, discharge and SoC limit as
+    its own row and slack column, 119 rows per scenario, as the value module
+    built it before battery limits became column bounds."""
+    net = np.stack([w + p - l for w, p, l in scenarios])
+    n_s = net.shape[0]
+    free = bids is None
+    n_first = 2 * HOURS if free else 0
+    per_s = 5 * HOURS - 1 + 2 * HOURS + (HOURS - 1)
+    rows_per_s = 4 * HOURS + (HOURS - 1)
+    a = np.zeros((n_s * rows_per_s, n_first + n_s * per_s))
+    b = np.zeros(n_s * rows_per_s)
+    c = np.zeros(a.shape[1])
+    if free:
+        c[:HOURS] = -model.price
+        c[HOURS:2 * HOURS] = model.price
+    for s in range(n_s):
+        ch = n_first + s * per_s
+        dis, soc = ch + HOURS, ch + 2 * HOURS
+        sur, dfc = ch + 3 * HOURS - 1, ch + 4 * HOURS - 1
+        sl_ch, sl_dis, sl_soc = ch + 5 * HOURS - 1, ch + 6 * HOURS - 1, ch + 7 * HOURS - 1
+        c[sur:sur + HOURS] = model.pen_surplus / n_s
+        c[dfc:dfc + HOURS] = model.pen_deficit / n_s
+        row = s * rows_per_s
+        for t in range(HOURS):
+            r = row + t
+            if free:
+                a[r, t], a[r, HOURS + t] = 1.0, -1.0
+            a[r, dis + t], a[r, ch + t], a[r, dfc + t], a[r, sur + t] = -1.0, 1.0, -1.0, 1.0
+            b[r] = net[s, t] - (0.0 if free else bids[t])
+            r = row + HOURS + t
+            a[r, ch + t], a[r, dis + t] = -model.eta_c, 1.0 / model.eta_d
+            if t < HOURS - 1:
+                a[r, soc + t] = 1.0
+            if t > 0:
+                a[r, soc + t - 1] = -1.0
+            b[r] = model.soc_start if t == 0 else (-model.soc_end if t == HOURS - 1 else 0.0)
+            r = row + 2 * HOURS + t
+            a[r, ch + t], a[r, sl_ch + t], b[r] = 1.0, 1.0, model.p_charge
+            r = row + 3 * HOURS + t
+            a[r, dis + t], a[r, sl_dis + t], b[r] = 1.0, 1.0, model.p_discharge
+        for t in range(HOURS - 1):
+            r = row + 4 * HOURS + t
+            a[r, soc + t], a[r, sl_soc + t], b[r] = 1.0, 1.0, model.capacity
+    return LPProblem(c=c, a=a, b=b)
+
+
+@pytest.mark.parametrize("n_s", [1, 5, 10])
+def test_bounded_lp_matches_slack_row_formulation(n_s):
+    """Gate-7-style days (synthetic wind, PV and load with conditional
+    scenarios): bounds as columns give the same optimum as bounds as rows,
+    for the free-bid planner and for dispatch at pinned bids."""
+    wind = dmod.generate_synthetic(3, 100, "ramp_wind")
+    pv = dmod.generate_synthetic(3, 200, "sine_pv")
+    load = dmod.generate_synthetic(3, 300, "bimodal_load")
+    models = [RetailerModel(), RetailerModel(capacity=20.0, p_charge=4.0, p_discharge=6.0,
+                                             eta_c=0.9, soc_start=2.0, soc_end=12.0,
+                                             price=np.linspace(30, 70, HOURS))]
+    for i in range(3):
+        w, p, l = wind.samples[i], pv.samples[i], load.samples[i]
+        triples = list(zip(80 * dmod.conditional_scenarios("ramp_wind", w.c, n_s, seed=1000 + i),
+                           40 * dmod.conditional_scenarios("sine_pv", p.c, n_s, seed=2000 + i),
+                           dmod.conditional_scenarios("bimodal_load", l.c, n_s, seed=3000 + i)))
+        model = models[i % 2]
+        lp, sol = solve_bidding(model, triples)
+        ref = simplex_solve(_slack_row_lp(model, triples))
+        assert ref.status == "optimal"
+        assert sol.objective == pytest.approx(ref.objective, rel=1e-9), f"day {i}"
+        bids = extract_bids(lp, sol)
+        pinned = simplex_solve(build_two_stage_lp(model, triples, bids=bids))
+        ref = simplex_solve(_slack_row_lp(model, triples, bids=bids))
+        assert pinned.status == ref.status == "optimal"
+        assert pinned.objective == pytest.approx(ref.objective, rel=1e-9), f"day {i}"
 
 
 def test_scenario_shape_errors():
@@ -225,6 +321,8 @@ def test_extract_schedule_per_scenario():
         sched = extract_schedule(lp, sol, model, s=s)
         assert set(sched) == {"charge", "discharge", "soc", "surplus", "deficit"}
         assert sched["soc"].shape == (HOURS + 1,)
+    with pytest.raises(DimensionError, match="scenario 2"):
+        extract_schedule(lp, sol, model, s=2)
 
 
 # ------------------------------------------------------------------ benchmark
