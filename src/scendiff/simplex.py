@@ -8,10 +8,24 @@ its bound, and one at its bound is complemented (x = u - x'), so every
 nonbasic column sits at zero and the tableau keeps its form. The ratio test
 also stops a basic variable at its bound, and an entering variable that
 reaches its own bound first is flipped there without a pivot; a flip counts
-as one iteration. Phase 1 minimizes the sum of artificial variables over
-rows that have no ready-made unit column; phase 2 optimizes the real
-objective. Pricing is Dantzig's rule, switching permanently to Bland's rule
-after a run of degenerate iterations so cycling cannot occur.
+as one iteration. Pricing is Dantzig's rule, switching permanently to
+Bland's rule after a run of degenerate iterations so cycling cannot occur.
+
+The starting basis is a lower-triangular crash (Bixby 1992, "Implementing
+the simplex method: the initial basis", ORSA J. Computing 4(3)), found in one
+pass over A's nonzeros. The rows are walked in order. A row holding a unit
+column is left to the end; any other row takes a column that is nonzero in it
+and zero in every earlier crash row, whose value found by substitution lies
+within [0, u], the widest bound first. The unit rows then take a unit column
+whose value, the row's residual over its coefficient, lies within its bound.
+The tableau is formed by eliminating the crash columns in row order, one row
+operation per nonzero; these eliminations are not iterations. Only the rows
+left without a column get an artificial (the row negated where its residual
+is negative), and phase 1, which minimizes their sum, runs only when there
+are such rows. The value module's bidding LPs with equal state-of-charge
+targets leave none: each scenario's state-of-charge columns and one charge or
+discharge column cover its state-of-charge rows, and a surplus or deficit
+column covers each imbalance row. Phase 2 optimizes the real objective.
 """
 from __future__ import annotations
 
@@ -62,18 +76,68 @@ class LPSolution:
     status: str  # optimal | infeasible | unbounded
     objective: float
     x: np.ndarray
-    iterations: int
+    iterations: int  # phase 1 and phase 2 together; bound flips included
     basis: list[int] = field(default_factory=list)
+    phase1_iterations: int = 0  # 0 whenever the crash basis is feasible
 
 
-def _unit_columns(a: np.ndarray) -> dict[int, int]:
-    """Map row -> first column that is exactly a +1 unit vector in that row."""
-    nonzero = a != 0
-    single = np.flatnonzero(nonzero.sum(axis=0) == 1)
-    rows = np.nonzero(nonzero[:, single].T)[1]  # row of each one-entry column
-    unit = a[rows, single] == 1.0
-    rows, first = np.unique(rows[unit], return_index=True)
-    return dict(zip(rows.tolist(), single[unit][first].tolist()))
+def _crash(a: np.ndarray, b: np.ndarray, upper: np.ndarray):
+    """Lower-triangular crash basis for A x = b, 0 <= x <= upper (see the
+    module docstring for the rule).
+
+    Returns `(basis, steps)`: `basis[i]` is row i's starting basic column, or
+    -1 where the row needs an artificial; `steps` lists the triangular rows in
+    order as (row, column, [(other row, coefficient), ...]) for the
+    elimination that forms the tableau. Ties between equal bounds go to the
+    first column, and between unit columns to a +1 one.
+    """
+    m, n = a.shape
+    flat = np.flatnonzero(a != 0)  # row-major; far cheaper than a 2-D nonzero
+    rows, cols = np.divmod(flat, n)
+    coef = a.ravel()[flat]
+    unit = np.bincount(cols, minlength=n)[cols] == 1  # entry of a unit column
+    unit_row = np.zeros(m, dtype=bool)
+    unit_row[rows[unit]] = True
+    by_col = np.argsort(cols, kind="stable")
+    row_start = np.searchsorted(rows, np.arange(m + 1)).tolist()
+    col_start = np.searchsorted(cols[by_col], np.arange(n + 1)).tolist()
+    col_rows, col_coef = rows[by_col].tolist(), coef[by_col].tolist()
+    row_cols, row_coef = cols.tolist(), coef.tolist()
+    ub, res = upper.tolist(), b.tolist()
+
+    basis = [-1] * m
+    blocked = [False] * n  # nonzero in an earlier triangular row
+    steps = []
+    for i in np.flatnonzero(~unit_row).tolist():
+        lo, hi = row_start[i], row_start[i + 1]
+        best, wide, ri = -1, -1.0, res[i]
+        for k in range(lo, hi):
+            j = row_cols[k]
+            if not blocked[j] and ub[j] > wide:
+                v = ri / row_coef[k]
+                if 0.0 <= v <= ub[j]:
+                    best, wide, value = j, ub[j], v
+        if best < 0:
+            continue
+        basis[i] = best
+        for j in row_cols[lo:hi]:
+            blocked[j] = True
+        others = [(col_rows[k], col_coef[k]) for k in range(col_start[best], col_start[best + 1])
+                  if col_rows[k] != i]
+        for r, f in others:
+            res[r] -= f * value
+        steps.append((i, best, others))
+
+    # unit rows last: a unit column takes the row's whole residual
+    r, j, d = rows[unit], cols[unit], coef[unit]
+    v = np.array(res)[r] / d
+    fits = (v >= 0.0) & (v <= upper[j])
+    r, j, d = r[fits], j[fits], d[fits]
+    order = np.lexsort((d != 1.0, -upper[j], r))  # stable: ties keep column order
+    r, first = np.unique(r[order], return_index=True)  # first (best) entry per row
+    for i, col in zip(r.tolist(), j[order][first].tolist()):
+        basis[i] = col
+    return basis, steps
 
 
 def _pivot(tab: np.ndarray, basis: list[int], row: int, col: int, rows: np.ndarray) -> None:
@@ -168,29 +232,31 @@ def _run_simplex(tab: np.ndarray, basis: list[int], upper: np.ndarray,
 def simplex_solve(lp: LPProblem) -> LPSolution:
     """Solve min c.x, A x = b, 0 <= x <= upper by the two-phase tableau method."""
     lp.validate()
-    a = lp.a.copy()
-    b = lp.b.copy()
-    c = lp.c.copy()
-    upper = lp.upper
+    a, b, c, upper = lp.a, lp.b, lp.c, lp.upper
     m, n = a.shape
 
-    neg = b < 0
-    a[neg] *= -1.0
-    b[neg] *= -1.0
-
-    # a unit column starts basic at b_i, so only where that is within its bound
-    crash = {i: j for i, j in _unit_columns(a).items() if b[i] <= upper[j]}
-    art_rows = [i for i in range(m) if i not in crash]
+    basis, steps = _crash(a, b, upper)
+    art_rows = [i for i in range(m) if basis[i] < 0]
     n_art = len(art_rows)
     total = n + n_art
 
+    # the tableau B^-1 [A | b]: eliminate the triangular columns in order (no
+    # fill reaches a later crash column, so each coefficient is A's own), then
+    # scale the unit rows; crash eliminations are not iterations
     tab = np.zeros((m + 1, total + 1))
     tab[:m, :n] = a
     tab[:m, -1] = b
-    basis = [-1] * m
-    for i, j in crash.items():
-        basis[i] = j
+    for i, j, others in steps:
+        if a[i, j] != 1.0:
+            tab[i] /= a[i, j]
+        for r, f in others:
+            tab[r] -= f * tab[i]
+    for i, j in enumerate(basis):
+        if j >= 0 and tab[i, j] != 1.0:
+            tab[i] /= tab[i, j]
     for k, i in enumerate(art_rows):
+        if tab[i, -1] < 0:
+            tab[i] = -tab[i]
         tab[i, n + k] = 1.0
         basis[i] = n + k
     flipped = np.zeros(total, dtype=bool)
@@ -206,7 +272,8 @@ def simplex_solve(lp: LPProblem) -> LPSolution:
         if status == "unbounded":  # cannot happen: phase-1 objective >= 0
             raise ParameterError("phase 1 reported unbounded")
         if -tab[-1, -1] > FEAS_TOL:
-            return LPSolution("infeasible", float("nan"), np.full(n, np.nan), iters, basis)
+            return LPSolution("infeasible", float("nan"), np.full(n, np.nan), iters, basis,
+                              iters)
         # force any leftover artificials out of the basis
         drop_rows = []
         for i in range(m):
@@ -224,6 +291,7 @@ def simplex_solve(lp: LPProblem) -> LPSolution:
             basis = [basis[i] for i in keep]
             m = len(keep)
         flipped = flipped[:n]
+    phase1 = iters
 
     # phase 2: drop the artificial columns in place, rebuild the cost row in
     # the complemented variables; the flipped ones' u_j c_j is a constant
@@ -243,8 +311,8 @@ def simplex_solve(lp: LPProblem) -> LPSolution:
     x[np.array(basis, dtype=int)] = tab[:m, -1]
     x[flipped] = upper[flipped] - x[flipped]
     if status == "unbounded":
-        return LPSolution("unbounded", float("-inf"), x, iters, list(basis))
-    return LPSolution("optimal", float(c @ x), x, iters, list(basis))
+        return LPSolution("unbounded", float("-inf"), x, iters, list(basis), phase1)
+    return LPSolution("optimal", float(c @ x), x, iters, list(basis), phase1)
 
 
 def verify_certificate(lp: LPProblem, sol: LPSolution) -> dict:

@@ -341,7 +341,7 @@ def run_value_benchmark(
     retailer.validate()
     if n_planner_scenarios < 1:
         raise ParameterError(f"n_planner_scenarios must be >= 1, got {n_planner_scenarios}")
-    days = list(days)
+    days, pv_zones, wind_zones = list(days), list(pv_zones), list(wind_zones)
     missing = []
     for day in days:
         for track, zones in (("pv", pv_zones), ("wind", wind_zones), ("load", [load_zone])):
@@ -387,7 +387,7 @@ def run_value_benchmark(
         rows=rows,
         aggregate=aggregate,
         oracle_total=aggregate.get("oracle", 0.0),
-        n_simulated=len(days) * len(list(pv_zones)) * len(list(wind_zones)),
+        n_simulated=len(days) * len(pv_zones) * len(wind_zones),
     )
     report.validate()
     return report

@@ -362,6 +362,67 @@ def test_random_bounded_lps_match_scipy():
     assert {"optimal", "infeasible", "unbounded"} <= set(seen)
 
 
+def _bidiagonal_lp(rng: np.random.Generator) -> tuple[LPProblem, bool]:
+    """Random LP whose first m columns form a lower-bidiagonal block, like a
+    state-of-charge chain, boxed in [0, 3..4], followed by random columns.
+    With `planted`, those columns are dense with narrower boxes (or fixed at
+    zero) and b is the block times a point inside its box, so the crash
+    takes the block and starts feasible. Otherwise the random columns may be
+    sparse or free above, one is split into two free parts, and b comes from
+    a point that may leave the box."""
+    m = int(rng.integers(2, 8))
+    k = int(rng.integers(1, 6))
+    planted = bool(rng.random() < 0.5)
+    chain = np.zeros((m, m))
+    chain[np.arange(m), np.arange(m)] = rng.choice([-1.0, 1.0], m) * rng.uniform(0.5, 2.0, m)
+    chain[np.arange(1, m), np.arange(m - 1)] = rng.uniform(-2.0, 2.0, m - 1)
+    extra = rng.uniform(-3, 3, (m, k))
+    if not planted:
+        extra *= rng.random((m, k)) < 0.6
+    a = np.hstack([chain, extra])
+    kind = rng.choice(3, size=k, p=[0.0, 0.8, 0.2] if planted else [0.45, 0.4, 0.15])
+    upper = np.concatenate([rng.uniform(3.0, 4.0, m),
+                            np.choose(kind, [np.full(k, np.inf), rng.uniform(0.5, 3.0, k),
+                                             np.zeros(k)])])
+    if planted:
+        x = np.concatenate([rng.uniform(0.05, 0.95, m) * upper[:m], np.zeros(k)])
+    else:
+        # a free column split into positive and negative parts, as the
+        # bidding LP splits its bids, leaves a ray whenever the parts'
+        # costs sum below zero
+        a = np.hstack([a, -a[:, m:m + 1]])
+        upper[m] = np.inf
+        upper = np.append(upper, np.inf)
+        x = rng.uniform(-0.5, 4.5, a.shape[1])
+    return LPProblem(c=rng.uniform(-2, 2, a.shape[1]), a=a, b=a @ x, upper=upper), planted
+
+
+def test_random_bidiagonal_lps_match_scipy():
+    """The crash starts the planted LPs on the bidiagonal block with no phase
+    1; the others fall back to artificials where their substituted values
+    leave the box. Every status and optimum agrees with scipy's HiGHS."""
+    rng = np.random.default_rng(31)
+    seen, phase1 = [], []
+    for trial in range(150):
+        lp, planted = _bidiagonal_lp(rng)
+        sol = simplex_solve(lp)
+        ref = linprog(lp.c, A_eq=lp.a, b_eq=lp.b, bounds=_scipy_bounds(lp.upper),
+                      method="highs")
+        assert sol.status == _SCIPY_STATUS[ref.status], f"trial {trial}"
+        seen.append(sol.status)
+        if planted:
+            m = lp.a.shape[0]
+            assert spx._crash(lp.a, lp.b, lp.upper)[0] == list(range(m)), f"trial {trial}"
+            assert sol.phase1_iterations == 0, f"trial {trial}"
+        phase1.append(sol.phase1_iterations)
+        if sol.status == "optimal":
+            assert sol.objective == pytest.approx(ref.fun, rel=1e-9, abs=1e-9), f"trial {trial}"
+            cert = verify_certificate(lp, sol)
+            assert cert["ok"], f"trial {trial}: {cert}"
+    assert {"optimal", "infeasible", "unbounded"} <= set(seen)
+    assert max(phase1) > 0
+
+
 def test_all_zero_upper_bounds():
     """Every column fixed at zero: b = 0 is solved by x = 0, any other b is
     out of reach."""
@@ -422,14 +483,24 @@ def test_bound_flip_is_one_iteration(monkeypatch):
 
 
 def test_unit_column_above_its_bound_is_not_a_starting_basis():
-    """x1 is the only unit column of the only row, but b = 5 exceeds its
-    bound 3, so it cannot start basic at 5; phase 1 finds x0 = 1, x1 = 3."""
+    """x1 is a unit column of row 0, but b = 5 exceeds its bound 3, so it
+    cannot start basic at 5. Alone in the row with x0 (also a unit column,
+    unbounded) the crash starts x0 at 2.5 instead; once x0 also sits in row
+    1, row 0 starts on an artificial and phase 1 finds x0 = 1, x1 = 3."""
     lp = LPProblem(c=np.array([1.0, 0.0]), a=np.array([[2.0, 1.0]]),
                    b=np.array([5.0]), upper=np.array([np.inf, 3.0]))
-    assert spx._unit_columns(lp.a) == {0: 1}
+    assert spx._crash(lp.a, lp.b, lp.upper)[0] == [0]
     sol = simplex_solve(lp)
-    assert sol.status == "optimal"
+    assert sol.status == "optimal" and sol.phase1_iterations == 0
     np.testing.assert_allclose(sol.x, [1.0, 3.0], atol=1e-12)
+    assert verify_certificate(lp, sol)["ok"]
+
+    lp = LPProblem(c=np.array([1.0, 0.0, 0.0]), a=np.array([[2.0, 1.0, 0.0], [1.0, 0.0, 1.0]]),
+                   b=np.array([5.0, 4.0]), upper=np.array([np.inf, 3.0, np.inf]))
+    assert spx._crash(lp.a, lp.b, lp.upper)[0] == [-1, 2]
+    sol = simplex_solve(lp)
+    assert sol.status == "optimal" and sol.phase1_iterations > 0
+    np.testing.assert_allclose(sol.x, [1.0, 3.0, 3.0], atol=1e-12)
     assert verify_certificate(lp, sol)["ok"]
 
 
@@ -503,6 +574,10 @@ def test_sparse_pivot_solves_bidding_lp_bit_for_bit(monkeypatch):
 
 
 def test_unit_columns_match_loop_reference():
+    """The crash still starts every row on the first +1 unit column that the
+    old unit-column rule found there, wherever that column's value is within
+    its bound: here the rows without a unit column have b = 0, so each
+    triangular column starts at zero and a unit row's residual is its b >= 0."""
     rng = np.random.default_rng(5)
     for trial in range(40):
         m, n = int(rng.integers(0, 8)), int(rng.integers(1, 16))
@@ -513,4 +588,9 @@ def test_unit_columns_match_loop_reference():
             unit = np.zeros((m, 1))
             unit[i] = 1.0
             a = np.hstack([-unit, a, unit, unit])
-        assert spx._unit_columns(a) == _loop_unit_columns(a), f"trial {trial}"
+        single = (a != 0).sum(axis=0) == 1
+        unit_row = (a[:, single] != 0).any(axis=1)
+        b = np.where(unit_row, rng.uniform(0.0, 2.0, m), 0.0)
+        basis, _ = spx._crash(a, b, np.full(a.shape[1], np.inf))
+        for i, j in _loop_unit_columns(a).items():
+            assert basis[i] == j, f"trial {trial} row {i}"

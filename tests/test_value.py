@@ -5,6 +5,7 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from scendiff import data as dmod
 from scendiff.errors import (
@@ -167,22 +168,34 @@ def _slack_row_lp(model, scenarios, bids=None) -> LPProblem:
     return LPProblem(c=c, a=a, b=b)
 
 
+def _gate7_triples(day: int, n_s: int):
+    """Day `day` (of 3) of gate 7's synthetic wind, PV and load, with n_s
+    conditional scenario triples."""
+    w = dmod.generate_synthetic(3, 100, "ramp_wind").samples[day]
+    p = dmod.generate_synthetic(3, 200, "sine_pv").samples[day]
+    l = dmod.generate_synthetic(3, 300, "bimodal_load").samples[day]
+    return list(zip(80 * dmod.conditional_scenarios("ramp_wind", w.c, n_s, seed=1000 + day),
+                    40 * dmod.conditional_scenarios("sine_pv", p.c, n_s, seed=2000 + day),
+                    dmod.conditional_scenarios("bimodal_load", l.c, n_s, seed=3000 + day)))
+
+
+def _scipy_objective(lp) -> float:
+    ref = linprog(lp.c, A_eq=lp.a, b_eq=lp.b, method="highs",
+                  bounds=[(0.0, None if np.isinf(u) else u) for u in lp.upper])
+    assert ref.status == 0
+    return ref.fun
+
+
 @pytest.mark.parametrize("n_s", [1, 5, 10])
 def test_bounded_lp_matches_slack_row_formulation(n_s):
     """Gate-7-style days (synthetic wind, PV and load with conditional
     scenarios): bounds as columns give the same optimum as bounds as rows,
     for the free-bid planner and for dispatch at pinned bids."""
-    wind = dmod.generate_synthetic(3, 100, "ramp_wind")
-    pv = dmod.generate_synthetic(3, 200, "sine_pv")
-    load = dmod.generate_synthetic(3, 300, "bimodal_load")
     models = [RetailerModel(), RetailerModel(capacity=20.0, p_charge=4.0, p_discharge=6.0,
                                              eta_c=0.9, soc_start=2.0, soc_end=12.0,
                                              price=np.linspace(30, 70, HOURS))]
     for i in range(3):
-        w, p, l = wind.samples[i], pv.samples[i], load.samples[i]
-        triples = list(zip(80 * dmod.conditional_scenarios("ramp_wind", w.c, n_s, seed=1000 + i),
-                           40 * dmod.conditional_scenarios("sine_pv", p.c, n_s, seed=2000 + i),
-                           dmod.conditional_scenarios("bimodal_load", l.c, n_s, seed=3000 + i)))
+        triples = _gate7_triples(i, n_s)
         model = models[i % 2]
         lp, sol = solve_bidding(model, triples)
         ref = simplex_solve(_slack_row_lp(model, triples))
@@ -193,6 +206,45 @@ def test_bounded_lp_matches_slack_row_formulation(n_s):
         ref = simplex_solve(_slack_row_lp(model, triples, bids=bids))
         assert pinned.status == ref.status == "optimal"
         assert pinned.objective == pytest.approx(ref.objective, rel=1e-9), f"day {i}"
+
+
+@pytest.mark.parametrize("n_s", [1, 5, 10])
+def test_bidding_lps_start_feasible(n_s):
+    """With soc_start = soc_end the crash basis of a bidding LP (the SoC
+    columns plus one charge or discharge column per scenario, a surplus or
+    deficit column per imbalance row) is feasible: no phase-1 iteration,
+    for free bids and for dispatch at pinned bids."""
+    model = RetailerModel()
+    for day in range(3):
+        triples = _gate7_triples(day, n_s)
+        lp, sol = solve_bidding(model, triples)
+        assert sol.phase1_iterations == 0, f"day {day}"
+        pinned = simplex_solve(build_two_stage_lp(model, triples, bids=extract_bids(lp, sol)))
+        assert pinned.status == "optimal" and pinned.phase1_iterations == 0, f"day {day}"
+
+
+def test_unreachable_soc_target_falls_back_to_phase_1():
+    """soc_start = 10 and soc_end = 0 on a 10 MWh battery: the last SoC row
+    would need 9.5 MW of discharge in one hour, above the 5 MW rating, so it
+    starts on an artificial; phase 1 removes it and the optimum is scipy's."""
+    model = RetailerModel(capacity=10.0, soc_start=10.0, soc_end=0.0)
+    for n_s in (1, 5):
+        triples = _gate7_triples(0, n_s)
+        lp, sol = solve_bidding(model, triples)
+        assert sol.phase1_iterations > 0
+        assert sol.objective == pytest.approx(_scipy_objective(lp), rel=1e-9)
+        pinned = build_two_stage_lp(model, triples, bids=extract_bids(lp, sol))
+        sol = simplex_solve(pinned)
+        assert sol.status == "optimal" and sol.phase1_iterations > 0
+        assert sol.objective == pytest.approx(_scipy_objective(pinned), rel=1e-9)
+
+
+@pytest.mark.parametrize("n_s,n_days", [(5, 3), (10, 2), (20, 1)])
+def test_planner_lps_match_scipy(n_s, n_days):
+    """Gate-7-style planner LPs up to S = 20 reach scipy's HiGHS optimum."""
+    for day in range(n_days):
+        lp, sol = solve_bidding(RetailerModel(), _gate7_triples(day, n_s))
+        assert sol.objective == pytest.approx(_scipy_objective(lp), rel=1e-9), f"day {day}"
 
 
 def test_scenario_shape_errors():
@@ -372,6 +424,21 @@ def test_run_value_benchmark_end_to_end(tmp_path):
     assert len(lines) == 1 + len(report.rows)
     total = sum(float(l.split(",")[4]) for l in lines[1:] if l.startswith("m1,"))
     assert total == pytest.approx(report.aggregate["m1"], rel=1e-12)
+
+
+def test_run_value_benchmark_takes_any_iterable():
+    """Days and zones may come as tuples or one-shot iterators: the report
+    equals the one built from lists."""
+    days, obs, scen = _benchmark_inputs(m=2)  # S = 2 planners keep it quick
+    retailer = RetailerModel(capacity=2.0, p_charge=1.0, p_discharge=1.0,
+                             soc_start=1.0, soc_end=1.0)
+    want = run_value_benchmark({"m1": scen}, obs, retailer, days,
+                               pv_zones=[1], wind_zones=[1, 2]).to_dict()
+    assert want["n_simulated"] == 4
+    for kind in (tuple, iter, lambda v: (x for x in v)):
+        got = run_value_benchmark({"m1": scen}, obs, retailer, kind(days),
+                                  pv_zones=kind([1]), wind_zones=kind([1, 2]))
+        assert got.to_dict() == want
 
 
 def test_run_value_benchmark_coverage_error():
