@@ -7,7 +7,7 @@ scenario-based two-stage bidding problem solved by a bundled simplex.
 """
 
 from .data import DaySample, Dataset, Scaler, generate_synthetic, load_csv
-from .diffusion import Schedule, ScenarioSet, make_schedule, reverse_sample, train
+from .diffusion import Schedule, ScenarioSet, make_schedule, sample_days, train
 from .errors import ScendiffError
 from .metrics import QualityReport, crps, energy_score, evaluate, quantile_score, variogram_score
 from .nn import DenoiserParams, OptimizerState
@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DaySample", "Dataset", "Scaler", "generate_synthetic", "load_csv",
-    "Schedule", "ScenarioSet", "make_schedule", "reverse_sample", "train",
+    "Schedule", "ScenarioSet", "make_schedule", "sample_days", "train",
     "ScendiffError",
     "QualityReport", "crps", "energy_score", "evaluate", "quantile_score", "variogram_score",
     "DenoiserParams", "OptimizerState",

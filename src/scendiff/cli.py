@@ -193,7 +193,7 @@ def cmd_generate(args) -> int:
         test.sort(key=lambda s: s.day_id)
         conditions = np.stack([scaler.transform_cov(s.c) for s in test])
         day_ids = [s.day_id for s in test]
-        seed = np.random.SeedSequence([cfg["seed"], zone, data_mod.TRACKS.index(cfg["track"])])
+        seed = [cfg["seed"], zone, data_mod.TRACKS.index(cfg["track"])]
         sets = diffusion.sample_days(params, conditions, day_ids, sched,
                                      cfg["m_scenarios"], seed, scaler=scaler)
         scen_path = out_dir / f"scenarios_{cfg['track']}_z{zone}.csv"

@@ -9,8 +9,8 @@ The network itself operates in a model space affinely shifted to [-1, 1]
 (z = 2x - 1 for normalized x): the terminal step of the forward chain is a
 standard Gaussian centered at zero, and training targets whose support sits
 entirely on one side of that center leave the sampler with a systematic
-shrinkage bias toward zero. train() applies the map and the samplers invert
-it, so every public interface keeps speaking normalized units.
+shrinkage bias toward zero. train() applies the map; sample_days, the one
+sampler, inverts it and returns scenarios in physical units.
 """
 from __future__ import annotations
 
@@ -175,12 +175,20 @@ class ScenarioSet:
             raise SamplingDivergenceError(f"non-finite scenario values for day {self.day_id}")
 
 
-def forward_sample(x0: np.ndarray, i: int, eps: np.ndarray, sched: Schedule) -> np.ndarray:
-    """Closed-form forward marginal: sqrt(abar_i) x0 + sqrt(1 - abar_i) eps."""
-    if not 1 <= i <= sched.n:
-        raise ParameterError(f"step {i} outside 1..{sched.n}")
+def forward_sample(x0: np.ndarray, i, eps: np.ndarray, sched: Schedule) -> np.ndarray:
+    """Closed-form forward marginal: sqrt(abar_i) x0 + sqrt(1 - abar_i) eps.
+
+    `i` is one step for all of x0 or a (B,) array of steps, one per row of
+    a (B, L) x0; every step must lie in 1..n.
+    """
+    i = np.asarray(i)
+    bad = i[(i < 1) | (i > sched.n)]
+    if bad.size:
+        raise ParameterError(f"step {bad.flat[0]} outside 1..{sched.n}")
     abar = sched.alpha_bar[i - 1]
-    return math.sqrt(abar) * np.asarray(x0) + math.sqrt(1.0 - abar) * np.asarray(eps)
+    if abar.ndim:
+        abar = abar[:, None]
+    return np.sqrt(abar) * np.asarray(x0) + np.sqrt(1.0 - abar) * np.asarray(eps)
 
 
 def chain_forward(x0: np.ndarray, sched: Schedule, rng: np.random.Generator) -> np.ndarray:
@@ -234,8 +242,7 @@ def training_loss(
         steps = rng.integers(1, sched.n + 1, size=b)
     if noise is None:
         noise = rng.standard_normal((b, l))
-    abar = sched.alpha_bar[np.asarray(steps) - 1]
-    x_noisy = np.sqrt(abar)[:, None] * x0 + np.sqrt(1.0 - abar)[:, None] * noise
+    x_noisy = forward_sample(x0, steps, noise, sched)
     cache = [] if want_grads and isinstance(params, nn.DenoiserParams) else None
     resid = _as_denoiser(params, cache)(x_noisy, steps, c) - noise
     loss = float(np.mean(resid**2))
@@ -414,39 +421,28 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _seed_sequence(seed) -> np.random.SeedSequence:
-    return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+def sample_days(params, conditions: np.ndarray, day_ids, sched: Schedule, m: int, seed,
+                scaler: Scaler) -> list[ScenarioSet]:
+    """Scenario sets for many days in one batched pass, in physical units.
 
-
-def reverse_chain(denoiser, c: np.ndarray, sched: Schedule, m: int, seed, l: int) -> np.ndarray:
-    """Draw m normalized samples for one condition; returns an (m, l) array.
-
-    `seed` may be an int or a SeedSequence; per-sample independent streams
-    are spawned from it, so samples are reproducible and order-independent.
+    Row j of `conditions` (normalized covariates) is day_ids[j]'s weather.
+    The model's samples are denormalized by `scaler`, clipped to its
+    physical bounds, and carry its learn-split-constant hours pinned.
+    `seed` is SeedSequence entropy, an int or a list of ints: scenario k of
+    day j draws from SeedSequence(seed).spawn(D)[j].spawn(m)[k] for D days,
+    so a day's streams do not depend on the days after it.
     """
-    if m < 1:
-        raise ParameterError("m must be >= 1")
-    c_rows = np.repeat(np.atleast_2d(np.asarray(c, dtype=float)), m, axis=0)
-    return _reverse_engine(denoiser, c_rows, sched, _seed_sequence(seed).spawn(m), l)
-
-
-def _scenario_sets(params, conditions, day_ids, day_seqs, sched: Schedule,
-                   m: int, scaler: Scaler | None) -> list[ScenarioSet]:
-    """One ScenarioSet per condition row, day j sampled from m streams spawned
-    from day_seqs[j]; denormalized, clipped and pinned when a scaler is given,
-    otherwise in normalized units."""
     conditions = np.atleast_2d(np.asarray(conditions, dtype=float))
     if len(day_ids) != conditions.shape[0]:
         raise DimensionError(f"{len(day_ids)} day ids for {conditions.shape[0]} condition rows")
     if m < 1:
         raise ParameterError("m must be >= 1")
-    seqs = [s for day_seq in day_seqs for s in day_seq.spawn(m)]
+    seqs = [s for day_seq in np.random.SeedSequence(seed).spawn(len(day_ids))
+            for s in day_seq.spawn(m)]
     c_rows = np.repeat(conditions, m, axis=0)
     x = from_model_space(_reverse_engine(params, c_rows, sched, seqs, HOURS))
-    if scaler is not None:
-        x = scaler.inverse_target(x)
-        lo, hi = scaler.physical_bounds()
-        x = scaler.pin_fixed(np.clip(x, lo, hi))
+    lo, hi = scaler.physical_bounds()
+    x = scaler.pin_fixed(np.clip(scaler.inverse_target(x), lo, hi))
     out = []
     for j, day_id in enumerate(day_ids):
         s = ScenarioSet(day_id=day_id, m=m, scenarios=x[j * m : (j + 1) * m],
@@ -454,27 +450,6 @@ def _scenario_sets(params, conditions, day_ids, day_seqs, sched: Schedule,
         s.validate()
         out.append(s)
     return out
-
-
-def reverse_sample(params, c: np.ndarray, sched: Schedule, m: int, seed,
-                   scaler: Scaler | None = None, day_id: date | None = None) -> ScenarioSet:
-    """Generate a day's scenario set, denormalized, clipped, and with
-    learn-split-constant hours pinned when a scaler is given; otherwise
-    values stay in normalized units."""
-    return _scenario_sets(params, c, [day_id or date(1970, 1, 1)], [_seed_sequence(seed)],
-                          sched, m, scaler)[0]
-
-
-def sample_days(params, conditions: np.ndarray, day_ids, sched: Schedule, m: int, seed,
-                scaler: Scaler | None = None) -> list[ScenarioSet]:
-    """Scenario sets for many days in one batched pass.
-
-    Day d's streams come from spawning the master seed into one child per
-    day and then m grandchildren, so each day's set matches a standalone
-    reverse_sample call made with that day's child sequence.
-    """
-    return _scenario_sets(params, conditions, day_ids, _seed_sequence(seed).spawn(len(day_ids)),
-                          sched, m, scaler)
 
 
 CHECKPOINT_MAGIC = "scendiff-checkpoint"

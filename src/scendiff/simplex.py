@@ -164,6 +164,8 @@ def _run_simplex(tab: np.ndarray, basis: list[int], upper: np.ndarray,
     marks the complemented ones and is updated in place.
     """
     n_cols = upper.size
+    if n_cols == 0:  # no column may enter, so the basis is optimal
+        return "optimal", start_iter
     ubasic = upper[basis]  # bound of each row's basic variable, kept by each pivot
     iters = start_iter
     stall = 0

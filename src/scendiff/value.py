@@ -5,9 +5,10 @@ quantities b_t into the day-ahead market at known prices. The first stage
 fixes the 24 bids; the second stage (per scenario) operates the battery and
 settles imbalances at asymmetric surplus/deficit penalties. The
 deterministic equivalent is one LP in equality form with the battery's
-ratings as column bounds, solved by the bundled simplex. Realized profit comes from replaying the bids against the day's
-observations; an oracle (observations as the single scenario) and a
-deterministic point-forecast planner (scenario-mean) are the baselines.
+ratings as column bounds, solved by the bundled simplex. Realized profit
+comes from replaying the bids against the day's observations; an oracle
+(observations as the single scenario) and a deterministic point-forecast
+planner (scenario-mean) are the baselines.
 """
 from __future__ import annotations
 
@@ -239,8 +240,7 @@ def solve_bidding(model: RetailerModel, scenarios) -> tuple[BiddingLP, LPSolutio
     return lp, sol
 
 
-def realtime_dispatch(model: RetailerModel, bids: np.ndarray, observations,
-                      return_detail: bool = False):
+def realtime_dispatch(model: RetailerModel, bids: np.ndarray, observations) -> float:
     """Replay fixed bids against one day's (wind, pv, load) observations.
 
     Net profit = day-ahead revenue at the given prices minus realized
@@ -251,13 +251,7 @@ def realtime_dispatch(model: RetailerModel, bids: np.ndarray, observations,
     sol = simplex_solve(lp)
     if sol.status != "optimal":
         raise ParameterError(f"dispatch problem is {sol.status}")
-    revenue = float(model.price @ bids)
-    profit = revenue - sol.objective
-    if not return_detail:
-        return profit
-    detail = extract_schedule(lp, sol, model, s=0)
-    detail.update({"revenue": revenue, "penalty": sol.objective, "profit": profit})
-    return profit, detail
+    return float(model.price @ bids) - sol.objective
 
 
 def oracle_profit(model: RetailerModel, observations) -> float:

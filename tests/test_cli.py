@@ -109,6 +109,24 @@ def test_generate_is_byte_deterministic(tmp_path):
     assert scen_path.read_bytes() == first
 
 
+def test_generate_seeds_sample_days_with_seed_zone_and_track(tmp_path):
+    """The scenario file holds exactly what sample_days draws from the
+    checkpoint for the sorted test days under entropy [seed, zone, track
+    index]; comparing two draws here needs no pinned hash."""
+    scen_path, _ = _run_track(tmp_path, "sine_pv", "pv", seed=6)
+    params, sched, scaler, _ = dif.load_checkpoint(tmp_path / "out_pv" / "model_pv_z1.ckpt")
+    ds = dmod.split_random(dmod.load_csv(tmp_path / "pv.csv", "pv"),
+                           tuple(TINY["split"]["fractions"]), 6)
+    test = sorted(ds.subset(split="test", zone=1), key=lambda s: s.day_id)
+    conditions = np.stack([scaler.transform_cov(s.c) for s in test])
+    sets = dif.sample_days(params, conditions, [s.day_id for s in test], sched,
+                           TINY["m_scenarios"], [6, 1, dmod.TRACKS.index("pv")], scaler)
+    scen = dif.read_scenarios(scen_path)
+    assert sorted(scen) == [s.day_id for s in sets]
+    for s in sets:
+        assert np.array_equal(scen[s.day_id], s.scenarios)
+
+
 def test_generate_m_override(tmp_path):
     scen_path, _ = _run_track(tmp_path, "sine_pv", "pv", seed=5)
     cfg = tmp_path / "cfg_pv.json"

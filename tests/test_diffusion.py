@@ -125,6 +125,20 @@ def test_forward_sample_formula_and_range():
         dif.forward_sample(x0, 0, eps, s)
     with pytest.raises(ParameterError):
         dif.forward_sample(x0, 11, eps, s)
+    # per-row steps: row b is noised at its own step, with the same bits
+    steps = np.array([1, 5, 10])
+    rows = np.arange(6.0).reshape(3, 2)
+    noise = np.arange(6.0, 12.0).reshape(3, 2)
+    got = dif.forward_sample(rows, steps, noise, s)
+    for b, i in enumerate(steps):
+        np.testing.assert_array_equal(got[b], dif.forward_sample(rows[b], int(i), noise[b], s))
+    # an injected step outside 1..n is refused, not wrapped or left to IndexError
+    for bad in (np.array([1, 0, 10]), np.array([1, 11, 10])):
+        with pytest.raises(ParameterError):
+            dif.forward_sample(rows, bad, noise, s)
+        with pytest.raises(ParameterError):
+            dif.training_loss(_zero_denoiser, rows, np.zeros((3, 1)), s,
+                              steps=bad, noise=noise)
 
 
 def test_chain_forward_marginals_match_closed_form():
@@ -295,8 +309,8 @@ def test_reverse_engine_draw_order_contract():
     applied with sigma_i after the step-i update, and no noise at step 1."""
     s = dif.make_schedule("linear", n=3, beta_start=0.2, beta_end=0.6,
                           enforce_terminal=False)
-    seed = np.random.SeedSequence(123)
-    out = dif.reverse_chain(_zero_denoiser, np.zeros(0), s, m=2, seed=seed, l=4)
+    seqs = np.random.SeedSequence(123).spawn(2)
+    out = dif._reverse_engine(_zero_denoiser, np.zeros((2, 0)), s, seqs, l=4)
 
     children = np.random.SeedSequence(123).spawn(2)
     for j in range(2):
@@ -309,19 +323,20 @@ def test_reverse_engine_draw_order_contract():
         np.testing.assert_allclose(out[j], x, rtol=1e-12)
 
 
-def test_reverse_chain_is_deterministic_and_order_independent():
+def test_reverse_engine_is_deterministic_and_order_independent():
     s = dif.make_schedule("cosine", n=8)
     p = nn.init_params((6,), sample_dim=2, embed_dim=4, cond_dim=1, seed=0)
     c = np.array([0.3])
-    a = dif.reverse_chain(p, c, s, m=5, seed=7, l=2)
-    b = dif.reverse_chain(p, c, s, m=5, seed=7, l=2)
-    np.testing.assert_array_equal(a, b)
+
+    def draw(m, seed):
+        c_rows = np.repeat(c[None], m, axis=0)
+        return dif._reverse_engine(p, c_rows, s, np.random.SeedSequence(seed).spawn(m), l=2)
+
+    a = draw(5, 7)
+    np.testing.assert_array_equal(draw(5, 7), a)
     # drawing more samples must not change the earlier streams
-    wide = dif.reverse_chain(p, c, s, m=9, seed=7, l=2)
-    np.testing.assert_array_equal(wide[:5], a)
-    assert not np.array_equal(dif.reverse_chain(p, c, s, m=5, seed=8, l=2), a)
-    with pytest.raises(ParameterError):
-        dif.reverse_chain(p, c, s, m=0, seed=7, l=2)
+    np.testing.assert_array_equal(draw(9, 7)[:5], a)
+    assert not np.array_equal(draw(5, 8), a)
 
 
 def test_reverse_engine_chunking_is_invisible():
@@ -515,7 +530,8 @@ def test_reverse_sampler_matches_analytic_gaussian_law():
         m_star = math.sqrt(alpha) * m_star + s.beta[i - 1] * math.sqrt(abar_prev) * mu0
         v_star = alpha * v_star + (s.sigma[i - 1] ** 2 if i > 1 else 0.0)
 
-    draws = dif.reverse_chain(oracle, np.zeros(0), s, m=8000, seed=17, l=1).ravel()
+    seqs = np.random.SeedSequence(17).spawn(8000)
+    draws = dif._reverse_engine(oracle, np.zeros((8000, 0)), s, seqs, l=1).ravel()
     assert abs(draws.mean() - m_star) < 4 * math.sqrt(v_star / draws.size)
     stat, p = scipy.stats.kstest(draws, "norm", args=(m_star, math.sqrt(v_star)))
     assert p > 0.01
@@ -523,32 +539,51 @@ def test_reverse_sampler_matches_analytic_gaussian_law():
     assert abs(m_star - mu0) < 2 * s.alpha_bar[-1] ** 0.5 * abs(mu0) + 1e-6
 
 
-def test_reverse_sample_applies_scaler_and_clipping(tiny_model, tiny_schedule, pv_normalized):
+def test_sample_days_applies_scaler_and_clipping(tiny_model, tiny_schedule, pv_normalized):
     params, _ = tiny_model
     sample = pv_normalized.subset(split="test", zone=1)[0]
-    out = dif.reverse_sample(params, sample.c, tiny_schedule, m=16, seed=3,
-                             scaler=pv_normalized.scaler, day_id=sample.day_id)
+    out, = dif.sample_days(params, sample.c, [sample.day_id], tiny_schedule, m=16, seed=3,
+                           scaler=pv_normalized.scaler)
     out.validate()
+    assert out.day_id == sample.day_id
     assert out.scenarios.shape == (16, 24)
     assert out.scenarios.min() >= 0.0 and out.scenarios.max() <= 1.0
-    raw = dif.reverse_sample(params, sample.c, tiny_schedule, m=16, seed=3)
-    assert raw.scenarios.min() < 0.0  # unclipped values stray below zero
+    # the same streams straight from the engine stray below zero unclipped
+    seqs = np.random.SeedSequence(3).spawn(1)[0].spawn(16)
+    raw = dif._reverse_engine(params, np.repeat(sample.c[None], 16, axis=0),
+                              tiny_schedule, seqs, l=24)
+    assert dif.from_model_space(raw).min() < 0.0
 
 
 def test_sample_days_matches_standalone_calls(tiny_model, tiny_schedule, pv_normalized):
+    """Day j of a D-day call is the engine's output on the grandchild
+    streams SeedSequence(seed).spawn(D)[j].spawn(m), mapped out of model
+    space, denormalized, clipped and pinned; a day's set does not depend on
+    the days after it."""
     params, _ = tiny_model
+    scaler = pv_normalized.scaler
     x, c, days = pv_normalized.arrays(split="test", zone=1)
     sets = dif.sample_days(params, c[:3], days[:3], tiny_schedule, m=4, seed=11,
-                           scaler=pv_normalized.scaler)
+                           scaler=scaler)
     assert [s.day_id for s in sets] == list(days[:3])
-    master = np.random.SeedSequence(11)
-    day_seqs = master.spawn(3)
+    lo, hi = scaler.physical_bounds()
     for j, s in enumerate(sets):
-        alone = dif.reverse_sample(params, c[j], tiny_schedule, m=4, seed=day_seqs[j],
-                                   scaler=pv_normalized.scaler, day_id=days[j])
-        np.testing.assert_array_equal(s.scenarios, alone.scenarios)
+        seqs = np.random.SeedSequence(11).spawn(3)[j].spawn(4)
+        raw = dif._reverse_engine(params, np.repeat(c[j : j + 1], 4, axis=0),
+                                  tiny_schedule, seqs, l=24)
+        want = scaler.pin_fixed(np.clip(scaler.inverse_target(dif.from_model_space(raw)),
+                                        lo, hi))
+        np.testing.assert_array_equal(s.scenarios, want)
+        np.testing.assert_array_equal(s.condition, c[j])
+    first_two = dif.sample_days(params, c[:2], days[:2], tiny_schedule, m=4, seed=11,
+                                scaler=scaler)
+    for a, b in zip(first_two, sets):
+        assert a.day_id == b.day_id
+        np.testing.assert_array_equal(a.scenarios, b.scenarios)
     with pytest.raises(DimensionError):
-        dif.sample_days(params, c[:3], days[:2], tiny_schedule, m=2, seed=0)
+        dif.sample_days(params, c[:3], days[:2], tiny_schedule, m=2, seed=0, scaler=scaler)
+    with pytest.raises(ParameterError):
+        dif.sample_days(params, c[:1], days[:1], tiny_schedule, m=0, seed=7, scaler=scaler)
 
 
 def test_sampling_divergence_is_reported_with_step():
@@ -559,7 +594,8 @@ def test_sampling_divergence_is_reported_with_step():
         return np.full_like(x, np.inf)
 
     with pytest.raises(SamplingDivergenceError, match="step"):
-        dif.reverse_chain(exploding, np.zeros(0), s, m=2, seed=0, l=2)
+        dif._reverse_engine(exploding, np.zeros((2, 0)), s,
+                            np.random.SeedSequence(0).spawn(2), l=2)
 
 
 def test_scenario_set_validation():
@@ -589,10 +625,10 @@ def test_checkpoint_round_trip_is_exact(tmp_path, tiny_model, tiny_schedule, pv_
     assert scaler.track == "pv" and scaler.learn_max == pv_normalized.scaler.learn_max
     assert header["track"] == "pv" and header["zone"] == 1
 
-    out = dif.reverse_sample(loaded, pv_normalized.samples[0].c, sched, m=3, seed=1,
-                             scaler=scaler)
-    want = dif.reverse_sample(params, pv_normalized.samples[0].c, tiny_schedule, m=3,
-                              seed=1, scaler=pv_normalized.scaler)
+    day = pv_normalized.samples[0]
+    out, = dif.sample_days(loaded, day.c, [day.day_id], sched, m=3, seed=1, scaler=scaler)
+    want, = dif.sample_days(params, day.c, [day.day_id], tiny_schedule, m=3, seed=1,
+                            scaler=pv_normalized.scaler)
     np.testing.assert_array_equal(out.scenarios, want.scenarios)
 
 
@@ -708,12 +744,33 @@ def test_model_space_round_trip():
     assert dif.from_model_space(0.0) == 0.5
 
 
-def test_reverse_sample_is_mapped_raw_chain(tiny_model, tiny_schedule, pv_normalized):
-    params, _ = tiny_model
-    c = pv_normalized.samples[0].c
-    raw = dif.reverse_chain(params, c, tiny_schedule, m=5, seed=21, l=24)
-    out = dif.reverse_sample(params, c, tiny_schedule, m=5, seed=21)
-    np.testing.assert_array_equal(out.scenarios, dif.from_model_space(raw))
+def test_reverse_sample_is_mapped_raw_chain(tiny_schedule, pv_normalized):
+    """sample_days maps the engine's model-space draws back to normalized
+    units before denormalizing: on every hour the clip and the pins leave
+    alone, the scenario is inverse_target(from_model_space(raw)). The
+    denoiser is the exact posterior mean for x0 ~ N(0, 0.3^2) in model
+    space, so the draws sit near its center and most hours fall inside
+    the clip."""
+    scaler = pv_normalized.scaler
+    sample = pv_normalized.samples[0]
+    abar_all = tiny_schedule.alpha_bar
+
+    def oracle(x, steps, c):
+        abar = abar_all[int(np.asarray(steps).ravel()[0]) - 1]
+        return math.sqrt(1 - abar) * x / (abar * 0.09 + 1 - abar)
+
+    seqs = np.random.SeedSequence(21).spawn(1)[0].spawn(5)
+    raw = dif._reverse_engine(oracle, np.repeat(sample.c[None], 5, axis=0),
+                              tiny_schedule, seqs, l=24)
+    out, = dif.sample_days(oracle, sample.c, [sample.day_id], tiny_schedule, m=5,
+                           seed=21, scaler=scaler)
+    mapped = scaler.inverse_target(dif.from_model_space(raw))
+    lo, hi = scaler.physical_bounds()
+    free = (mapped >= lo) & (mapped <= hi) & np.isnan(scaler.target_fixed)
+    assert free.sum() > 25
+    np.testing.assert_array_equal(out.scenarios[free], mapped[free])
+    # the unmapped raw draws are not what comes out
+    assert not np.array_equal(out.scenarios[free], scaler.inverse_target(raw)[free])
 
 
 def test_sampler_pins_learn_constant_hours(tiny_model, tiny_schedule, pv_normalized):
@@ -721,8 +778,8 @@ def test_sampler_pins_learn_constant_hours(tiny_model, tiny_schedule, pv_normali
     scenario must carry them exactly, whatever the network produces."""
     params, _ = tiny_model
     sample = pv_normalized.samples[0]
-    out = dif.reverse_sample(params, sample.c, tiny_schedule, m=12, seed=9,
-                             scaler=pv_normalized.scaler)
+    out, = dif.sample_days(params, sample.c, [sample.day_id], tiny_schedule, m=12, seed=9,
+                           scaler=pv_normalized.scaler)
     fixed = pv_normalized.scaler.target_fixed
     night = ~np.isnan(fixed)
     assert night.sum() == 13

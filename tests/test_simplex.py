@@ -171,6 +171,20 @@ def test_redundant_row_is_dropped():
     assert sol.x[2] == pytest.approx(3.0, abs=1e-9)
 
 
+def test_lp_without_columns():
+    """With no columns, A x = b holds only for b = 0, where x = () is optimal
+    at objective 0; rows then leave phase 1 as redundant."""
+    lp = LPProblem(c=np.zeros(0), a=np.zeros((2, 0)), b=np.zeros(2))
+    sol = simplex_solve(lp)
+    assert sol.status == "optimal" and sol.objective == 0.0
+    assert sol.x.shape == (0,)
+    assert verify_certificate(lp, sol)["ok"]
+    sol = simplex_solve(LPProblem(c=np.zeros(0), a=np.zeros((2, 0)), b=np.array([1.0, 0.0])))
+    assert sol.status == "infeasible"
+    sol = simplex_solve(LPProblem(c=np.zeros(0), a=np.zeros((0, 0)), b=np.zeros(0)))
+    assert sol.status == "optimal" and sol.objective == 0.0
+
+
 def test_beale_cycling_example_terminates():
     """Beale's degenerate problem cycles under naive Dantzig pricing; the
     stall-triggered Bland rule must terminate at the known optimum -1/20."""

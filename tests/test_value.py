@@ -332,7 +332,12 @@ def test_dispatch_detail_is_physically_consistent():
     model = RetailerModel(price=np.linspace(20, 80, HOURS))
     obs = _triple(rng.uniform(0, 2, HOURS))
     bids = rng.uniform(0, 2, HOURS)
-    profit, detail = realtime_dispatch(model, bids, obs, return_detail=True)
+    profit = realtime_dispatch(model, bids, obs)
+    lp = build_two_stage_lp(model, [obs], bids=bids)
+    sol = simplex_solve(lp)
+    assert sol.status == "optimal"
+    detail = extract_schedule(lp, sol, model, s=0)
+    detail.update({"revenue": float(model.price @ bids), "penalty": sol.objective})
     net = obs[0] + obs[1] - obs[2]
     assert profit == pytest.approx(detail["revenue"] - detail["penalty"], abs=1e-9)
     assert detail["revenue"] == pytest.approx(float(model.price @ bids), abs=1e-9)
