@@ -13,6 +13,7 @@ import copy
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -113,13 +114,12 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
     return cfg
 
 
-def _load_split_dataset(cfg: dict) -> data_mod.Dataset:
+def _load_dataset(cfg: dict) -> data_mod.Dataset:
     if not cfg["data"]:
         raise ConfigError("config field 'data' (input CSV path) is required")
     if not Path(cfg["data"]).is_file():
         raise ConfigError(f"data file not found: {cfg['data']}")
-    ds = data_mod.load_csv(cfg["data"], cfg["track"])
-    return data_mod.split_random(ds, tuple(cfg["split"]["fractions"]), cfg["seed"])
+    return data_mod.load_csv(cfg["data"], cfg["track"])
 
 
 def _schedule_from(cfg: dict) -> diffusion.Schedule:
@@ -143,7 +143,8 @@ def cmd_train(args) -> int:
     cfg = load_config(args.config, {"seed": args.seed, "out_dir": args.out})
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    ds = data_mod.normalize(_load_split_dataset(cfg))
+    ds = data_mod.split_random(_load_dataset(cfg), tuple(cfg["split"]["fractions"]), cfg["seed"])
+    ds = data_mod.normalize(ds)
     sched = _schedule_from(cfg)
     data_mod.write_manifest(ds, out_dir / f"manifest_{cfg['track']}.json")
     print(out_dir / f"manifest_{cfg['track']}.json")
@@ -157,7 +158,8 @@ def cmd_train(args) -> int:
         )
         params, log = diffusion.train(ds, tc, sched)
         ckpt = _checkpoint_path(out_dir, cfg["track"], zone)
-        diffusion.save_checkpoint(ckpt, params, sched, ds.scaler, cfg["track"], zone)
+        diffusion.save_checkpoint(ckpt, params, sched, ds.scaler, cfg["track"], zone,
+                                  [s.day_id for s in ds.subset(split="test", zone=zone)])
         log_path = out_dir / f"loss_{cfg['track']}_z{zone}.csv"
         data_mod._write_table(log_path, ["epoch", "learn_loss", "val_loss"],
                               ("%s", "%.17g", "%.17g"),
@@ -172,7 +174,7 @@ def cmd_generate(args) -> int:
                                     "m_scenarios": args.m})
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    raw = _load_split_dataset(cfg)
+    raw = _load_dataset(cfg)
     checkpoints = ([Path(args.checkpoint)] if args.checkpoint
                    else [_checkpoint_path(out_dir, cfg["track"], z) for z in cfg["zones"]])
     for ckpt_path in checkpoints:
@@ -187,19 +189,23 @@ def cmd_generate(args) -> int:
                 f"config says {cfg['track']!r}"
             )
         zone = int(header["zone"])
-        test = [s for s in raw.subset(split="test", zone=zone)]
-        if not test:
+        day_ids = header["test_days"]  # sorted, as train recorded them
+        if not day_ids:
             raise ConfigError(f"no test days for zone {zone}")
-        test.sort(key=lambda s: s.day_id)
+        ds = replace(raw, split=dict.fromkeys(day_ids, "test"))
+        test = sorted(ds.subset(split="test", zone=zone), key=lambda s: s.day_id)
+        if len(test) != len(day_ids):
+            missing = sorted(set(day_ids) - {s.day_id for s in test})[0]
+            raise ConfigError(f"{cfg['data']} lacks test day {missing} of zone {zone} "
+                              f"recorded in {ckpt_path}")
         conditions = np.stack([scaler.transform_cov(s.c) for s in test])
-        day_ids = [s.day_id for s in test]
         seed = [cfg["seed"], zone, data_mod.TRACKS.index(cfg["track"])]
         sets = diffusion.sample_days(params, conditions, day_ids, sched,
                                      cfg["m_scenarios"], seed, scaler=scaler)
         scen_path = out_dir / f"scenarios_{cfg['track']}_z{zone}.csv"
         diffusion.write_scenarios(sets, scen_path)
         obs_path = out_dir / f"observations_{cfg['track']}_z{zone}.csv"
-        data_mod.write_observations(raw, obs_path, split="test", zone=zone)
+        data_mod.write_observations(ds, obs_path, split="test", zone=zone)
         print(scen_path)
         print(obs_path)
     return 0
@@ -258,6 +264,11 @@ def cmd_value(args) -> int:
         s_paths = _parse_zone_paths(s_specs, f"scenarios-{track}")
         o_paths = _parse_zone_paths(o_specs, f"obs-{track}")
         zone_lists[track] = sorted(s_paths)
+        if track == "load":
+            load_zones = sorted(s_paths.keys() | o_paths.keys())
+            if len(load_zones) > 1:
+                raise ConfigError("--scenarios-load and --obs-load together name load zones "
+                                  f"{load_zones}; the benchmark takes one")
         scen[track] = {}
         obs[track] = {}
         for z, p in s_paths.items():
@@ -266,7 +277,7 @@ def cmd_value(args) -> int:
         for z, p in o_paths.items():
             for day, arr in data_mod.read_observations(p).items():
                 obs[track][(day, z)] = arr
-    load_zone = zone_lists["load"][0] if zone_lists["load"] else 1
+    load_zone = load_zones[0] if load_zones else 1
     days = sorted({d for (d, z) in obs["load"] if z == load_zone})
     retailer = value.RetailerModel.from_dict(cfg["retailer"])
     report = value.run_value_benchmark(

@@ -40,21 +40,18 @@ SPLITS = ("learn", "validation", "test")
 PROFILES = ("sine_pv", "ramp_wind", "bimodal_load")
 PROFILE_TRACK = {"sine_pv": "pv", "ramp_wind": "wind", "bimodal_load": "load"}
 
-# synthetic-generator constants; the conditional distribution of every
-# profile is a clipped Gaussian whose parameters are derivable from the
-# covariates alone (see conditional_mean / conditional_scenarios)
+# synthetic-generator constants; every profile's target is a clipped Gaussian
+# whose law _profile_law derives from the covariates alone
+_TARGET_RHO = {"sine_pv": 0.8, "ramp_wind": 0.6, "bimodal_load": 0.7}  # AR(1) target noise
 _PV_SIGMA = 0.08
-_PV_RHO = 0.8
 _PV_AMP_RANGE = (0.3, 0.8)
 _WIND_SIGMA = 0.06
-_WIND_RHO = 0.6
 _WIND_SPEED_RANGE = (4.0, 11.0)
 _WIND_SPEED_SD = 1.5
 _WIND_SPEED_RHO = 0.7
 _WIND_CURVE_MID = 7.5
 _WIND_CURVE_WIDTH = 1.2
 _LOAD_SIGMA = 0.04
-_LOAD_RHO = 0.7
 _LOAD_SCALE_MW = 250.0
 _LOAD_TEMP_COEF = 0.012
 _LOAD_WEEKEND_FACTOR = 0.10
@@ -87,7 +84,7 @@ class DaySample:
     x: np.ndarray
     c: np.ndarray
 
-    def validate(self, check_unit_range: bool = False) -> None:
+    def validate(self) -> None:
         if self.track not in TRACKS:
             raise ParameterError(f"unknown track {self.track!r}")
         if not 1 <= self.zone <= ZONE_COUNTS[self.track]:
@@ -100,11 +97,6 @@ class DaySample:
             raise IntegrityError("covariate length must be a multiple of 24")
         if not np.all(np.isfinite(self.x)) or not np.all(np.isfinite(self.c)):
             raise IntegrityError(f"non-finite values in day {self.day_id}")
-        if check_unit_range and self.track in ("pv", "wind"):
-            if self.x.min() < -1e-9 or self.x.max() > 1 + 1e-9:
-                raise IntegrityError(
-                    f"{self.track} day {self.day_id} outside [0, 1] after normalization"
-                )
 
     @property
     def n_channels(self) -> int:
@@ -145,11 +137,6 @@ class Scaler:
     def transform_cov(self, c: np.ndarray) -> np.ndarray:
         k = self.cov_offset.size
         out = (c.reshape(k, HOURS) - self.cov_offset[:, None]) * self.cov_scale[:, None]
-        return out.reshape(-1)
-
-    def inverse_cov(self, c: np.ndarray) -> np.ndarray:
-        k = self.cov_offset.size
-        out = c.reshape(k, HOURS) / self.cov_scale[:, None] + self.cov_offset[:, None]
         return out.reshape(-1)
 
     def physical_bounds(self) -> tuple[float, float]:
@@ -218,9 +205,6 @@ class Dataset:
 
     def days(self) -> list[date]:
         return sorted({s.day_id for s in self.samples})
-
-    def zones(self) -> list[int]:
-        return sorted({s.zone for s in self.samples})
 
     def split_days(self, name: str) -> list[date]:
         return sorted(d for d, s in self.split.items() if s == name)
@@ -417,11 +401,23 @@ def _write_table(path: str | Path, header: list[str], fmt: tuple[str, ...], rows
             f.writelines([line % r for r in block])
 
 
+_ISO_DAY = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def _iso_day(text: str) -> date:
+    """A YYYY-MM-DD date, else ValueError. From Python 3.11 date.fromisoformat
+    alone also takes `20120101` and week dates such as `2012-W01-1`."""
+    if not _ISO_DAY.fullmatch(text):
+        raise ValueError(f"not a YYYY-MM-DD date: {text!r}")
+    return date.fromisoformat(text)
+
+
 def _parse_date(cell: str, find_row) -> date:
-    """An ISO date; `find_row()` returns the cell's file line, asked for only on error."""
+    """A YYYY-MM-DD cell, spaces around it allowed; `find_row()` returns the
+    cell's file line, asked for only on error."""
     try:
         if len(cell) < _DATE_WIDTH:
-            return date.fromisoformat(cell.strip())
+            return _iso_day(cell.strip())
     except ValueError:
         pass
     raise ParseError(f"row {find_row()}: bad date {cell!r}")
@@ -583,20 +579,9 @@ def normalize(ds: Dataset) -> Dataset:
                     f"{ds.track} day {s.day_id} zone {s.zone} outside [0, 1]"
                 )
             ns.x = np.clip(ns.x, 0.0, 1.0)
-        ns.validate(check_unit_range=True)
+        ns.validate()
         samples.append(ns)
     return replace(ds, samples=samples, scaler=scaler)
-
-
-def denormalize(ds: Dataset) -> Dataset:
-    """Inverse of normalize; recovers original units to 1e-12."""
-    if ds.scaler is None:
-        raise ParameterError("dataset has no scaler")
-    samples = [
-        replace(s, x=ds.scaler.inverse_target(s.x), c=ds.scaler.inverse_cov(s.c))
-        for s in ds.samples
-    ]
-    return replace(ds, samples=samples, scaler=None)
 
 
 def _ar1(rng: np.random.Generator, n_days: int, rho: float) -> np.ndarray:
@@ -631,31 +616,18 @@ def generate_synthetic(n_days: int, seed: int, profile: str) -> Dataset:
     track = PROFILE_TRACK[profile]
 
     if profile == "sine_pv":
-        s = _daylight_shape()
         a = rng.uniform(*_PV_AMP_RANGE, size=n_days)
-        e = _ar1(rng, n_days, _PV_RHO)
-        x = np.clip(s[None, :] * (a[:, None] + _PV_SIGMA * e), 0.0, 1.0)
-        c = a[:, None] * s[None, :]
+        c = a[:, None] * _daylight_shape()[None, :]
     elif profile == "ramp_wind":
         u = rng.uniform(*_WIND_SPEED_RANGE, size=n_days)
-        w = u[:, None] + _WIND_SPEED_SD * _ar1(rng, n_days, _WIND_SPEED_RHO)
-        e = _ar1(rng, n_days, _WIND_RHO)
-        g = 1.0 / (1.0 + np.exp(-(w - _WIND_CURVE_MID) / _WIND_CURVE_WIDTH))
-        x = np.clip(g + _WIND_SIGMA * e, 0.0, 1.0)
-        c = w
+        c = u[:, None] + _WIND_SPEED_SD * _ar1(rng, n_days, _WIND_SPEED_RHO)
     else:  # bimodal_load
-        b = _load_base_shape()
         t = np.arange(HOURS)
         delta = 3.0 * rng.standard_normal(n_days)
         theta = 10.0 + 8.0 * np.sin(np.pi * (t - 9) / 12)[None, :] + delta[:, None]
         wkd = np.array([1.0 if d.weekday() >= 5 else 0.0 for d in days])
-        e = _ar1(rng, n_days, _LOAD_RHO)
-        mu = (
-            b[None, :] * (1.0 - _LOAD_WEEKEND_FACTOR * wkd[:, None])
-            + _LOAD_TEMP_COEF * (15.0 - theta)
-        )
-        x = _LOAD_SCALE_MW * np.maximum(0.0, mu + _LOAD_SIGMA * e)
         c = np.concatenate([theta, np.repeat(wkd[:, None], HOURS, axis=1)], axis=1)
+    x = _draw_target(profile, c, rng, n_days)
 
     samples = [
         DaySample(day_id=days[i], track=track, zone=1, x=x[i].copy(), c=c[i].copy())
@@ -695,29 +667,36 @@ def _clipped_normal_mean(mu, sd, lo, hi):
     return np.where(sd > 0, val, np.clip(mu, lo, hi))
 
 
-def _profile_params(profile: str, c: np.ndarray):
-    """Recover (mu, sd) of the pre-clip Gaussian target from the covariates."""
+def _profile_law(profile: str, c: np.ndarray):
+    """A profile's target law given covariate rows c (one day's (24K,) or
+    (n, 24K)): (scale, mean, sd, lo, hi), with the target
+    clip(scale (mean + sd e), lo, hi) for the profile's AR(1) noise e.
+    Each part broadcasts against the (..., 24) target."""
     if profile == "sine_pv":
-        s = _daylight_shape()
-        a = float(c.max())  # c = a s and max(s) = 1
-        return a * s, _PV_SIGMA * s, 0.0, 1.0
+        a = c.max(axis=-1, keepdims=True)  # c = a s and max(s) = 1
+        return _daylight_shape(), a, _PV_SIGMA, 0.0, 1.0
     if profile == "ramp_wind":
         g = 1.0 / (1.0 + np.exp(-(c - _WIND_CURVE_MID) / _WIND_CURVE_WIDTH))
-        return g, np.full(HOURS, _WIND_SIGMA), 0.0, 1.0
+        return 1.0, g, _WIND_SIGMA, 0.0, 1.0
     if profile == "bimodal_load":
-        theta = c[:HOURS]
-        wkd = c[HOURS]
-        mu = _load_base_shape() * (1.0 - _LOAD_WEEKEND_FACTOR * wkd) + _LOAD_TEMP_COEF * (
-            15.0 - theta
-        )
-        return _LOAD_SCALE_MW * mu, np.full(HOURS, _LOAD_SCALE_MW * _LOAD_SIGMA), 0.0, math.inf
+        theta, wkd = c[..., :HOURS], c[..., HOURS : HOURS + 1]
+        mu = (_load_base_shape() * (1.0 - _LOAD_WEEKEND_FACTOR * wkd)
+              + _LOAD_TEMP_COEF * (15.0 - theta))
+        return _LOAD_SCALE_MW, mu, _LOAD_SIGMA, 0.0, math.inf
     raise ParameterError(f"unknown profile {profile!r}")
+
+
+def _draw_target(profile: str, c: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
+    """(n, 24) targets given covariate rows c, drawing the AR(1) noise from rng."""
+    scale, mean, sd, lo, hi = _profile_law(profile, c)
+    e = _ar1(rng, n, _TARGET_RHO[profile])
+    return np.clip(scale * (mean + sd * e), lo, hi)
 
 
 def conditional_mean(profile: str, c: np.ndarray) -> np.ndarray:
     """Closed-form conditional mean of a synthetic day given its covariates."""
-    mu, sd, lo, hi = _profile_params(profile, c)
-    return _clipped_normal_mean(mu, sd, lo, hi)
+    scale, mean, sd, lo, hi = _profile_law(profile, c)
+    return _clipped_normal_mean(scale * mean, scale * sd, lo, hi)
 
 
 def conditional_scenarios(profile: str, c: np.ndarray, m: int, seed: int) -> np.ndarray:
@@ -728,11 +707,7 @@ def conditional_scenarios(profile: str, c: np.ndarray, m: int, seed: int) -> np.
     """
     if m < 1:
         raise ParameterError("m must be >= 1")
-    rng = np.random.default_rng(seed)
-    mu, sd, lo, hi = _profile_params(profile, c)
-    rho = {"sine_pv": _PV_RHO, "ramp_wind": _WIND_RHO, "bimodal_load": _LOAD_RHO}[profile]
-    e = _ar1(rng, m, rho)
-    return np.clip(mu[None, :] + sd[None, :] * e, lo, hi)
+    return _draw_target(profile, c, np.random.default_rng(seed), m)
 
 
 def climatology_scenarios(ds: Dataset, m: int, seed: int, zone: int = 1) -> np.ndarray:
@@ -764,14 +739,6 @@ def write_report_json(doc: dict, path: str | Path) -> None:
     except ValueError as e:
         raise ParameterError(f"{path}: {e}") from None
     Path(path).write_text(text)
-
-
-def read_manifest(path: str | Path) -> dict:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("scaler"):
-        doc["scaler"] = Scaler.from_dict(doc["scaler"])
-    doc["split"] = {date.fromisoformat(k): v for k, v in doc["split"].items()}
-    return doc
 
 
 def write_observations(ds: Dataset, path: str | Path, split: str = "test", zone: int = 1) -> None:

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .data import _DATE_WIDTH, HOURS, Scaler, _day_index, _read_table, _write_table
+from .data import _DATE_WIDTH, HOURS, Scaler, _day_index, _iso_day, _read_table, _write_table
 from .errors import (
     DimensionError,
     InsufficientDataError,
@@ -189,21 +189,6 @@ def forward_sample(x0: np.ndarray, i, eps: np.ndarray, sched: Schedule) -> np.nd
     if abar.ndim:
         abar = abar[:, None]
     return np.sqrt(abar) * np.asarray(x0) + np.sqrt(1.0 - abar) * np.asarray(eps)
-
-
-def chain_forward(x0: np.ndarray, sched: Schedule, rng: np.random.Generator) -> np.ndarray:
-    """Step-by-step noising chain; returns the (n, L) stack of x_1..x_n.
-
-    Marginally equivalent to forward_sample at every step.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    out = np.empty((sched.n, x0.size))
-    x = x0
-    for i in range(sched.n):
-        z = rng.standard_normal(x0.size)
-        x = math.sqrt(1.0 - sched.beta[i]) * x + math.sqrt(sched.beta[i]) * z
-        out[i] = x
-    return out
 
 
 def _as_denoiser(params, cache: list | None = None):
@@ -453,22 +438,24 @@ def sample_days(params, conditions: np.ndarray, day_ids, sched: Schedule, m: int
 
 
 CHECKPOINT_MAGIC = "scendiff-checkpoint"
-CHECKPOINT_VERSION = 2  # 2: the header carries the parameter block's SHA-256
+# 2: the header carries the parameter block's SHA-256; 3: and the zone's test days
+CHECKPOINT_VERSION = 3
 # header fields load_checkpoint relies on, with their JSON types
 _HEADER_TYPES = {
     "track": str, "zone": int, "sample_dim": int, "embed_dim": int, "cond_dim": int,
     "activation": str, "hidden": list, "n_params": int, "schedule": dict,
-    "scaler": (dict, type(None)), "sha256": str,
+    "scaler": (dict, type(None)), "test_days": list, "sha256": str,
 }
 
 
 def save_checkpoint(path: str | Path, params: nn.DenoiserParams, sched: Schedule,
-                    scaler: Scaler | None, track: str, zone: int) -> None:
+                    scaler: Scaler | None, track: str, zone: int, test_days) -> None:
     """Write a model file: one JSON header line, then the raw parameter block.
 
     The block is params.vector as little-endian float64 (layer-major, each
     row-major W then its b); the header's `sha256` is the hex digest of its
-    bytes.
+    bytes. `test_days`, the dates the model was not trained on, are stored
+    sorted as YYYY-MM-DD strings; generate samples exactly those days.
     """
     block = params.vector.astype("<f8").tobytes()
     header = {
@@ -484,6 +471,7 @@ def save_checkpoint(path: str | Path, params: nn.DenoiserParams, sched: Schedule
         "n_params": params.n_params,
         "schedule": sched.to_dict(),
         "scaler": scaler.to_dict() if scaler else None,
+        "test_days": sorted(d.isoformat() for d in test_days),
         "sha256": hashlib.sha256(block).hexdigest(),
     }
     with open(path, "wb") as f:
@@ -493,11 +481,14 @@ def save_checkpoint(path: str | Path, params: nn.DenoiserParams, sched: Schedule
 
 
 def load_checkpoint(path: str | Path):
-    """Read a model file; returns (params, schedule, scaler, header dict).
+    """Read a model file; returns (params, schedule, scaler, header dict),
+    the header's `test_days` parsed to dates.
 
     Raises ModelValidationError on a malformed header, another format
-    version, or a parameter block whose length disagrees with the declared
-    architecture or whose bytes disagree with the header's SHA-256.
+    version, a test day that is not a YYYY-MM-DD string or that repeats or
+    breaks the sorted order, or a parameter block whose length disagrees
+    with the declared architecture or whose bytes disagree with the
+    header's SHA-256.
     """
     raw = Path(path).read_bytes()
     nl = raw.find(b"\n")
@@ -539,6 +530,9 @@ def load_checkpoint(path: str | Path):
         params.validate()
         sched = Schedule.from_dict(header["schedule"])
         scaler = Scaler.from_dict(header["scaler"]) if header["scaler"] else None
+        header["test_days"] = [_iso_day(d) for d in header["test_days"]]
+        if sorted(set(header["test_days"])) != header["test_days"]:
+            raise ValueError("test_days must be sorted and distinct")
     except (KeyError, TypeError, ValueError, ScendiffError) as e:
         raise ModelValidationError(f"{path}: bad checkpoint: {type(e).__name__}: {e}") from None
     k, rest = divmod(header["cond_dim"], HOURS)

@@ -139,11 +139,6 @@ def quantile_score(scenarios: np.ndarray, y: np.ndarray,
     return float(loss.mean())
 
 
-def pinball(xq: float, y: float, q: float) -> float:
-    """Single pinball term: (y - xq) q if y >= xq else (xq - y)(1 - q)."""
-    return (y - xq) * q if y >= xq else (xq - y) * (1.0 - q)
-
-
 def reliability(scenario_list, obs_list, seed: int = 0):
     """Reliability curve over nominal levels 1..99% and its MAE-r.
 

@@ -87,7 +87,7 @@ def _nonfinite_layer(params: DenoiserParams, vec: np.ndarray) -> int | None:
     params.vector), or None when every entry is finite."""
     if np.all(np.isfinite(vec)):
         return None
-    return next(idx for idx, (w, b) in enumerate(vector_to_params(vec, params).layers)
+    return next(idx for idx, (w, b) in enumerate(replace(params, vector=vec).layers)
                 if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))))
 
 
@@ -207,7 +207,7 @@ def backward_batch(
     if grad_out.shape != (batch, params.sample_dim):
         raise DimensionError(f"grad_out shape {grad_out.shape} != ({batch}, {params.sample_dim})")
     grad = np.empty_like(params.vector)
-    grad_layers = vector_to_params(grad, params).layers
+    grad_layers = replace(params, vector=grad).layers
     g = grad_out
     for idx in range(len(params.layers) - 1, -1, -1):
         gw, gb = grad_layers[idx]
@@ -216,11 +216,6 @@ def backward_batch(
         if idx > 0:
             g = (g @ params.layers[idx][0]) * _act_grad(cache[idx - 1][1], params.activation)
     return grad
-
-
-def vector_to_params(vec: np.ndarray, template: DenoiserParams) -> DenoiserParams:
-    """Parameters with template's architecture whose layers are views into vec."""
-    return replace(template, vector=vec)
 
 
 @dataclass

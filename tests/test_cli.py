@@ -111,13 +111,14 @@ def test_generate_is_byte_deterministic(tmp_path):
 
 def test_generate_seeds_sample_days_with_seed_zone_and_track(tmp_path):
     """The scenario file holds exactly what sample_days draws from the
-    checkpoint for the sorted test days under entropy [seed, zone, track
+    checkpoint for its sorted test days under entropy [seed, zone, track
     index]; comparing two draws here needs no pinned hash."""
     scen_path, _ = _run_track(tmp_path, "sine_pv", "pv", seed=6)
-    params, sched, scaler, _ = dif.load_checkpoint(tmp_path / "out_pv" / "model_pv_z1.ckpt")
-    ds = dmod.split_random(dmod.load_csv(tmp_path / "pv.csv", "pv"),
-                           tuple(TINY["split"]["fractions"]), 6)
-    test = sorted(ds.subset(split="test", zone=1), key=lambda s: s.day_id)
+    params, sched, scaler, header = dif.load_checkpoint(
+        tmp_path / "out_pv" / "model_pv_z1.ckpt")
+    ds = dmod.load_csv(tmp_path / "pv.csv", "pv")
+    test = sorted((s for s in ds.samples if s.day_id in header["test_days"]),
+                  key=lambda s: s.day_id)
     conditions = np.stack([scaler.transform_cov(s.c) for s in test])
     sets = dif.sample_days(params, conditions, [s.day_id for s in test], sched,
                            TINY["m_scenarios"], [6, 1, dmod.TRACKS.index("pv")], scaler)
@@ -125,6 +126,35 @@ def test_generate_seeds_sample_days_with_seed_zone_and_track(tmp_path):
     assert sorted(scen) == [s.day_id for s in sets]
     for s in sets:
         assert np.array_equal(scen[s.day_id], s.scenarios)
+
+
+def test_generate_samples_the_checkpoints_test_days(tmp_path, capsys):
+    """generate takes its days from the checkpoint, never from a split of
+    its own: after `train --seed 7`, a generate seeded 0 and one with the
+    config's seed both sample and observe exactly the days train held out."""
+    data = tmp_path / "pv.csv"
+    assert main(["synth", "--profile", "sine_pv", "--days", "100", "--seed", "3",
+                 "--out", str(data)]) == 0
+    cfg = _write_config(tmp_path, "pv", data)
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg), "--seed", "7", "--out", str(out)]) == 0
+    split = json.loads((out / "manifest_pv.json").read_text())["split"]
+    manifest_test = sorted(date.fromisoformat(d) for d, s in split.items() if s == "test")
+    _, _, _, header = dif.load_checkpoint(out / "model_pv_z1.ckpt")
+    assert header["test_days"] == manifest_test and len(manifest_test) == 10
+    for seed in (["--seed", "0"], []):
+        assert main(["generate", "--config", str(cfg), "--out", str(out), *seed]) == 0
+        assert sorted(dif.read_scenarios(out / "scenarios_pv_z1.csv")) == manifest_test
+        assert sorted(dmod.read_observations(out / "observations_pv_z1.csv")) == manifest_test
+
+    # data that lack a recorded test day are refused, naming the day
+    lines = data.read_text().splitlines(keepends=True)
+    gone = manifest_test[3].isoformat()
+    data.write_text("".join(line for line in lines if not line.startswith(gone)))
+    capsys.readouterr()
+    assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 2
+    doc = _stderr_error(capsys)
+    assert doc["error"] == "ConfigError" and gone in doc["message"]
 
 
 def test_generate_m_override(tmp_path):
@@ -270,6 +300,24 @@ def test_exit_4_checkpoint_track_mismatch(tmp_path, capsys):
     assert rc == 4
     assert "scaler" in _stderr_error(capsys)["message"]
 
+    # a version 2 checkpoint records no test days; a test-day list must be a
+    # list of YYYY-MM-DD strings
+    old = json.loads(raw[:nl])
+    old["version"] = 2
+    del old["test_days"]
+    cases = [(old, "version 2, expected 3")]
+    for bad in ("2012-01-02", [1], ["2012-02-30"], ["2012-W01-1"]):
+        header = json.loads(raw[:nl])
+        header["test_days"] = bad
+        cases.append((header, "test_days" if bad == "2012-01-02" else "bad checkpoint"))
+    for header, message in cases:
+        ckpt.write_bytes(json.dumps(header).encode() + raw[nl:])
+        rc = main(["generate", "--config", str(tmp_path / "cfg_pv.json"), "--out",
+                   str(tmp_path / "op"), "--checkpoint", str(ckpt)])
+        assert rc == 4
+        doc = _stderr_error(capsys)
+        assert doc["error"] == "ModelValidationError" and message in doc["message"]
+
 
 def test_exit_2_os_errors(tmp_path, capsys):
     """A path the OS refuses is one JSON error line, never a traceback."""
@@ -397,6 +445,23 @@ def test_exit_2_bad_retailer_config(tmp_path, capsys):
     doc = _stderr_error(capsys)
     assert doc["error"] == "ParameterError"
     assert "soc_start" in doc["message"]
+
+
+def test_exit_2_value_names_more_than_one_load_zone(tmp_path, capsys):
+    """The benchmark has one load zone: a second scenario zone would be read
+    and ignored, and an observation zone other than the scenarios' would
+    leave no day to simulate."""
+    days = [date(2015, 2, 1), date(2015, 2, 2)]
+    args = _value_args(tmp_path, days, days)
+    load_scen = args[args.index("--scenarios-load") + 1]
+    load_obs = args.index("--obs-load") + 1
+    moved = args[:load_obs] + ["2=" + args[load_obs]] + args[load_obs + 1:]
+    for argv in (args + ["--scenarios-load", "2=" + load_scen], moved):
+        capsys.readouterr()
+        assert main(argv) == 2
+        doc = _stderr_error(capsys)
+        assert doc["error"] == "ConfigError" and "load zones [1, 2]" in doc["message"]
+        assert not (tmp_path / "ov" / "value_report.json").exists()
 
 
 def test_value_with_a_zero_capacity_battery(tmp_path, capsys):

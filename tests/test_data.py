@@ -1,6 +1,6 @@
 """Dataset loading, splitting, normalization, and synthetic generators."""
 import math
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from scendiff.errors import (
     ParseError,
     SchemaError,
 )
+from oracles import read_manifest
 
 
 def _mini_csv(path, rows, k=1):
@@ -50,17 +51,6 @@ def test_day_sample_rejects_non_finite():
     x[3] = np.nan
     with pytest.raises(IntegrityError):
         dmod.DaySample(date(2012, 1, 1), "pv", 1, x, np.zeros(24)).validate()
-
-
-def test_day_sample_unit_range_check_applies_to_pv_wind_only():
-    x = np.full(24, 1.5)
-    dmod.DaySample(date(2012, 1, 1), "load", 1, x, np.zeros(24)).validate(
-        check_unit_range=True
-    )
-    with pytest.raises(IntegrityError):
-        dmod.DaySample(date(2012, 1, 1), "wind", 1, x, np.zeros(24)).validate(
-            check_unit_range=True
-        )
 
 
 # ------------------------------------------------------------------ load_csv
@@ -243,13 +233,12 @@ def test_normalize_load_divides_by_learn_max():
     assert lo == 0.0 and hi == pytest.approx(1.2 * learn_x.max())
 
 
-def test_normalize_then_denormalize_round_trips():
+def test_normalize_then_inverse_target_round_trips():
     ds = dmod.generate_synthetic(20, 9, "bimodal_load")
     ds = dmod.split_random(ds, (0.7, 0.15, 0.15), seed=2)
-    back = dmod.denormalize(dmod.normalize(ds))
-    for s, o in zip(back.samples, ds.samples):
-        np.testing.assert_allclose(s.x, o.x, atol=1e-9)
-        np.testing.assert_allclose(s.c, o.c, atol=1e-9)
+    norm = dmod.normalize(ds)
+    for s, o in zip(norm.samples, ds.samples):
+        np.testing.assert_allclose(norm.scaler.inverse_target(s.x), o.x, atol=1e-9)
 
 
 def test_normalize_rejects_constant_covariate_channel():
@@ -343,6 +332,64 @@ def test_generate_synthetic_is_deterministic_and_validates_args():
         dmod.generate_synthetic(5, 0, "square_pv")
 
 
+def _reference_synthetic(n_days, seed, profile):
+    """(targets, covariates) by each profile's own formula, written out with
+    its constants, drawing from the generator in generate_synthetic's order."""
+    rng = np.random.default_rng(seed)
+    if profile == "sine_pv":
+        s = dmod._daylight_shape()
+        a = rng.uniform(0.3, 0.8, size=n_days)
+        e = dmod._ar1(rng, n_days, 0.8)
+        return np.clip(s[None, :] * (a[:, None] + 0.08 * e), 0.0, 1.0), a[:, None] * s[None, :]
+    if profile == "ramp_wind":
+        u = rng.uniform(4.0, 11.0, size=n_days)
+        w = u[:, None] + 1.5 * dmod._ar1(rng, n_days, 0.7)
+        e = dmod._ar1(rng, n_days, 0.6)
+        g = 1.0 / (1.0 + np.exp(-(w - 7.5) / 1.2))
+        return np.clip(g + 0.06 * e, 0.0, 1.0), w
+    days = [date(2012, 1, 1) + timedelta(days=i) for i in range(n_days)]
+    t = np.arange(24)
+    delta = 3.0 * rng.standard_normal(n_days)
+    theta = 10.0 + 8.0 * np.sin(np.pi * (t - 9) / 12)[None, :] + delta[:, None]
+    wkd = np.array([1.0 if d.weekday() >= 5 else 0.0 for d in days])
+    e = dmod._ar1(rng, n_days, 0.7)
+    mu = dmod._load_base_shape()[None, :] * (1.0 - 0.10 * wkd[:, None]) + 0.012 * (15.0 - theta)
+    x = 250.0 * np.maximum(0.0, mu + 0.04 * e)
+    return x, np.concatenate([theta, np.repeat(wkd[:, None], 24, axis=1)], axis=1)
+
+
+def _reference_conditional_mean(profile, c):
+    """The clipped-Gaussian mean of one day's target by each profile's formula."""
+    if profile == "sine_pv":
+        s = dmod._daylight_shape()
+        a = float(c.max())
+        return dmod._clipped_normal_mean(a * s, 0.08 * s, 0.0, 1.0)
+    if profile == "ramp_wind":
+        g = 1.0 / (1.0 + np.exp(-(c - 7.5) / 1.2))
+        return dmod._clipped_normal_mean(g, np.full(24, 0.06), 0.0, 1.0)
+    mu = dmod._load_base_shape() * (1.0 - 0.10 * c[24]) + 0.012 * (15.0 - c[:24])
+    return dmod._clipped_normal_mean(250.0 * mu, np.full(24, 250.0 * 0.04), 0.0, math.inf)
+
+
+def _bits(x):
+    return np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("profile", dmod.PROFILES)
+def test_synthetic_law_matches_each_profiles_formula(profile):
+    """generate_synthetic draws its targets through the law that
+    conditional_mean and conditional_scenarios read, with the same bits,
+    sign bits included, as each profile's own formula."""
+    for seed in (1, 7, 300):
+        ds = dmod.generate_synthetic(500, seed, profile)
+        x, c = _reference_synthetic(500, seed, profile)
+        np.testing.assert_array_equal(_bits(np.stack([s.x for s in ds.samples])), _bits(x))
+        np.testing.assert_array_equal(_bits(np.stack([s.c for s in ds.samples])), _bits(c))
+        for s in ds.samples[:40]:
+            np.testing.assert_array_equal(_bits(dmod.conditional_mean(profile, s.c)),
+                                          _bits(_reference_conditional_mean(profile, s.c)))
+
+
 def test_ar1_noise_has_unit_variance_and_target_autocorrelation():
     rng = np.random.default_rng(0)
     e = dmod._ar1(rng, 40000, 0.8)
@@ -384,6 +431,13 @@ def test_conditional_mean_matches_empirical_mean_of_scenarios(pv_dataset):
     np.testing.assert_allclose(scen.mean(axis=0), mu, atol=4e-3)
     night = s.c == 0.0
     assert np.all(scen[:, night] == 0.0)
+    # wind clipped to [0, 1] and load bounded at 0 and +inf, each at a
+    # tolerance of 1/20 of its noise sd as for pv (0.08 -> 4e-3)
+    for profile, atol in (("ramp_wind", 3e-3), ("bimodal_load", 0.5)):
+        c = dmod.generate_synthetic(1, 3, profile).samples[0].c
+        scen = dmod.conditional_scenarios(profile, c, m=60000, seed=3)
+        mu = dmod.conditional_mean(profile, c)
+        np.testing.assert_allclose(scen.mean(axis=0), mu, atol=atol)
 
 
 def test_conditional_scenarios_cover_all_profiles(wind_dataset):
@@ -412,7 +466,7 @@ def test_climatology_scenarios_resample_learn_days(pv_dataset):
 def test_manifest_round_trip(tmp_path, pv_normalized):
     p = tmp_path / "manifest.json"
     dmod.write_manifest(pv_normalized, p)
-    doc = dmod.read_manifest(p)
+    doc = read_manifest(p)
     assert doc["track"] == "pv"
     assert doc["n_days"] == 60
     assert doc["dropped"] == 0

@@ -27,6 +27,7 @@ from scendiff.errors import (
     ScheduleTooShortError,
     TrainingDivergenceError,
 )
+from oracles import chain_forward
 
 
 def _zero_denoiser(x, steps, c):
@@ -150,7 +151,7 @@ def test_chain_forward_marginals_match_closed_form():
     s = dif.make_schedule("cosine", n=30)
     n_draws = 6000
     x0 = np.full(n_draws, 0.7)
-    chain = dif.chain_forward(x0, s, np.random.default_rng(0))
+    chain = chain_forward(x0, s, np.random.default_rng(0))
     assert chain.shape == (30, n_draws)
     for i in (1, 15, 30):
         vals = chain[i - 1]
@@ -208,9 +209,9 @@ def test_training_loss_gradients_match_finite_differences():
         vp, vm = vec.copy(), vec.copy()
         vp[j] += h
         vm[j] -= h
-        lp, _ = dif.training_loss(nn.vector_to_params(vp, p), x0, c, s,
+        lp, _ = dif.training_loss(replace(p, vector=vp), x0, c, s,
                                   steps=steps, noise=noise, want_grads=False)
-        lm, _ = dif.training_loss(nn.vector_to_params(vm, p), x0, c, s,
+        lm, _ = dif.training_loss(replace(p, vector=vm), x0, c, s,
                                   steps=steps, noise=noise, want_grads=False)
         fd = (lp - lm) / (2 * h)
         assert abs(fd - gvec[j]) <= 1e-4 * max(abs(fd), abs(gvec[j]), 1e-8)
@@ -617,13 +618,19 @@ def test_scenario_set_validation():
 def test_checkpoint_round_trip_is_exact(tmp_path, tiny_model, tiny_schedule, pv_normalized):
     params, _ = tiny_model
     p = tmp_path / "model.ckpt"
-    dif.save_checkpoint(p, params, tiny_schedule, pv_normalized.scaler, "pv", 1)
+    test_days = pv_normalized.split_days("test")
+    dif.save_checkpoint(p, params, tiny_schedule, pv_normalized.scaler, "pv", 1,
+                        test_days[::-1])
     loaded, sched, scaler, header = dif.load_checkpoint(p)
     np.testing.assert_array_equal(loaded.vector, params.vector)
     assert loaded.activation == params.activation
     np.testing.assert_allclose(sched.beta, tiny_schedule.beta, rtol=1e-15)
     assert scaler.track == "pv" and scaler.learn_max == pv_normalized.scaler.learn_max
     assert header["track"] == "pv" and header["zone"] == 1
+    # the test days are stored sorted as YYYY-MM-DD strings and load as dates
+    assert json.loads(p.read_bytes().split(b"\n", 1)[0])["test_days"] == [
+        d.isoformat() for d in test_days]
+    assert header["test_days"] == test_days and len(test_days) > 1
 
     day = pv_normalized.samples[0]
     out, = dif.sample_days(loaded, day.c, [day.day_id], sched, m=3, seed=1, scaler=scaler)
@@ -635,7 +642,8 @@ def test_checkpoint_round_trip_is_exact(tmp_path, tiny_model, tiny_schedule, pv_
 def test_checkpoint_rejects_corruption(tmp_path, tiny_model, tiny_schedule, pv_normalized):
     params, _ = tiny_model
     p = tmp_path / "model.ckpt"
-    dif.save_checkpoint(p, params, tiny_schedule, None, "pv", 1)
+    dif.save_checkpoint(p, params, tiny_schedule, None, "pv", 1,
+                        [date(2012, 1, 2), date(2012, 1, 5)])
     raw = p.read_bytes()
 
     (tmp_path / "a.ckpt").write_bytes(raw.replace(b"scendiff-checkpoint", b"other-checkpoint"))
@@ -658,6 +666,12 @@ def test_checkpoint_rejects_corruption(tmp_path, tiny_model, tiny_schedule, pv_n
     header["version"] = 1
     (tmp_path / "v.ckpt").write_bytes(json.dumps(header).encode() + raw[nl:])
     with pytest.raises(ModelValidationError, match="version"):
+        dif.load_checkpoint(tmp_path / "v.ckpt")
+    # a version 2 file has no test days; the message names both versions
+    header["version"] = 2
+    del header["test_days"]
+    (tmp_path / "v.ckpt").write_bytes(json.dumps(header).encode() + raw[nl:])
+    with pytest.raises(ModelValidationError, match="version 2, expected 3"):
         dif.load_checkpoint(tmp_path / "v.ckpt")
 
     header = json.loads(raw[:nl])
@@ -690,8 +704,21 @@ def test_checkpoint_rejects_corruption(tmp_path, tiny_model, tiny_schedule, pv_n
     with pytest.raises(ModelValidationError, match="not a model checkpoint"):
         dif.load_checkpoint(with_header([json.loads(raw[:nl])]))
 
+    # test days: a list of distinct YYYY-MM-DD strings in order; Python 3.11's
+    # date.fromisoformat alone would take the basic and week-date forms
+    for bad, message in (("2012-01-02", "test_days"), ({"2012-01-02": 1}, "test_days"),
+                         ([20120102], "TypeError"), ([None], "TypeError"),
+                         (["2012-13-01"], "month"), (["20120102"], "YYYY-MM-DD"),
+                         (["2012-W01-1"], "YYYY-MM-DD"), ([" 2012-01-02"], "YYYY-MM-DD"),
+                         (["2012-1-2"], "YYYY-MM-DD"), (["2012-01-05", "2012-01-02"], "sorted"),
+                         (["2012-01-02", "2012-01-02"], "distinct")):
+        broken = json.loads(raw[:nl])
+        broken["test_days"] = bad
+        with pytest.raises(ModelValidationError, match=message):
+            dif.load_checkpoint(with_header(broken))
+
     # a scaler must carry one covariate offset and scale per cond_dim / 24 channel
-    dif.save_checkpoint(p, params, tiny_schedule, pv_normalized.scaler, "pv", 1)
+    dif.save_checkpoint(p, params, tiny_schedule, pv_normalized.scaler, "pv", 1, [])
     raw = p.read_bytes()
     nl = raw.find(b"\n")
     dif.load_checkpoint(p)

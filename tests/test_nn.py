@@ -1,5 +1,6 @@
 """MLP denoiser: shapes, embeddings, hand-derived gradients, optimizer."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,10 +27,10 @@ def _fd_check(params, x, i, c, g, n_probe, seed, h=1e-6):
     for j in idx:
         vp = vec.copy()
         vp[j] += h
-        sp, _ = _scalar_loss_and_grads(nn.vector_to_params(vp, params), x, i, c, g)
+        sp, _ = _scalar_loss_and_grads(replace(params, vector=vp), x, i, c, g)
         vm = vec.copy()
         vm[j] -= h
-        sm, _ = _scalar_loss_and_grads(nn.vector_to_params(vm, params), x, i, c, g)
+        sm, _ = _scalar_loss_and_grads(replace(params, vector=vm), x, i, c, g)
         fd = (sp - sm) / (2 * h)
         denom = max(abs(fd), abs(gvec[j]), 1e-8)
         worst = max(worst, abs(fd - gvec[j]) / denom)
@@ -263,7 +264,7 @@ def test_adam_step_is_functional_and_rejects_bad_grads():
     assert state.step == 0 and state2.step == 1
     assert not np.array_equal(p2.layers[0][0], w_before)
 
-    grad_layers = nn.vector_to_params(grads, p).layers  # views into grads
+    grad_layers = replace(p, vector=grads).layers  # views into grads
     grad_layers[1][0][...] = np.nan
     grad_layers[1][1][...] = 0.0
     with pytest.raises(TrainingDivergenceError, match="layer 1"):
@@ -303,7 +304,7 @@ def test_adam_step_bits_match_per_layer_reference():
     rng = np.random.default_rng(13)
     for t in range(1, 6):
         grads = rng.standard_normal(p.n_params) * 10.0 ** rng.integers(-3, 3)
-        per_layer = nn.vector_to_params(grads, p).layers
+        per_layer = replace(p, vector=grads).layers
         layers, m, v = _reference_adam_step(layers, m, v, per_layer, t, **hyper)
         p, state = nn.adam_step(state, p, grads)
     assert np.array_equal(p.vector, _flat(layers))
@@ -340,12 +341,12 @@ def test_params_vector_round_trip_and_ordering():
     assert vec.size == p.n_params
     assert vec[0] == p.layers[0][0][0, 0]  # row-major weights come first
     assert vec[p.layers[0][0].size] == p.layers[0][1][0]  # then that layer's bias
-    back = nn.vector_to_params(vec, p)
+    back = replace(p, vector=vec)
     for (w, b), (w2, b2) in zip(p.layers, back.layers):
         np.testing.assert_array_equal(w, w2)
         np.testing.assert_array_equal(b, b2)
     with pytest.raises(DimensionError):
-        nn.vector_to_params(vec[:-1], p)
+        replace(p, vector=vec[:-1])
 
 
 def test_layers_are_views_into_one_vector():
@@ -353,7 +354,7 @@ def test_layers_are_views_into_one_vector():
     for w, b in p.layers:
         assert np.shares_memory(w, p.vector) and np.shares_memory(b, p.vector)
     vec = np.arange(p.n_params, dtype=float)
-    q = nn.vector_to_params(vec, p)
+    q = replace(p, vector=vec)
     assert q.vector is vec  # no copy
     q.layers[1][1][0] = -1.0
     assert vec[-p.sample_dim] == -1.0  # the output bias is the vector's tail

@@ -31,6 +31,12 @@ CASES = {
     "empty": (lambda header, row: "", SchemaError),
     "bad_date": (lambda header, row: f"{header}\n{row.replace('2012-01-01', '2012-13-01')}\n",
                  ParseError),
+    # dates are YYYY-MM-DD only: Python 3.11's date.fromisoformat alone would
+    # also read the basic form and a week date (2012-W01-1 is 2012-01-02)
+    "basic_date": (lambda header, row: f"{header}\n{row.replace('2012-01-01', '20120101')}\n",
+                   ParseError),
+    "week_date": (lambda header, row: f"{header}\n{row.replace('2012-01-01', '2012-W01-1')}\n",
+                  ParseError),
     "short_row": (lambda header, row: f"{header}\n{row.rsplit(',', 1)[0]}\n", SchemaError),
     "non_numeric": (lambda header, row: f"{header}\n{row[:-3]}abc\n", ParseError),
     # numpy's C parser: `#` starts no comment, quotes are not stripped, and a
