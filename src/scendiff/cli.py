@@ -198,9 +198,8 @@ def cmd_generate(args) -> int:
             missing = sorted(set(day_ids) - {s.day_id for s in test})[0]
             raise ConfigError(f"{cfg['data']} lacks test day {missing} of zone {zone} "
                               f"recorded in {ckpt_path}")
-        conditions = np.stack([scaler.transform_cov(s.c) for s in test])
         seed = [cfg["seed"], zone, data_mod.TRACKS.index(cfg["track"])]
-        sets = diffusion.sample_days(params, conditions, day_ids, sched,
+        sets = diffusion.sample_days(params, np.stack([s.c for s in test]), day_ids, sched,
                                      cfg["m_scenarios"], seed, scaler=scaler)
         scen_path = out_dir / f"scenarios_{cfg['track']}_z{zone}.csv"
         diffusion.write_scenarios(sets, scen_path)
@@ -263,12 +262,11 @@ def cmd_value(args) -> int:
     ):
         s_paths = _parse_zone_paths(s_specs, f"scenarios-{track}")
         o_paths = _parse_zone_paths(o_specs, f"obs-{track}")
-        zone_lists[track] = sorted(s_paths)
-        if track == "load":
-            load_zones = sorted(s_paths.keys() | o_paths.keys())
-            if len(load_zones) > 1:
-                raise ConfigError("--scenarios-load and --obs-load together name load zones "
-                                  f"{load_zones}; the benchmark takes one")
+        # every zone either flag names is simulated: a missing file is a CoverageError
+        zone_lists[track] = sorted(s_paths.keys() | o_paths.keys())
+        if track == "load" and len(zone_lists[track]) > 1:
+            raise ConfigError("--scenarios-load and --obs-load together name load zones "
+                              f"{zone_lists[track]}; the benchmark takes one")
         scen[track] = {}
         obs[track] = {}
         for z, p in s_paths.items():
@@ -277,7 +275,7 @@ def cmd_value(args) -> int:
         for z, p in o_paths.items():
             for day, arr in data_mod.read_observations(p).items():
                 obs[track][(day, z)] = arr
-    load_zone = load_zones[0] if load_zones else 1
+    load_zone = zone_lists["load"][0] if zone_lists["load"] else 1
     days = sorted({d for (d, z) in obs["load"] if z == load_zone})
     retailer = value.RetailerModel.from_dict(cfg["retailer"])
     report = value.run_value_benchmark(

@@ -1,4 +1,4 @@
-"""Dataset ingestion, splitting, normalization, and synthetic-data generation.
+"""Dataset ingestion, splitting, scaling, and synthetic-data generation.
 
 The canonical CSV schema is one row per (day, hour, zone):
 
@@ -16,7 +16,7 @@ import math
 import os
 import re
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from datetime import date, timedelta
 from itertools import islice
 from pathlib import Path
@@ -105,12 +105,17 @@ class DaySample:
 
 @dataclass
 class Scaler:
-    """Per-track affine normalization, fitted on the learn split only.
+    """The one map between physical units and the network's space, fitted
+    on the learn split only.
 
-    Targets: pv/wind are kept as fractions of nominal (identity transform);
-    load is divided by the learn-split maximum. Covariates get a per-channel
-    min-max map. ``learn_max`` is retained as the physical base for load
-    clipping bounds and percent-unit reporting.
+    `to_model` maps target rows x to 2 (x s) - 1 with s = ``target_scale``:
+    1 for pv/wind, already fractions of nominal (clipped to [-1, 1]), and
+    1 / ``learn_max`` for load. The network needs that zero-centered space:
+    the forward chain ends in a standard Gaussian centered at zero, and
+    targets on one side of that center leave the sampler with a systematic
+    shrinkage bias toward zero. `to_physical` inverts the map, clips to
+    [0, 1] ([0, 1.2 learn_max] for load) and pins the ``target_fixed``
+    hours; `transform_cov` min-max scales each covariate channel.
 
     ``target_fixed`` records, in physical units, the hours whose target is
     constant across the whole learn split (NaN marks free hours). Generated
@@ -121,40 +126,31 @@ class Scaler:
     """
 
     track: str
-    target_offset: float
     target_scale: float
     learn_max: float
     cov_offset: np.ndarray
     cov_scale: np.ndarray
     target_fixed: np.ndarray | None = None
 
-    def transform_target(self, x: np.ndarray) -> np.ndarray:
-        return (x - self.target_offset) * self.target_scale
+    def to_model(self, x: np.ndarray) -> np.ndarray:
+        """Physical target rows (..., 24) in the network's space."""
+        z = 2.0 * (np.asarray(x, dtype=float) * self.target_scale) - 1.0
+        return z if self.track == "load" else np.clip(z, -1.0, 1.0)
 
-    def inverse_target(self, x: np.ndarray) -> np.ndarray:
-        return x / self.target_scale + self.target_offset
+    def to_physical(self, z: np.ndarray) -> np.ndarray:
+        """Network-space rows (..., 24) in physical units, clipped and pinned."""
+        hi = 1.2 * self.learn_max if self.track == "load" else 1.0
+        x = np.clip(0.5 * (np.asarray(z, dtype=float) + 1.0) / self.target_scale, 0.0, hi)
+        if self.target_fixed is not None:
+            fixed = ~np.isnan(self.target_fixed)
+            x[..., fixed] = self.target_fixed[fixed]
+        return x
 
     def transform_cov(self, c: np.ndarray) -> np.ndarray:
+        """Physical covariate rows (..., 24K) in the network's space."""
         k = self.cov_offset.size
-        out = (c.reshape(k, HOURS) - self.cov_offset[:, None]) * self.cov_scale[:, None]
-        return out.reshape(-1)
-
-    def physical_bounds(self) -> tuple[float, float]:
-        """Clipping range for generated scenarios, in physical units."""
-        if self.track == "load":
-            return 0.0, 1.2 * self.learn_max
-        return 0.0, 1.0
-
-    def pin_fixed(self, x: np.ndarray) -> np.ndarray:
-        """Overwrite learn-split-constant hours with their constants (rows =
-        scenarios, physical units). No-op when nothing is degenerate."""
-        if self.target_fixed is None:
-            return x
-        mask = ~np.isnan(self.target_fixed)
-        if mask.any():
-            x = np.array(x, dtype=float, copy=True)
-            x[..., mask] = self.target_fixed[mask]
-        return x
+        out = (c.reshape(*c.shape[:-1], k, HOURS) - self.cov_offset[:, None]) * self.cov_scale[:, None]
+        return out.reshape(c.shape)
 
     def to_dict(self) -> dict:
         fixed = None
@@ -162,7 +158,6 @@ class Scaler:
             fixed = [None if math.isnan(v) else v for v in self.target_fixed]
         return {
             "track": self.track,
-            "target_offset": self.target_offset,
             "target_scale": self.target_scale,
             "learn_max": self.learn_max,
             "cov_offset": self.cov_offset.tolist(),
@@ -177,7 +172,6 @@ class Scaler:
             fixed = np.array([math.nan if v is None else float(v) for v in fixed])
         return cls(
             track=d["track"],
-            target_offset=float(d["target_offset"]),
             target_scale=float(d["target_scale"]),
             learn_max=float(d["learn_max"]),
             cov_offset=np.asarray(d["cov_offset"], dtype=float),
@@ -188,15 +182,16 @@ class Scaler:
 
 @dataclass
 class Dataset:
-    """Ordered day samples with a split assignment and optional scaler."""
+    """Ordered day samples in physical units, a split (every day learn when
+    none is given; an empty one selects no day) and `normalize`'s Scaler."""
 
     samples: list[DaySample]
-    split: dict[date, str] = field(default_factory=dict)
+    split: dict[date, str] | None = None
     scaler: Scaler | None = None
     dropped: int = 0
 
     def __post_init__(self):
-        if self.samples and not self.split:
+        if self.split is None:
             self.split = {s.day_id: "learn" for s in self.samples}
 
     @property
@@ -528,9 +523,11 @@ def split_random(ds: Dataset, fractions: tuple[float, float, float], seed: int) 
 
 
 def normalize(ds: Dataset) -> Dataset:
-    """Fit the per-track scaler on the learn split and map every sample.
+    """Fit the track's Scaler on the learn split; the samples are not copied.
 
-    Raises DegenerateScaleError naming the zero-range feature.
+    Raises InsufficientDataError on an empty learn split,
+    DegenerateScaleError naming a zero-range feature, and IntegrityError
+    on a pv/wind target outside [0, 1] or a mapped value that is not finite.
     """
     learn = ds.subset(split="learn")
     if not learn:
@@ -563,25 +560,20 @@ def normalize(ds: Dataset) -> Dataset:
         cov_scale = 1.0 / (hi - lo)
     scaler = Scaler(
         track=ds.track,
-        target_offset=0.0,
         target_scale=target_scale,
         learn_max=learn_max,
         cov_offset=cov_offset,
         cov_scale=cov_scale,
         target_fixed=target_fixed,
     )
-    samples = []
     for s in ds.samples:
-        ns = replace(s, x=scaler.transform_target(s.x), c=scaler.transform_cov(s.c))
-        if ds.track in ("pv", "wind"):
-            if ns.x.min() < -1e-6 or ns.x.max() > 1 + 1e-6:
-                raise IntegrityError(
-                    f"{ds.track} day {s.day_id} zone {s.zone} outside [0, 1]"
-                )
-            ns.x = np.clip(ns.x, 0.0, 1.0)
-        ns.validate()
-        samples.append(ns)
-    return replace(ds, samples=samples, scaler=scaler)
+        s.validate()
+        if ds.track != "load" and (s.x.min() < -1e-6 or s.x.max() > 1 + 1e-6):
+            raise IntegrityError(f"{ds.track} day {s.day_id} zone {s.zone} outside [0, 1]")
+        if not (np.isfinite(scaler.to_model(s.x)).all()
+                and np.isfinite(scaler.transform_cov(s.c)).all()):
+            raise IntegrityError(f"non-finite values in day {s.day_id}")
+    return replace(ds, scaler=scaler)
 
 
 def _ar1(rng: np.random.Generator, n_days: int, rho: float) -> np.ndarray:
@@ -742,7 +734,8 @@ def write_report_json(doc: dict, path: str | Path) -> None:
 
 
 def write_observations(ds: Dataset, path: str | Path, split: str = "test", zone: int = 1) -> None:
-    """Write one `day,h0..h23` row per selected day, in the dataset's units."""
+    """Write one `day,h0..h23` row per selected day, in the dataset's
+    units, which `normalize` leaves physical."""
     sel = sorted(ds.subset(split=split, zone=zone), key=lambda s: s.day_id)
     _write_table(path, ["day"] + [f"h{h}" for h in range(HOURS)], ("%s",) + ("%.17g",) * HOURS,
                  ((s.day_id.isoformat(), *s.x.tolist()) for s in sel))

@@ -1,16 +1,11 @@
 """Variance schedules, forward noising, training loop, and reverse sampler.
 
-The model is a denoising diffusion process over normalized day profiles
-x in R^24: the forward chain adds Gaussian noise over n steps, the network
-predicts the injected noise, and ancestral sampling runs the chain backwards
-conditioned on the day's weather covariates.
-
-The network itself operates in a model space affinely shifted to [-1, 1]
-(z = 2x - 1 for normalized x): the terminal step of the forward chain is a
-standard Gaussian centered at zero, and training targets whose support sits
-entirely on one side of that center leave the sampler with a systematic
-shrinkage bias toward zero. train() applies the map; sample_days, the one
-sampler, inverts it and returns scenarios in physical units.
+The model is a denoising diffusion process over day profiles x in R^24:
+the forward chain adds Gaussian noise over n steps, the network predicts
+the injected noise, and ancestral sampling runs the chain backwards
+conditioned on the day's weather covariates. The network works in the space
+that data.Scaler maps to; train and sample_days, the one sampler, take and
+return physical units.
 """
 from __future__ import annotations
 
@@ -43,14 +38,6 @@ from .errors import (
 TERMINAL_ALPHA_BAR = 0.01
 
 
-def to_model_space(x: np.ndarray) -> np.ndarray:
-    """Map normalized units onto the network's zero-centered target space."""
-    return 2.0 * np.asarray(x, dtype=float) - 1.0
-
-
-def from_model_space(z: np.ndarray) -> np.ndarray:
-    """Inverse of to_model_space."""
-    return 0.5 * (np.asarray(z, dtype=float) + 1.0)
 SIGMA_MODES = ("beta", "posterior")
 
 
@@ -159,7 +146,7 @@ def make_schedule(
 
 @dataclass
 class ScenarioSet:
-    """M generated day profiles for one target day, plus the condition used."""
+    """M generated day profiles for one day and its covariates, in physical units."""
 
     day_id: date
     m: int
@@ -267,7 +254,7 @@ def train(ds, config: TrainConfig, sched: Schedule):
     if config.batch_size < 1:
         raise ParameterError(f"batch_size must be >= 1, got {config.batch_size}")
     x_learn, c_learn, _ = ds.arrays(split="learn", zone=config.zone)
-    x_learn = to_model_space(x_learn)
+    x_learn, c_learn = ds.scaler.to_model(x_learn), ds.scaler.transform_cov(c_learn)
     master = np.random.SeedSequence(config.seed)
     ss_init, ss_shuffle, ss_batch, ss_val = master.spawn(4)
     params = nn.init_params(
@@ -280,7 +267,7 @@ def train(ds, config: TrainConfig, sched: Schedule):
         return params, log
 
     x_val, c_val, _ = ds.arrays(split="validation", zone=config.zone)
-    x_val = to_model_space(x_val)
+    x_val, c_val = ds.scaler.to_model(x_val), ds.scaler.transform_cov(c_val)
     rng_val = np.random.default_rng(ss_val)
     val_steps = rng_val.integers(1, sched.n + 1, size=x_val.shape[0])
     val_noise = rng_val.standard_normal(x_val.shape)
@@ -410,9 +397,9 @@ def sample_days(params, conditions: np.ndarray, day_ids, sched: Schedule, m: int
                 scaler: Scaler) -> list[ScenarioSet]:
     """Scenario sets for many days in one batched pass, in physical units.
 
-    Row j of `conditions` (normalized covariates) is day_ids[j]'s weather.
-    The model's samples are denormalized by `scaler`, clipped to its
-    physical bounds, and carry its learn-split-constant hours pinned.
+    Row j of `conditions`, in physical units, is day_ids[j]'s weather and
+    becomes its set's `condition`. `scaler` maps the rows into the network's
+    space and the samples back out (see data.Scaler.to_physical).
     `seed` is SeedSequence entropy, an int or a list of ints: scenario k of
     day j draws from SeedSequence(seed).spawn(D)[j].spawn(m)[k] for D days,
     so a day's streams do not depend on the days after it.
@@ -424,10 +411,8 @@ def sample_days(params, conditions: np.ndarray, day_ids, sched: Schedule, m: int
         raise ParameterError("m must be >= 1")
     seqs = [s for day_seq in np.random.SeedSequence(seed).spawn(len(day_ids))
             for s in day_seq.spawn(m)]
-    c_rows = np.repeat(conditions, m, axis=0)
-    x = from_model_space(_reverse_engine(params, c_rows, sched, seqs, HOURS))
-    lo, hi = scaler.physical_bounds()
-    x = scaler.pin_fixed(np.clip(scaler.inverse_target(x), lo, hi))
+    c_rows = np.repeat(scaler.transform_cov(conditions), m, axis=0)
+    x = scaler.to_physical(_reverse_engine(params, c_rows, sched, seqs, HOURS))
     out = []
     for j, day_id in enumerate(day_ids):
         s = ScenarioSet(day_id=day_id, m=m, scenarios=x[j * m : (j + 1) * m],

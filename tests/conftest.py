@@ -19,7 +19,8 @@ def pv_dataset():
 
 
 @pytest.fixture(scope="session")
-def pv_normalized(pv_dataset):
+def pv_fitted(pv_dataset):
+    """pv_dataset with its Scaler fitted; the samples stay in raw units."""
     return dmod.normalize(pv_dataset)
 
 
@@ -36,7 +37,7 @@ def tiny_schedule():
 
 
 @pytest.fixture(scope="session")
-def tiny_model(pv_normalized, tiny_schedule):
+def tiny_model(pv_fitted, tiny_schedule):
     """A briefly trained denoiser for plumbing tests (not accuracy tests)."""
     cfg = dif.TrainConfig(
         epochs=8,
@@ -48,5 +49,5 @@ def tiny_model(pv_normalized, tiny_schedule):
         seed=3,
         zone=1,
     )
-    params, log = dif.train(pv_normalized, cfg, tiny_schedule)
+    params, log = dif.train(pv_fitted, cfg, tiny_schedule)
     return params, log

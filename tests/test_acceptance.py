@@ -164,9 +164,8 @@ def test_criterion_4_trained_sampler_beats_climatology():
     params, _ = dif.train(norm, cfg, sched)
 
     raw_by_day = {s.day_id: s for s in ds.samples if s.zone == 1}
-    norm_by_day = {s.day_id: s for s in norm.samples if s.zone == 1}
     test_days = sorted(norm.split_days("test"))
-    conds = np.stack([norm_by_day[d].c for d in test_days])
+    conds = np.stack([raw_by_day[d].c for d in test_days])
     obs = {d: raw_by_day[d].x for d in test_days}
 
     sets = dif.sample_days(params, conds, test_days, sched, m=100, seed=99,
@@ -406,9 +405,8 @@ def test_criterion_8_gefcom_wind_track():
                               embed_dim=32, seed=100 + z, zone=z)
         params, _ = dif.train(norm, cfg, sched)
         raw = sorted(ds.subset(split="test", zone=z), key=lambda s: s.day_id)
-        normed = {s.day_id: s for s in norm.subset(split="test", zone=z)}
         days = [s.day_id for s in raw]
-        conds = np.stack([normed[d].c for d in days])
+        conds = np.stack([s.c for s in raw])
         sets = dif.sample_days(params, conds, days, sched, m=100, seed=900 + z,
                                scaler=norm.scaler)
         for s_raw, s_gen in zip(raw, sets):

@@ -119,7 +119,7 @@ def test_generate_seeds_sample_days_with_seed_zone_and_track(tmp_path):
     ds = dmod.load_csv(tmp_path / "pv.csv", "pv")
     test = sorted((s for s in ds.samples if s.day_id in header["test_days"]),
                   key=lambda s: s.day_id)
-    conditions = np.stack([scaler.transform_cov(s.c) for s in test])
+    conditions = np.stack([s.c for s in test])
     sets = dif.sample_days(params, conditions, [s.day_id for s in test], sched,
                            TINY["m_scenarios"], [6, 1, dmod.TRACKS.index("pv")], scaler)
     scen = dif.read_scenarios(scen_path)
@@ -435,6 +435,21 @@ def test_exit_6_value_coverage(tmp_path, capsys):
     doc = _stderr_error(capsys)
     assert doc["error"] == "CoverageError"
     assert "2015-02-03" in doc["message"]
+
+
+def test_exit_6_value_observation_zone_without_scenarios(tmp_path, capsys):
+    """Every track simulates the zones either of its flags names: a pv or
+    wind observation zone with no scenarios is a coverage error, not a zone
+    silently left out of the report."""
+    days = [date(2015, 2, 1), date(2015, 2, 2)]
+    args = _value_args(tmp_path, days, days)
+    for track in ("pv", "wind"):
+        obs = args[args.index(f"--obs-{track}") + 1]
+        capsys.readouterr()
+        assert main(args + [f"--obs-{track}", "2=" + obs]) == 6
+        doc = _stderr_error(capsys)
+        assert doc["error"] == "CoverageError" and f"ddpm:{track}:2015-02-01:zone2" in doc["message"]
+        assert not (tmp_path / "ov" / "value_report.json").exists()
 
 
 def test_exit_2_bad_retailer_config(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Dataset loading, splitting, normalization, and synthetic generators."""
 import math
+from dataclasses import replace
 from datetime import date, timedelta
 
 import numpy as np
@@ -206,18 +207,36 @@ def test_split_random_rejects_bad_fractions_and_tiny_datasets():
         dmod.split_random(tiny, (1 / 3, 1 / 3, 1 / 3), seed=0)
 
 
+def test_empty_split_selects_no_days():
+    """Only a Dataset built with no split makes every day a learn day."""
+    ds = dmod.generate_synthetic(5, 0, "sine_pv")
+    assert ds.split_days("learn") == ds.days()
+    none = replace(ds, split={})
+    assert none.split == {} and none.subset(split="learn") == []
+    assert dmod.Dataset(samples=[], split=None).split == {}
+    with pytest.raises(InsufficientDataError):
+        dmod.normalize(none)
+
+
 # ----------------------------------------------------------------- normalize
 
 
-def test_normalize_pv_is_identity_on_targets(pv_dataset, pv_normalized):
-    orig = {(s.day_id, s.zone): s for s in pv_dataset.samples}
-    for s in pv_normalized.samples:
-        np.testing.assert_allclose(s.x, orig[(s.day_id, s.zone)].x, atol=1e-12)
-    assert pv_normalized.scaler.physical_bounds() == (0.0, 1.0)
+def test_normalize_pv_is_identity_on_targets(pv_dataset, pv_fitted):
+    """normalize fits the scaler and leaves the samples alone; pv targets
+    map to 2x - 1 and come back clipped to [0, 1]."""
+    assert pv_fitted.samples is pv_dataset.samples
+    assert pv_fitted.split == pv_dataset.split
+    sc = pv_fitted.scaler
+    x = np.stack([s.x for s in pv_dataset.samples])
+    np.testing.assert_array_equal(sc.to_model(x), 2.0 * x - 1.0)
+    free = np.isnan(sc.target_fixed)
+    assert np.all(sc.to_physical(np.full((2, 24), 5.0))[:, free] == 1.0)
+    assert np.all(sc.to_physical(np.full((2, 24), -5.0))[:, free] == 0.0)
 
 
-def test_normalize_covariates_land_in_unit_interval(pv_normalized):
-    learn_c = np.stack([s.c for s in pv_normalized.subset(split="learn")])
+def test_normalize_covariates_land_in_unit_interval(pv_fitted):
+    learn_c = pv_fitted.scaler.transform_cov(
+        np.stack([s.c for s in pv_fitted.subset(split="learn")]))
     assert learn_c.min() >= -1e-12 and learn_c.max() <= 1 + 1e-12
 
 
@@ -227,18 +246,18 @@ def test_normalize_load_divides_by_learn_max():
     norm = dmod.normalize(ds)
     learn_x = np.stack([s.x for s in ds.subset(split="learn")])
     assert norm.scaler.learn_max == pytest.approx(learn_x.max())
-    nx = np.stack([s.x for s in norm.subset(split="learn")])
-    assert nx.max() == pytest.approx(1.0)
-    lo, hi = norm.scaler.physical_bounds()
-    assert lo == 0.0 and hi == pytest.approx(1.2 * learn_x.max())
+    assert norm.scaler.to_model(learn_x).max() == pytest.approx(1.0)
+    assert np.all(norm.scaler.to_physical(np.full((1, 24), -5.0)) == 0.0)
+    hi = norm.scaler.to_physical(np.full((1, 24), 5.0))
+    np.testing.assert_allclose(hi, 1.2 * learn_x.max(), rtol=1e-15)
 
 
 def test_normalize_then_inverse_target_round_trips():
     ds = dmod.generate_synthetic(20, 9, "bimodal_load")
     ds = dmod.split_random(ds, (0.7, 0.15, 0.15), seed=2)
-    norm = dmod.normalize(ds)
-    for s, o in zip(norm.samples, ds.samples):
-        np.testing.assert_allclose(norm.scaler.inverse_target(s.x), o.x, atol=1e-9)
+    sc = dmod.normalize(ds).scaler
+    for s in ds.samples:
+        np.testing.assert_allclose(sc.to_physical(sc.to_model(s.x)), s.x, atol=1e-9)
 
 
 def test_normalize_rejects_constant_covariate_channel():
@@ -256,6 +275,22 @@ def test_normalize_rejects_out_of_range_pv():
         dmod.normalize(ds)
 
 
+def test_normalize_rejects_non_finite_mapped_values():
+    """A raw NaN target, or a covariate whose map overflows, is refused."""
+    ds = dmod.generate_synthetic(12, 4, "sine_pv")
+    ds.samples[0].x = ds.samples[0].x.copy()
+    ds.samples[0].x[12] = np.nan
+    with pytest.raises(IntegrityError, match="non-finite"):
+        dmod.normalize(ds)
+    ds = dmod.generate_synthetic(12, 4, "bimodal_load")
+    ds.samples[3].c = ds.samples[3].c.copy()
+    ds.samples[3].c[:24] = 1e308  # the learn range overflows, so the map is 0 * inf
+    ds.samples[5].c = ds.samples[5].c.copy()
+    ds.samples[5].c[:24] = -1e308
+    with np.errstate(all="ignore"), pytest.raises(IntegrityError, match="non-finite"):
+        dmod.normalize(ds)
+
+
 def test_normalize_requires_learn_split():
     ds = dmod.generate_synthetic(5, 0, "sine_pv")
     ds.split = {d: "test" for d in ds.days()}
@@ -263,14 +298,54 @@ def test_normalize_requires_learn_split():
         dmod.normalize(ds)
 
 
-def test_scaler_dict_round_trip(pv_normalized):
-    sc = pv_normalized.scaler
+def test_scaler_dict_round_trip(pv_fitted):
+    sc = pv_fitted.scaler
     back = dmod.Scaler.from_dict(sc.to_dict())
     assert back.track == sc.track
     assert back.target_scale == sc.target_scale
     np.testing.assert_array_equal(back.cov_offset, sc.cov_offset)
     x = np.linspace(0, 1, 24)
-    np.testing.assert_allclose(back.inverse_target(back.transform_target(x)), x)
+    free = np.isnan(sc.target_fixed)
+    np.testing.assert_allclose(back.to_physical(back.to_model(x))[free], x[free])
+
+
+def _composed_to_model(sc, x):
+    """The target map as normalize, then train's model-space map, wrote it
+    before Scaler owned it: clip((x - 0) s, 0, 1) for pv/wind, then 2 y - 1."""
+    y = (x - 0.0) * sc.target_scale
+    if sc.track != "load":
+        y = np.clip(y, 0.0, 1.0)
+    return 2.0 * y - 1.0
+
+
+def _composed_to_physical(sc, z):
+    """The inverse as sample_days composed it before Scaler owned it: out of
+    model space, divided by the scale, offset 0 added, clipped, pinned."""
+    hi = 1.2 * sc.learn_max if sc.track == "load" else 1.0
+    x = np.clip(0.5 * (z + 1.0) / sc.target_scale + 0.0, 0.0, hi)
+    fixed = ~np.isnan(sc.target_fixed)
+    x[..., fixed] = sc.target_fixed[fixed]
+    return x
+
+
+@pytest.mark.parametrize("profile", ["sine_pv", "ramp_wind", "bimodal_load"])
+def test_scaler_map_keeps_the_composed_bits(profile):
+    """to_model and to_physical give the values and sign bits of the chain
+    of calls they replace, out-of-range values and signed zeros included."""
+    ds = dmod.split_random(dmod.generate_synthetic(40, 8, profile), (0.7, 0.15, 0.15), seed=3)
+    sc = dmod.normalize(ds).scaler
+    rng = np.random.default_rng(5)
+    top = sc.learn_max if sc.track == "load" else 1.0
+    x = np.concatenate([rng.uniform(-0.5 * top, 1.5 * top, (50, 24)),
+                        np.stack([s.x for s in ds.samples])])
+    z = np.concatenate([rng.uniform(-1.5, 1.5, (50, 24)), sc.to_model(x)])
+    for rows in (x, z):
+        rows[:3, ::3] = [[0.0], [-0.0], [-1.0]]
+        rows[3:5, 1::3] = [[1.0], [-1e-300]]
+    for got, want in ((sc.to_model(x), _composed_to_model(sc, x)),
+                      (sc.to_physical(z), _composed_to_physical(sc, z))):
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 # ------------------------------------------------------- synthetic generators
@@ -463,15 +538,15 @@ def test_climatology_scenarios_resample_learn_days(pv_dataset):
 # ----------------------------------------------------------------- round-trips
 
 
-def test_manifest_round_trip(tmp_path, pv_normalized):
+def test_manifest_round_trip(tmp_path, pv_fitted):
     p = tmp_path / "manifest.json"
-    dmod.write_manifest(pv_normalized, p)
+    dmod.write_manifest(pv_fitted, p)
     doc = read_manifest(p)
     assert doc["track"] == "pv"
     assert doc["n_days"] == 60
     assert doc["dropped"] == 0
-    assert doc["split"] == pv_normalized.split
-    assert doc["scaler"].learn_max == pv_normalized.scaler.learn_max
+    assert doc["split"] == pv_fitted.split
+    assert doc["scaler"].learn_max == pv_fitted.scaler.learn_max
 
 
 def test_observations_round_trip(tmp_path, pv_dataset):
@@ -499,10 +574,10 @@ def test_read_observations_rejects_bad_header_and_duplicates(tmp_path):
 # ------------------------------------------------------------- degenerate hours
 
 
-def test_normalize_records_learn_constant_hours(pv_normalized):
+def test_normalize_records_learn_constant_hours(pv_fitted):
     """Hours whose target never varies on the learn split (the night hours of
     this track) are recorded so samplers can reproduce the point mass."""
-    fixed = pv_normalized.scaler.target_fixed
+    fixed = pv_fitted.scaler.target_fixed
     assert fixed is not None and fixed.shape == (24,)
     shape = dmod._daylight_shape()
     assert np.all(fixed[shape == 0.0] == 0.0)
@@ -510,8 +585,8 @@ def test_normalize_records_learn_constant_hours(pv_normalized):
 
 
 def _plain_scaler(track="pv", target_fixed=None):
-    return dmod.Scaler(track=track, target_offset=0.0, target_scale=1.0,
-                       learn_max=1.0, cov_offset=np.zeros(24),
+    return dmod.Scaler(track=track, target_scale=1.0,
+                       learn_max=10.0, cov_offset=np.zeros(24),
                        cov_scale=np.ones(24), target_fixed=target_fixed)
 
 
@@ -521,7 +596,7 @@ def test_pin_fixed_overwrites_only_recorded_hours():
     fixed[20] = 7.5
     scaler = _plain_scaler("load", fixed)
     x = np.random.default_rng(0).uniform(1, 2, (5, 24))
-    pinned = scaler.pin_fixed(x)
+    pinned = scaler.to_physical(scaler.to_model(x))
     assert np.all(pinned[:, 3] == 0.0)
     assert np.all(pinned[:, 20] == 7.5)
     keep = [t for t in range(24) if t not in (3, 20)]
@@ -530,8 +605,8 @@ def test_pin_fixed_overwrites_only_recorded_hours():
 
 def test_pin_fixed_without_record_is_identity():
     scaler = _plain_scaler()
-    x = np.arange(24.0)[None, :]
-    assert scaler.pin_fixed(x) is x
+    x = np.arange(24.0)[None, :] / 32  # dyadic, so 2x - 1 and back are exact
+    np.testing.assert_array_equal(scaler.to_physical(scaler.to_model(x)), x)
 
 
 def test_scaler_dict_round_trip_keeps_fixed_hours():

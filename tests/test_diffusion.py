@@ -246,7 +246,7 @@ def test_training_loss_uniform_step_coverage():
 # -------------------------------------------------------------------- train
 
 
-def test_train_is_deterministic_and_logs_losses(pv_normalized, tiny_schedule, tiny_model):
+def test_train_is_deterministic_and_logs_losses(pv_fitted, tiny_schedule, tiny_model):
     params, log = tiny_model
     assert len(log) == 8
     assert [e["epoch"] for e in log] == list(range(1, 9))
@@ -255,15 +255,15 @@ def test_train_is_deterministic_and_logs_losses(pv_normalized, tiny_schedule, ti
     assert log[-1]["learn_loss"] < log[0]["learn_loss"]
 
     cfg = dif.TrainConfig(epochs=2, batch_size=16, hidden=(16,), embed_dim=4, seed=3)
-    a, la = dif.train(pv_normalized, cfg, tiny_schedule)
-    b, lb = dif.train(pv_normalized, cfg, tiny_schedule)
+    a, la = dif.train(pv_fitted, cfg, tiny_schedule)
+    b, lb = dif.train(pv_fitted, cfg, tiny_schedule)
     np.testing.assert_array_equal(a.vector, b.vector)
     assert la == lb
 
 
-def test_train_zero_epochs_returns_init(pv_normalized, tiny_schedule):
+def test_train_zero_epochs_returns_init(pv_fitted, tiny_schedule):
     cfg = dif.TrainConfig(epochs=0, hidden=(8,), embed_dim=4, seed=1)
-    params, log = dif.train(pv_normalized, cfg, tiny_schedule)
+    params, log = dif.train(pv_fitted, cfg, tiny_schedule)
     assert log == []
     params.validate()
 
@@ -284,18 +284,18 @@ def test_train_requires_scaler_and_validation_split(pv_dataset, tiny_schedule):
                   tiny_schedule)
 
 
-def test_train_divergence_reports_epoch(pv_normalized, tiny_schedule):
+def test_train_divergence_reports_epoch(pv_fitted, tiny_schedule):
     cfg = dif.TrainConfig(epochs=3, batch_size=16, lr=1e160, hidden=(8,), embed_dim=4, seed=0)
     with np.errstate(all="ignore"), pytest.raises(TrainingDivergenceError, match="epoch"):
-        dif.train(pv_normalized, cfg, tiny_schedule)
+        dif.train(pv_fitted, cfg, tiny_schedule)
 
 
-def test_train_validation_divergence_reports_epoch(pv_normalized, tiny_schedule):
+def test_train_validation_divergence_reports_epoch(pv_fitted, tiny_schedule):
     """A validation day whose covariate overflows the network fails the epoch."""
-    samples = list(pv_normalized.samples)
-    j = next(j for j, s in enumerate(samples) if pv_normalized.split[s.day_id] == "validation")
+    samples = list(pv_fitted.samples)
+    j = next(j for j, s in enumerate(samples) if pv_fitted.split[s.day_id] == "validation")
     samples[j] = replace(samples[j], c=np.full_like(samples[j].c, 1e300))
-    ds = replace(pv_normalized, samples=samples)
+    ds = replace(pv_fitted, samples=samples)
     cfg = dif.TrainConfig(epochs=2, batch_size=16, hidden=(8,), embed_dim=4, seed=0)
     with np.errstate(all="ignore"), pytest.raises(TrainingDivergenceError,
                                                   match="^epoch 1: non-finite loss$"):
@@ -540,41 +540,40 @@ def test_reverse_sampler_matches_analytic_gaussian_law():
     assert abs(m_star - mu0) < 2 * s.alpha_bar[-1] ** 0.5 * abs(mu0) + 1e-6
 
 
-def test_sample_days_applies_scaler_and_clipping(tiny_model, tiny_schedule, pv_normalized):
+def test_sample_days_applies_scaler_and_clipping(tiny_model, tiny_schedule, pv_fitted):
     params, _ = tiny_model
-    sample = pv_normalized.subset(split="test", zone=1)[0]
+    scaler = pv_fitted.scaler
+    sample = pv_fitted.subset(split="test", zone=1)[0]
     out, = dif.sample_days(params, sample.c, [sample.day_id], tiny_schedule, m=16, seed=3,
-                           scaler=pv_normalized.scaler)
+                           scaler=scaler)
     out.validate()
     assert out.day_id == sample.day_id
     assert out.scenarios.shape == (16, 24)
     assert out.scenarios.min() >= 0.0 and out.scenarios.max() <= 1.0
-    # the same streams straight from the engine stray below zero unclipped
+    # the same streams straight from the engine stray below -1, that is
+    # below zero, unclipped
     seqs = np.random.SeedSequence(3).spawn(1)[0].spawn(16)
-    raw = dif._reverse_engine(params, np.repeat(sample.c[None], 16, axis=0),
+    raw = dif._reverse_engine(params, np.repeat(scaler.transform_cov(sample.c)[None], 16, axis=0),
                               tiny_schedule, seqs, l=24)
-    assert dif.from_model_space(raw).min() < 0.0
+    assert raw.min() < -1.0
 
 
-def test_sample_days_matches_standalone_calls(tiny_model, tiny_schedule, pv_normalized):
-    """Day j of a D-day call is the engine's output on the grandchild
-    streams SeedSequence(seed).spawn(D)[j].spawn(m), mapped out of model
-    space, denormalized, clipped and pinned; a day's set does not depend on
-    the days after it."""
+def test_sample_days_matches_standalone_calls(tiny_model, tiny_schedule, pv_fitted):
+    """Day j of a D-day call is the engine's output, on the day's scaled
+    covariates and the grandchild streams SeedSequence(seed).spawn(D)[j]
+    .spawn(m), mapped to physical units by the scaler; the set keeps the
+    raw covariates, and a day's set does not depend on the days after it."""
     params, _ = tiny_model
-    scaler = pv_normalized.scaler
-    x, c, days = pv_normalized.arrays(split="test", zone=1)
+    scaler = pv_fitted.scaler
+    x, c, days = pv_fitted.arrays(split="test", zone=1)
     sets = dif.sample_days(params, c[:3], days[:3], tiny_schedule, m=4, seed=11,
                            scaler=scaler)
     assert [s.day_id for s in sets] == list(days[:3])
-    lo, hi = scaler.physical_bounds()
     for j, s in enumerate(sets):
         seqs = np.random.SeedSequence(11).spawn(3)[j].spawn(4)
-        raw = dif._reverse_engine(params, np.repeat(c[j : j + 1], 4, axis=0),
+        raw = dif._reverse_engine(params, np.repeat(scaler.transform_cov(c[j : j + 1]), 4, axis=0),
                                   tiny_schedule, seqs, l=24)
-        want = scaler.pin_fixed(np.clip(scaler.inverse_target(dif.from_model_space(raw)),
-                                        lo, hi))
-        np.testing.assert_array_equal(s.scenarios, want)
+        np.testing.assert_array_equal(s.scenarios, scaler.to_physical(raw))
         np.testing.assert_array_equal(s.condition, c[j])
     first_two = dif.sample_days(params, c[:2], days[:2], tiny_schedule, m=4, seed=11,
                                 scaler=scaler)
@@ -585,6 +584,24 @@ def test_sample_days_matches_standalone_calls(tiny_model, tiny_schedule, pv_norm
         dif.sample_days(params, c[:3], days[:2], tiny_schedule, m=2, seed=0, scaler=scaler)
     with pytest.raises(ParameterError):
         dif.sample_days(params, c[:1], days[:1], tiny_schedule, m=0, seed=7, scaler=scaler)
+
+
+def test_sample_days_scales_the_covariates_once(tiny_schedule, pv_fitted):
+    """The engine sees each day's raw covariate row through
+    scaler.transform_cov exactly once, repeated m times."""
+    scaler = pv_fitted.scaler
+    _, c, days = pv_fitted.arrays(split="test", zone=1)
+    seen = []
+
+    def recording(x, steps, cond):
+        seen.append(cond.copy())
+        return np.zeros_like(x)
+
+    dif.sample_days(recording, c[:3], days[:3], tiny_schedule, m=5, seed=2, scaler=scaler)
+    want = np.repeat(scaler.transform_cov(c[:3]), 5, axis=0)
+    assert len(seen) == tiny_schedule.n
+    for cond in seen:
+        np.testing.assert_array_equal(cond, want)
 
 
 def test_sampling_divergence_is_reported_with_step():
@@ -615,31 +632,44 @@ def test_scenario_set_validation():
 # ----------------------------------------------------------------- checkpoint
 
 
-def test_checkpoint_round_trip_is_exact(tmp_path, tiny_model, tiny_schedule, pv_normalized):
+def test_checkpoint_round_trip_is_exact(tmp_path, tiny_model, tiny_schedule, pv_fitted):
     params, _ = tiny_model
     p = tmp_path / "model.ckpt"
-    test_days = pv_normalized.split_days("test")
-    dif.save_checkpoint(p, params, tiny_schedule, pv_normalized.scaler, "pv", 1,
+    test_days = pv_fitted.split_days("test")
+    dif.save_checkpoint(p, params, tiny_schedule, pv_fitted.scaler, "pv", 1,
                         test_days[::-1])
     loaded, sched, scaler, header = dif.load_checkpoint(p)
     np.testing.assert_array_equal(loaded.vector, params.vector)
     assert loaded.activation == params.activation
     np.testing.assert_allclose(sched.beta, tiny_schedule.beta, rtol=1e-15)
-    assert scaler.track == "pv" and scaler.learn_max == pv_normalized.scaler.learn_max
+    assert scaler.track == "pv" and scaler.learn_max == pv_fitted.scaler.learn_max
     assert header["track"] == "pv" and header["zone"] == 1
     # the test days are stored sorted as YYYY-MM-DD strings and load as dates
     assert json.loads(p.read_bytes().split(b"\n", 1)[0])["test_days"] == [
         d.isoformat() for d in test_days]
     assert header["test_days"] == test_days and len(test_days) > 1
 
-    day = pv_normalized.samples[0]
+    day = pv_fitted.samples[0]
     out, = dif.sample_days(loaded, day.c, [day.day_id], sched, m=3, seed=1, scaler=scaler)
     want, = dif.sample_days(params, day.c, [day.day_id], tiny_schedule, m=3, seed=1,
-                            scaler=pv_normalized.scaler)
+                            scaler=pv_fitted.scaler)
     np.testing.assert_array_equal(out.scenarios, want.scenarios)
 
+    # files written before the scaler lost its always-zero target_offset
+    # carry the key; it is ignored and the scenarios are the same
+    raw = p.read_bytes()
+    nl = raw.find(b"\n")
+    header = json.loads(raw[:nl])
+    assert "target_offset" not in header["scaler"]
+    header["scaler"]["target_offset"] = 0.0
+    with_offset = tmp_path / "offset.ckpt"
+    with_offset.write_bytes(json.dumps(header).encode() + raw[nl:])
+    loaded, sched, scaler, _ = dif.load_checkpoint(with_offset)
+    again, = dif.sample_days(loaded, day.c, [day.day_id], sched, m=3, seed=1, scaler=scaler)
+    np.testing.assert_array_equal(again.scenarios, want.scenarios)
 
-def test_checkpoint_rejects_corruption(tmp_path, tiny_model, tiny_schedule, pv_normalized):
+
+def test_checkpoint_rejects_corruption(tmp_path, tiny_model, tiny_schedule, pv_fitted):
     params, _ = tiny_model
     p = tmp_path / "model.ckpt"
     dif.save_checkpoint(p, params, tiny_schedule, None, "pv", 1,
@@ -718,7 +748,7 @@ def test_checkpoint_rejects_corruption(tmp_path, tiny_model, tiny_schedule, pv_n
             dif.load_checkpoint(with_header(broken))
 
     # a scaler must carry one covariate offset and scale per cond_dim / 24 channel
-    dif.save_checkpoint(p, params, tiny_schedule, pv_normalized.scaler, "pv", 1, [])
+    dif.save_checkpoint(p, params, tiny_schedule, pv_fitted.scaler, "pv", 1, [])
     raw = p.read_bytes()
     nl = raw.find(b"\n")
     dif.load_checkpoint(p)
@@ -763,23 +793,14 @@ def test_read_scenarios_rejects_bad_numbering_and_header(tmp_path):
         dif.read_scenarios(p)
 
 
-def test_model_space_round_trip():
-    x = np.linspace(-0.2, 1.2, 24)
-    np.testing.assert_allclose(dif.from_model_space(dif.to_model_space(x)), x,
-                               atol=1e-15)
-    assert dif.to_model_space(0.5) == 0.0
-    assert dif.from_model_space(0.0) == 0.5
-
-
-def test_reverse_sample_is_mapped_raw_chain(tiny_schedule, pv_normalized):
-    """sample_days maps the engine's model-space draws back to normalized
-    units before denormalizing: on every hour the clip and the pins leave
-    alone, the scenario is inverse_target(from_model_space(raw)). The
-    denoiser is the exact posterior mean for x0 ~ N(0, 0.3^2) in model
-    space, so the draws sit near its center and most hours fall inside
-    the clip."""
-    scaler = pv_normalized.scaler
-    sample = pv_normalized.samples[0]
+def test_reverse_sample_is_mapped_raw_chain(tiny_schedule, pv_fitted):
+    """sample_days maps the engine's model-space draws back to physical
+    units: on every hour the clip and the pins leave alone, the scenario is
+    0.5 (raw + 1) / target_scale. The denoiser is the exact posterior mean
+    for x0 ~ N(0, 0.3^2) in model space, so the draws sit near its center
+    and most hours fall inside the clip."""
+    scaler = pv_fitted.scaler
+    sample = pv_fitted.samples[0]
     abar_all = tiny_schedule.alpha_bar
 
     def oracle(x, steps, c):
@@ -791,23 +812,22 @@ def test_reverse_sample_is_mapped_raw_chain(tiny_schedule, pv_normalized):
                               tiny_schedule, seqs, l=24)
     out, = dif.sample_days(oracle, sample.c, [sample.day_id], tiny_schedule, m=5,
                            seed=21, scaler=scaler)
-    mapped = scaler.inverse_target(dif.from_model_space(raw))
-    lo, hi = scaler.physical_bounds()
-    free = (mapped >= lo) & (mapped <= hi) & np.isnan(scaler.target_fixed)
+    mapped = 0.5 * (raw + 1.0) / scaler.target_scale
+    free = (mapped >= 0.0) & (mapped <= 1.0) & np.isnan(scaler.target_fixed)
     assert free.sum() > 25
     np.testing.assert_array_equal(out.scenarios[free], mapped[free])
     # the unmapped raw draws are not what comes out
-    assert not np.array_equal(out.scenarios[free], scaler.inverse_target(raw)[free])
+    assert not np.array_equal(out.scenarios[free], raw[free])
 
 
-def test_sampler_pins_learn_constant_hours(tiny_model, tiny_schedule, pv_normalized):
+def test_sampler_pins_learn_constant_hours(tiny_model, tiny_schedule, pv_fitted):
     """Night hours are constant on the learn split, so every generated
     scenario must carry them exactly, whatever the network produces."""
     params, _ = tiny_model
-    sample = pv_normalized.samples[0]
+    sample = pv_fitted.samples[0]
     out, = dif.sample_days(params, sample.c, [sample.day_id], tiny_schedule, m=12, seed=9,
-                           scaler=pv_normalized.scaler)
-    fixed = pv_normalized.scaler.target_fixed
+                           scaler=pv_fitted.scaler)
+    fixed = pv_fitted.scaler.target_fixed
     night = ~np.isnan(fixed)
     assert night.sum() == 13
     assert np.all(out.scenarios[:, night] == fixed[night])
