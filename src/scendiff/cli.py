@@ -122,12 +122,6 @@ def _load_dataset(cfg: dict) -> data_mod.Dataset:
     return data_mod.load_csv(cfg["data"], cfg["track"])
 
 
-def _schedule_from(cfg: dict) -> diffusion.Schedule:
-    s = cfg["schedule"]
-    return diffusion.make_schedule(kind=s["kind"], n=s["n"], beta_start=s["beta_start"],
-                                   beta_end=s["beta_end"], sigma_mode=s["sigma_mode"])
-
-
 def _checkpoint_path(out_dir: Path, track: str, zone: int) -> Path:
     return out_dir / f"model_{track}_z{zone}.ckpt"
 
@@ -145,17 +139,11 @@ def cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     ds = data_mod.split_random(_load_dataset(cfg), tuple(cfg["split"]["fractions"]), cfg["seed"])
     ds = data_mod.normalize(ds)
-    sched = _schedule_from(cfg)
+    sched = diffusion.make_schedule(**cfg["schedule"])
     data_mod.write_manifest(ds, out_dir / f"manifest_{cfg['track']}.json")
     print(out_dir / f"manifest_{cfg['track']}.json")
     for zone in cfg["zones"]:
-        tc = diffusion.TrainConfig(
-            epochs=cfg["optimizer"]["epochs"], batch_size=cfg["optimizer"]["batch_size"],
-            lr=cfg["optimizer"]["lr"], beta1=cfg["optimizer"]["beta1"],
-            beta2=cfg["optimizer"]["beta2"], eps=cfg["optimizer"]["eps"],
-            hidden=tuple(cfg["model"]["hidden"]), activation=cfg["model"]["activation"],
-            embed_dim=cfg["model"]["embed_dim"], seed=cfg["seed"], zone=zone,
-        )
+        tc = diffusion.TrainConfig(**cfg["optimizer"], **cfg["model"], seed=cfg["seed"], zone=zone)
         params, log = diffusion.train(ds, tc, sched)
         ckpt = _checkpoint_path(out_dir, cfg["track"], zone)
         diffusion.save_checkpoint(ckpt, params, sched, ds.scaler, cfg["track"], zone,
@@ -181,8 +169,6 @@ def cmd_generate(args) -> int:
         if not ckpt_path.is_file():
             raise ConfigError(f"checkpoint not found: {ckpt_path}")
         params, sched, scaler, header = diffusion.load_checkpoint(ckpt_path)
-        if scaler is None:
-            raise ModelValidationError(f"checkpoint {ckpt_path} carries no scaler")
         if header["track"] != cfg["track"]:
             raise ModelValidationError(
                 f"checkpoint {ckpt_path} is for track {header['track']!r}, "

@@ -130,20 +130,23 @@ class Scaler:
     learn_max: float
     cov_offset: np.ndarray
     cov_scale: np.ndarray
-    target_fixed: np.ndarray | None = None
+    target_fixed: np.ndarray
 
     def to_model(self, x: np.ndarray) -> np.ndarray:
         """Physical target rows (..., 24) in the network's space."""
         z = 2.0 * (np.asarray(x, dtype=float) * self.target_scale) - 1.0
         return z if self.track == "load" else np.clip(z, -1.0, 1.0)
 
+    @property
+    def upper(self) -> float:
+        """The largest physical target: 1 for pv/wind, 1.2 learn_max for load."""
+        return 1.2 * self.learn_max if self.track == "load" else 1.0
+
     def to_physical(self, z: np.ndarray) -> np.ndarray:
         """Network-space rows (..., 24) in physical units, clipped and pinned."""
-        hi = 1.2 * self.learn_max if self.track == "load" else 1.0
-        x = np.clip(0.5 * (np.asarray(z, dtype=float) + 1.0) / self.target_scale, 0.0, hi)
-        if self.target_fixed is not None:
-            fixed = ~np.isnan(self.target_fixed)
-            x[..., fixed] = self.target_fixed[fixed]
+        x = np.clip(0.5 * (np.asarray(z, dtype=float) + 1.0) / self.target_scale, 0.0, self.upper)
+        fixed = ~np.isnan(self.target_fixed)
+        x[..., fixed] = self.target_fixed[fixed]
         return x
 
     def transform_cov(self, c: np.ndarray) -> np.ndarray:
@@ -153,30 +156,24 @@ class Scaler:
         return out.reshape(c.shape)
 
     def to_dict(self) -> dict:
-        fixed = None
-        if self.target_fixed is not None:
-            fixed = [None if math.isnan(v) else v for v in self.target_fixed]
         return {
             "track": self.track,
             "target_scale": self.target_scale,
             "learn_max": self.learn_max,
             "cov_offset": self.cov_offset.tolist(),
             "cov_scale": self.cov_scale.tolist(),
-            "target_fixed": fixed,
+            "target_fixed": [None if math.isnan(v) else v for v in self.target_fixed],
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scaler":
-        fixed = d.get("target_fixed")
-        if fixed is not None:
-            fixed = np.array([math.nan if v is None else float(v) for v in fixed])
         return cls(
             track=d["track"],
             target_scale=float(d["target_scale"]),
             learn_max=float(d["learn_max"]),
             cov_offset=np.asarray(d["cov_offset"], dtype=float),
             cov_scale=np.asarray(d["cov_scale"], dtype=float),
-            target_fixed=fixed,
+            target_fixed=np.array([math.nan if v is None else float(v) for v in d["target_fixed"]]),
         )
 
 

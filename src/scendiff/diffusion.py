@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .data import _DATE_WIDTH, HOURS, Scaler, _day_index, _iso_day, _read_table, _write_table
+from .data import (_DATE_WIDTH, HOURS, TRACKS, Scaler, _day_index, _iso_day, _read_table,
+                   _write_table)
 from .errors import (
     DimensionError,
     InsufficientDataError,
@@ -429,12 +430,31 @@ CHECKPOINT_VERSION = 3
 _HEADER_TYPES = {
     "track": str, "zone": int, "sample_dim": int, "embed_dim": int, "cond_dim": int,
     "activation": str, "hidden": list, "n_params": int, "schedule": dict,
-    "scaler": (dict, type(None)), "test_days": list, "sha256": str,
+    "scaler": dict, "test_days": list, "sha256": str,
 }
+# value rules for the header's scaler: (field, rule, check(scaler, header)); a
+# covariate shape equals (cond_dim / 24,) only for a whole number of channels
+_SCALER_RULES = (
+    ("track", f"must be one of {TRACKS} and the header's track",
+     lambda sc, h: sc.track in TRACKS and sc.track == h["track"]),
+    ("target_scale", "must be finite and > 0",
+     lambda sc, h: math.isfinite(sc.target_scale) and sc.target_scale > 0),
+    ("learn_max", "must be finite, and > 0 for load",
+     lambda sc, h: math.isfinite(sc.learn_max) and (sc.learn_max > 0 or sc.track != "load")),
+    ("cov_offset", "needs one finite entry per cond_dim / 24 channel",
+     lambda sc, h: sc.cov_offset.shape == (h["cond_dim"] / HOURS,)
+     and np.isfinite(sc.cov_offset).all()),
+    ("cov_scale", "needs one finite entry > 0 per cond_dim / 24 channel",
+     lambda sc, h: sc.cov_scale.shape == (h["cond_dim"] / HOURS,)
+     and np.all((sc.cov_scale > 0) & (sc.cov_scale < math.inf))),
+    ("target_fixed", f"needs {HOURS} hours, each null or in [0, 1] (load: [0, 1.2 learn_max])",
+     lambda sc, h: sc.target_fixed.shape == (HOURS,)
+     and not np.any((sc.target_fixed < 0) | (sc.target_fixed > sc.upper))),
+)
 
 
 def save_checkpoint(path: str | Path, params: nn.DenoiserParams, sched: Schedule,
-                    scaler: Scaler | None, track: str, zone: int, test_days) -> None:
+                    scaler: Scaler, track: str, zone: int, test_days) -> None:
     """Write a model file: one JSON header line, then the raw parameter block.
 
     The block is params.vector as little-endian float64 (layer-major, each
@@ -455,7 +475,7 @@ def save_checkpoint(path: str | Path, params: nn.DenoiserParams, sched: Schedule
         "hidden": list(params.hidden),
         "n_params": params.n_params,
         "schedule": sched.to_dict(),
-        "scaler": scaler.to_dict() if scaler else None,
+        "scaler": scaler.to_dict(),
         "test_days": sorted(d.isoformat() for d in test_days),
         "sha256": hashlib.sha256(block).hexdigest(),
     }
@@ -514,17 +534,17 @@ def load_checkpoint(path: str | Path):
         )
         params.validate()
         sched = Schedule.from_dict(header["schedule"])
-        scaler = Scaler.from_dict(header["scaler"]) if header["scaler"] else None
+        scaler = Scaler.from_dict(header["scaler"])
         header["test_days"] = [_iso_day(d) for d in header["test_days"]]
         if sorted(set(header["test_days"])) != header["test_days"]:
             raise ValueError("test_days must be sorted and distinct")
-    except (KeyError, TypeError, ValueError, ScendiffError) as e:
+    except KeyError as e:  # a key of the schedule or scaler object
+        raise ModelValidationError(f"{path}: the header lacks the field {e}") from None
+    except (TypeError, ValueError, OverflowError, ScendiffError) as e:
         raise ModelValidationError(f"{path}: bad checkpoint: {type(e).__name__}: {e}") from None
-    k, rest = divmod(header["cond_dim"], HOURS)
-    if scaler and (rest or scaler.cov_offset.shape != (k,) or scaler.cov_scale.shape != (k,)):
-        raise ModelValidationError(f"{path}: scaler covariates do not match cond_dim")
-    if scaler and scaler.target_fixed is not None and scaler.target_fixed.shape != (HOURS,):
-        raise ModelValidationError(f"{path}: scaler target_fixed needs {HOURS} hours")
+    for field, rule, holds in _SCALER_RULES:
+        if not holds(scaler, header):
+            raise ModelValidationError(f"{path}: scaler {field} {rule}")
     return params, sched, scaler, header
 
 

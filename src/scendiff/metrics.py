@@ -254,8 +254,8 @@ class QualityReport:
 
 
 def evaluate(scenarios_by_day: dict, obs_by_day: dict, base: float = 1.0,
-             gamma: float = 0.5, weights: np.ndarray | None = None,
-             crps_estimator: str = "nrg", seed: int = 0) -> QualityReport:
+             gamma: float = 0.5, crps_estimator: str = "nrg",
+             seed: int = 0) -> QualityReport:
     """Score a full test set; inputs are {day: (M, L) array} and {day: (L,)}.
 
     `base` is the physical value equal to 100% (nominal capacity for pv and
@@ -294,7 +294,7 @@ def evaluate(scenarios_by_day: dict, obs_by_day: dict, base: float = 1.0,
             "crps_pct": c * 100.0,
             "qs_pct": quantile_score(x, y) * 100.0,
             "es_pct": energy_score(x, y) * 100.0,
-            "vs": variogram_score(x, y, gamma=gamma, weights=weights),
+            "vs": variogram_score(x, y, gamma=gamma),
         }
     curve, mae_r = reliability(scen_norm, obs_norm, seed=seed)
     report = QualityReport(

@@ -96,7 +96,7 @@ class RetailerModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RetailerModel":
-        return cls(**{k: d[k] for k in d})
+        return cls(**d)
 
 
 def _net_scenarios(scenarios) -> np.ndarray:
@@ -111,9 +111,13 @@ def _net_scenarios(scenarios) -> np.ndarray:
     return np.stack(rows)
 
 
-# One scenario's block of columns: charge and discharge (24 each), the state
-# of charge at the end of hours 1..23 (hours 0 and 24 are the constants
-# soc_start and soc_end), surplus and deficit (24 each).
+# The bidding LP's columns: the free bids, positive then negative parts
+# (none when the bids are pinned), then one block per scenario. Scenario s's
+# block starts at n_first + s * PER_SCENARIO and holds charge and discharge
+# (24 each), the state of charge at the end of hours 1..23 (hours 0 and 24
+# are the constants soc_start and soc_end), surplus and deficit (24 each).
+BID_POS = slice(0, HOURS)
+BID_NEG = slice(HOURS, 2 * HOURS)
 CHARGE = slice(0, HOURS)
 DISCHARGE = slice(HOURS, 2 * HOURS)
 SOC = slice(2 * HOURS, 3 * HOURS - 1)
@@ -121,39 +125,9 @@ SURPLUS = slice(3 * HOURS - 1, 4 * HOURS - 1)
 DEFICIT = slice(4 * HOURS - 1, 5 * HOURS - 1)
 PER_SCENARIO = 5 * HOURS - 1
 ROWS_PER_SCENARIO = 2 * HOURS  # imbalance rows, then state-of-charge rows
-# free bids: positive then negative parts, ahead of every scenario block
-BID_POS = slice(0, HOURS)
-BID_NEG = slice(HOURS, 2 * HOURS)
 
 
-@dataclass(frozen=True)
-class ColumnLayout:
-    """Where the bidding LP's variables sit: the free bids (if any) in
-    BID_POS and BID_NEG, then scenario s in `block(s)`, sliced by CHARGE,
-    DISCHARGE, SOC, SURPLUS and DEFICIT."""
-
-    n_scenarios: int
-    free_bids: bool
-
-    @property
-    def n_first(self) -> int:
-        return 2 * HOURS if self.free_bids else 0
-
-    def block(self, s: int) -> slice:
-        if not 0 <= s < self.n_scenarios:
-            raise DimensionError(f"scenario {s} outside 0..{self.n_scenarios - 1}")
-        start = self.n_first + s * PER_SCENARIO
-        return slice(start, start + PER_SCENARIO)
-
-
-@dataclass
-class BiddingLP(LPProblem):
-    """A bidding LP together with its column layout."""
-
-    layout: ColumnLayout = field(kw_only=True)
-
-
-def build_two_stage_lp(model: RetailerModel, scenarios, bids: np.ndarray | None = None) -> BiddingLP:
+def build_two_stage_lp(model: RetailerModel, scenarios, bids: np.ndarray | None = None) -> LPProblem:
     """Deterministic equivalent of the two-stage bidding problem.
 
     Variables per scenario: charge, discharge (24 each), state of charge for
@@ -168,9 +142,9 @@ def build_two_stage_lp(model: RetailerModel, scenarios, bids: np.ndarray | None 
     model.validate()
     net = _net_scenarios(scenarios)
     n_s = net.shape[0]
-    if bids is not None:
+    free_bids = bids is None
+    if not free_bids:
         bids = _as_curve(bids, "bids")
-    layout = ColumnLayout(n_s, free_bids=bids is None)
 
     # one scenario's rows over its own block; every scenario has the same
     hours = np.arange(HOURS)
@@ -198,40 +172,33 @@ def build_two_stage_lp(model: RetailerModel, scenarios, bids: np.ndarray | None 
     bound[DISCHARGE] = model.p_discharge
     bound[SOC] = model.capacity
 
-    n_first = layout.n_first
+    n_first = 2 * HOURS if free_bids else 0
     m = n_s * ROWS_PER_SCENARIO
     a = np.zeros((m, n_first + n_s * PER_SCENARIO))
     b = np.zeros(m)
     for s in range(n_s):
         row = s * ROWS_PER_SCENARIO
-        a[row:row + ROWS_PER_SCENARIO, layout.block(s)] = block
-        if layout.free_bids:
+        col = n_first + s * PER_SCENARIO
+        a[row:row + ROWS_PER_SCENARIO, col:col + PER_SCENARIO] = block
+        if free_bids:
             a[row + hours, BID_POS.start + hours] = 1.0
             a[row + hours, BID_NEG.start + hours] = -1.0
-        b[row:row + HOURS] = net[s] - (0.0 if layout.free_bids else bids)
+        b[row:row + HOURS] = net[s] - (0.0 if free_bids else bids)
         b[row + HOURS:row + ROWS_PER_SCENARIO] = soc_rhs
-    first_cost = [-model.price, model.price] if layout.free_bids else []
+    first_cost = [-model.price, model.price] if free_bids else []
     c = np.concatenate([*first_cost, np.tile(cost, n_s)])
     upper = np.concatenate([np.full(n_first, np.inf), np.tile(bound, n_s)])
 
-    lp = BiddingLP(c=c, a=a, b=b, upper=upper, layout=layout)
+    lp = LPProblem(c=c, a=a, b=b, upper=upper)
     lp.validate()
     return lp
 
 
-def extract_bids(lp: BiddingLP, sol: LPSolution) -> np.ndarray:
+def extract_bids(lp: LPProblem, sol: LPSolution) -> np.ndarray:
     return sol.x[BID_POS] - sol.x[BID_NEG]
 
 
-def extract_schedule(lp: BiddingLP, sol: LPSolution, model: RetailerModel, s: int = 0) -> dict:
-    """Per-scenario battery/imbalance schedule; soc has 25 entries (hours 0..24)."""
-    x = sol.x[lp.layout.block(s)]
-    soc = np.concatenate([[model.soc_start], x[SOC], [model.soc_end]])
-    return {"charge": x[CHARGE], "discharge": x[DISCHARGE], "soc": soc,
-            "surplus": x[SURPLUS], "deficit": x[DEFICIT]}
-
-
-def solve_bidding(model: RetailerModel, scenarios) -> tuple[BiddingLP, LPSolution]:
+def solve_bidding(model: RetailerModel, scenarios) -> tuple[LPProblem, LPSolution]:
     """Build and solve the free-bid problem; raises unless optimal."""
     lp = build_two_stage_lp(model, scenarios)
     sol = simplex_solve(lp)

@@ -1,6 +1,9 @@
 """Command-line pipeline: tiny end-to-end runs, exit codes, structured
 errors on stderr, and byte-level determinism."""
+import dataclasses
+import inspect
 import json
+import warnings
 from datetime import date
 
 import numpy as np
@@ -178,6 +181,17 @@ def _stderr_error(capsys):
     return doc
 
 
+def test_config_sections_name_their_parameters():
+    """train passes the schedule section to make_schedule and the optimizer and
+    model sections to TrainConfig by keyword; a key that named no parameter
+    would reach the user as a TypeError traceback."""
+    schedule = set(inspect.signature(dif.make_schedule).parameters)
+    assert set(DEFAULT_CONFIG["schedule"]) <= schedule
+    train = {f.name for f in dataclasses.fields(dif.TrainConfig)} - {"seed", "zone"}
+    optimizer, model = set(DEFAULT_CONFIG["optimizer"]), set(DEFAULT_CONFIG["model"])
+    assert optimizer | model <= train and not optimizer & model
+
+
 def test_exit_2_unknown_config_key(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"optimizer": {"lrx": 1}}))
@@ -291,15 +305,6 @@ def test_exit_4_checkpoint_track_mismatch(tmp_path, capsys):
     assert doc["error"] == "ModelValidationError"
     assert "cond_dim" in doc["message"]
 
-    # a checkpoint without a scaler cannot map conditions or scenarios
-    header = json.loads(raw[:nl])
-    header["scaler"] = None
-    ckpt.write_bytes(json.dumps(header).encode() + raw[nl:])
-    rc = main(["generate", "--config", str(tmp_path / "cfg_pv.json"), "--out",
-               str(tmp_path / "op"), "--checkpoint", str(ckpt)])
-    assert rc == 4
-    assert "scaler" in _stderr_error(capsys)["message"]
-
     # a version 2 checkpoint records no test days; a test-day list must be a
     # list of YYYY-MM-DD strings
     old = json.loads(raw[:nl])
@@ -310,10 +315,32 @@ def test_exit_4_checkpoint_track_mismatch(tmp_path, capsys):
         header = json.loads(raw[:nl])
         header["test_days"] = bad
         cases.append((header, "test_days" if bad == "2012-01-02" else "bad checkpoint"))
+    # every checkpoint carries a scaler whose values fit its track and network;
+    # a bad one is refused on load, before it can warn or sample
+    k = len(json.loads(raw[:nl])["scaler"]["cov_scale"])
+    for key, bad, message in (
+        (None, None, "'scaler' is missing or mistyped"),
+        ("target_scale", 0.0, "target_scale must be finite and > 0"),
+        ("track", "load", "track must be"),
+        ("learn_max", float("nan"), "learn_max must be finite"),
+        ("cov_scale", [float("inf")] * k, "cov_scale needs one finite entry > 0"),
+        ("learn_max", KeyError, "lacks the field 'learn_max'"),
+        ("target_fixed", [None, 0.0, None], "target_fixed needs 24 hours"),
+    ):
+        header = json.loads(raw[:nl])
+        if key is None:
+            header["scaler"] = bad
+        elif bad is KeyError:
+            del header["scaler"][key]
+        else:
+            header["scaler"][key] = bad
+        cases.append((header, message))
     for header, message in cases:
         ckpt.write_bytes(json.dumps(header).encode() + raw[nl:])
-        rc = main(["generate", "--config", str(tmp_path / "cfg_pv.json"), "--out",
-                   str(tmp_path / "op"), "--checkpoint", str(ckpt)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(["generate", "--config", str(tmp_path / "cfg_pv.json"), "--out",
+                       str(tmp_path / "op"), "--checkpoint", str(ckpt)])
         assert rc == 4
         doc = _stderr_error(capsys)
         assert doc["error"] == "ModelValidationError" and message in doc["message"]

@@ -585,6 +585,9 @@ def test_normalize_records_learn_constant_hours(pv_fitted):
 
 
 def _plain_scaler(track="pv", target_fixed=None):
+    """A scaler with unit maps; no hour is pinned unless target_fixed says so."""
+    if target_fixed is None:
+        target_fixed = np.full(24, np.nan)
     return dmod.Scaler(track=track, target_scale=1.0,
                        learn_max=10.0, cov_offset=np.zeros(24),
                        cov_scale=np.ones(24), target_fixed=target_fixed)
@@ -620,7 +623,14 @@ def test_scaler_dict_round_trip_keeps_fixed_hours():
     assert np.isnan(back.target_fixed[1:]).all()
 
 
-def test_scaler_from_dict_tolerates_missing_fixed_hours():
+def test_scaler_from_dict_refuses_missing_fixed_hours():
+    """Every scaler records its pinned hours; a record without them is refused
+    (load_checkpoint reports it as a missing header field)."""
     doc = _plain_scaler().to_dict()
+    assert doc["target_fixed"] == [None] * 24
     doc.pop("target_fixed")
-    assert dmod.Scaler.from_dict(doc).target_fixed is None
+    with pytest.raises(KeyError, match="target_fixed"):
+        dmod.Scaler.from_dict(doc)
+    with pytest.raises(TypeError):
+        dmod.Scaler(track="pv", target_scale=1.0, learn_max=1.0,
+                    cov_offset=np.zeros(1), cov_scale=np.ones(1))

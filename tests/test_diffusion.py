@@ -672,7 +672,7 @@ def test_checkpoint_round_trip_is_exact(tmp_path, tiny_model, tiny_schedule, pv_
 def test_checkpoint_rejects_corruption(tmp_path, tiny_model, tiny_schedule, pv_fitted):
     params, _ = tiny_model
     p = tmp_path / "model.ckpt"
-    dif.save_checkpoint(p, params, tiny_schedule, None, "pv", 1,
+    dif.save_checkpoint(p, params, tiny_schedule, pv_fitted.scaler, "pv", 1,
                         [date(2012, 1, 2), date(2012, 1, 5)])
     raw = p.read_bytes()
 
@@ -748,9 +748,6 @@ def test_checkpoint_rejects_corruption(tmp_path, tiny_model, tiny_schedule, pv_f
             dif.load_checkpoint(with_header(broken))
 
     # a scaler must carry one covariate offset and scale per cond_dim / 24 channel
-    dif.save_checkpoint(p, params, tiny_schedule, pv_fitted.scaler, "pv", 1, [])
-    raw = p.read_bytes()
-    nl = raw.find(b"\n")
     dif.load_checkpoint(p)
     for key in ("cov_offset", "cov_scale"):
         broken = json.loads(raw[:nl])

@@ -2,8 +2,12 @@
 either works or raises a package error, and the CLI reports a rejected one
 as one JSON line with its documented exit code (4 checkpoint, 2 config)."""
 import copy
+import dataclasses
 import json
+import math
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -11,6 +15,7 @@ from hypothesis import strategies as st
 from scendiff import cli
 from scendiff import diffusion as dif
 from scendiff.cli import main
+from scendiff.data import TRACKS, Scaler
 from scendiff.errors import ModelValidationError, ScendiffError
 
 FUZZ = settings(max_examples=100, deadline=None, derandomize=True, database=None,
@@ -141,3 +146,81 @@ def test_mutated_config_loads_or_raises_package_error(trained, tmp_path, capsys,
     rc = main(["train", "--config", str(p), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     _assert_reported(rc, err, (2,) if rejected else (2, 3))
+
+
+# one entry of a scaler list: numbers at and past each field's limits too
+ENTRIES = st.one_of(VALUES, st.sampled_from([float("-inf"), 1.3, 1e-300, -1e-300, 10**400]))
+
+
+def _scaler_holds(sc: dict, header: dict) -> bool:
+    """The scaler rules restated: the scaler's track is the header's, one of
+    TRACKS; target_scale finite and > 0; learn_max finite (> 0 for load);
+    one finite covariate offset and scale per cond_dim / 24 channel, scales
+    > 0; 24 pinned hours, each null or in [0, 1] (load: [0, 1.2 learn_max])."""
+    try:
+        track, scale, top = sc["track"], float(sc["target_scale"]), float(sc["learn_max"])
+        offset = np.asarray(sc["cov_offset"], dtype=float)
+        cov_scale = np.asarray(sc["cov_scale"], dtype=float)
+        fixed = np.array([math.nan if v is None else float(v) for v in sc["target_fixed"]])
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return False
+    load = track == "load"
+    hi = 1.2 * top if load else 1.0
+    channels = (header["cond_dim"] // 24,)
+    pinned = fixed[~np.isnan(fixed)]
+    return (track in TRACKS and track == header["track"]
+            and math.isfinite(scale) and scale > 0
+            and math.isfinite(top) and (top > 0 or not load)
+            and offset.shape == channels and bool(np.isfinite(offset).all())
+            and cov_scale.shape == channels and bool(np.isfinite(cov_scale).all())
+            and bool((cov_scale > 0).all())
+            and fixed.shape == (24,) and bool(((pinned >= 0) & (pinned <= hi)).all()))
+
+
+@st.composite
+def mutated_scalers(draw, header):
+    """`header` with one scaler field deleted or replaced, or one entry of a
+    list field replaced."""
+    header = copy.deepcopy(header)
+    sc = header["scaler"]
+    key = draw(st.sampled_from([f.name for f in dataclasses.fields(Scaler)]))
+    how = draw(st.sampled_from(["replace", "delete", "entry"]))
+    if how == "delete":
+        del sc[key]
+    elif how == "entry" and isinstance(sc[key], list):
+        sc[key][draw(st.integers(0, len(sc[key]) - 1))] = draw(ENTRIES)
+    else:
+        sc[key] = draw(ENTRIES)
+    return header
+
+
+@FUZZ
+@given(data=st.data(), track=st.sampled_from(["pv", "load"]))
+def test_mutated_scaler_is_refused_unless_its_rules_hold(trained, tmp_path, capsys, data,
+                                                         track):
+    """load_checkpoint takes a scaler exactly when its values obey the rules,
+    and generate reports a refused one as one JSON line with exit 4, with no
+    RuntimeWarning on the way. The load variant relabels the pv file, which
+    puts learn_max and the pinned hours under the load track's rules."""
+    base, _, raw = trained
+    nl = raw.find(b"\n")
+    header = json.loads(raw[:nl])
+    header["track"] = header["scaler"]["track"] = track
+    header = data.draw(mutated_scalers(header))
+    p = tmp_path / "model.ckpt"
+    p.write_bytes(json.dumps(header).encode() + raw[nl:])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            dif.load_checkpoint(p)
+            accepted = True
+        except ModelValidationError:
+            accepted = False
+        assert accepted == _scaler_holds(header["scaler"], header)
+        if accepted or track != "pv":
+            return
+        capsys.readouterr()
+        rc = main(["generate", "--config", str(base / "cfg.json"), "--checkpoint", str(p),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 4
+    _assert_reported(rc, capsys.readouterr().err, (4,))

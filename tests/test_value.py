@@ -19,15 +19,14 @@ from scendiff.value import (
     CHARGE,
     DEFICIT,
     DISCHARGE,
+    PER_SCENARIO,
     SOC,
     SURPLUS,
-    ColumnLayout,
     RetailerModel,
     ValueReport,
     build_two_stage_lp,
     deterministic_bids,
     extract_bids,
-    extract_schedule,
     oracle_profit,
     realtime_dispatch,
     run_value_benchmark,
@@ -94,31 +93,41 @@ def test_model_dict_round_trip():
 # ----------------------------------------------------------------- LP anatomy
 
 
+def _block(x, s, n_first=2 * HOURS):
+    """Scenario s's columns of x: they start at n_first + s * PER_SCENARIO."""
+    start = n_first + s * PER_SCENARIO
+    return x[start:start + PER_SCENARIO]
+
+
 def test_lp_dimensions_and_names():
-    """Battery ratings are column bounds, not rows; the layout slices every
-    variable block out of the column vector."""
+    """Battery ratings are column bounds, not rows; the module's slices
+    address every variable block of the column vector."""
     rng = np.random.default_rng(0)
     scens = [_triple(rng.uniform(0, 1, HOURS)) for _ in range(3)]
     model = RetailerModel()
     lp = build_two_stage_lp(model, scens)
     per_s = 5 * HOURS - 1
     rows_per_s = 2 * HOURS
+    assert PER_SCENARIO == per_s
     assert lp.a.shape == (3 * rows_per_s, 2 * HOURS + 3 * per_s)
-    assert lp.layout == ColumnLayout(n_scenarios=3, free_bids=True)
     np.testing.assert_array_equal(lp.c[BID_POS], -model.price)
     np.testing.assert_array_equal(lp.c[BID_NEG], model.price)
     assert np.all(np.isinf(lp.upper[:2 * HOURS]))
-    last = lp.layout.block(2)
-    assert last.stop == lp.a.shape[1]
+    last = _block(lp.upper, 2)
+    assert 2 * HOURS + 3 * per_s == lp.a.shape[1]  # the last block ends the vector
     want = [(CHARGE, model.p_charge), (DISCHARGE, model.p_discharge),
             (SOC, model.capacity), (SURPLUS, np.inf), (DEFICIT, np.inf)]
     for part, bound in want:
-        assert np.all(lp.upper[last][part] == bound)
-    assert lp.upper[last][SOC].size == HOURS - 1  # hours 1..23; 0 and 24 are fixed
+        assert np.all(last[part] == bound)
+    assert last[SOC].size == HOURS - 1  # hours 1..23; 0 and 24 are fixed
 
+    # pinned bids drop the first stage: scenario 0's block starts at column 0
     pinned = build_two_stage_lp(model, scens, bids=np.zeros(HOURS))
     assert pinned.a.shape == (3 * rows_per_s, 3 * per_s)
-    assert not pinned.layout.free_bids and pinned.layout.block(0) == slice(0, per_s)
+    first = _block(pinned.upper, 0, n_first=0)
+    for part, bound in want:
+        assert np.all(first[part] == bound)
+    np.testing.assert_array_equal(_block(pinned.c, 0, n_first=0)[SURPLUS], model.pen_surplus / 3)
 
 
 def _slack_row_lp(model, scenarios, bids=None) -> LPProblem:
@@ -336,8 +345,11 @@ def test_dispatch_detail_is_physically_consistent():
     lp = build_two_stage_lp(model, [obs], bids=bids)
     sol = simplex_solve(lp)
     assert sol.status == "optimal"
-    detail = extract_schedule(lp, sol, model, s=0)
-    detail.update({"revenue": float(model.price @ bids), "penalty": sol.objective})
+    x = _block(sol.x, 0, n_first=0)
+    detail = {"charge": x[CHARGE], "discharge": x[DISCHARGE], "surplus": x[SURPLUS],
+              "deficit": x[DEFICIT], "revenue": float(model.price @ bids),
+              "penalty": sol.objective,
+              "soc": np.concatenate([[model.soc_start], x[SOC], [model.soc_end]])}
     net = obs[0] + obs[1] - obs[2]
     assert profit == pytest.approx(detail["revenue"] - detail["penalty"], abs=1e-9)
     assert detail["revenue"] == pytest.approx(float(model.price @ bids), abs=1e-9)
@@ -369,17 +381,23 @@ def test_deterministic_bids_match_mean_scenario_plan():
     np.testing.assert_allclose(det, extract_bids(lp, sol), atol=1e-7)
 
 
-def test_extract_schedule_per_scenario():
+def test_scenario_blocks_hold_each_scenarios_schedule():
+    """After the bids, each scenario's block balances the shared bids against
+    its own net position and carries its own state-of-charge chain."""
     rng = np.random.default_rng(7)
     scens = [_triple(rng.uniform(0, 1, HOURS)) for _ in range(2)]
     model = RetailerModel()
     lp, sol = solve_bidding(model, scens)
-    for s in range(2):
-        sched = extract_schedule(lp, sol, model, s=s)
-        assert set(sched) == {"charge", "discharge", "soc", "surplus", "deficit"}
-        assert sched["soc"].shape == (HOURS + 1,)
-    with pytest.raises(DimensionError, match="scenario 2"):
-        extract_schedule(lp, sol, model, s=2)
+    assert sol.x.size == 2 * HOURS + 2 * PER_SCENARIO
+    bids = extract_bids(lp, sol)
+    for s, (wind, pv, load) in enumerate(scens):
+        x = _block(sol.x, s)
+        lhs = bids - (wind + pv - load + x[DISCHARGE] - x[CHARGE])
+        np.testing.assert_allclose(lhs, x[DEFICIT] - x[SURPLUS], atol=1e-6)
+        soc = np.concatenate([[model.soc_start], x[SOC], [model.soc_end]])
+        steps = model.eta_c * x[CHARGE] - x[DISCHARGE] / model.eta_d
+        np.testing.assert_allclose(np.diff(soc), steps, atol=1e-6)
+        assert np.all(soc <= model.capacity + 1e-9) and np.all(soc >= -1e-9)
 
 
 # ------------------------------------------------------------------ benchmark
