@@ -36,13 +36,12 @@ DEFAULT_CONFIG = {
     "seed": 0,
     "zones": [1],
     "split": {"fractions": [0.7, 0.15, 0.15]},
-    "schedule": {"kind": "linear", "n": 200, "beta_start": 1e-4, "beta_end": 0.05,
-                 "sigma_mode": "beta"},
-    "model": {"hidden": [256, 256, 256], "activation": "silu", "embed_dim": 32},
+    "schedule": {"kind": "linear", "n": 200, "beta_start": 1e-4, "beta_end": 0.05},
+    "model": {"hidden": [256, 256, 256], "embed_dim": 32},
     "optimizer": {"epochs": 200, "batch_size": 64, "lr": 1e-3, "beta1": 0.9,
                   "beta2": 0.999, "eps": 1e-8},
     "m_scenarios": 100,
-    "metrics": {"crps_estimator": "nrg", "gamma": 0.5},
+    "metrics": {"gamma": 0.5},
     "retailer": value.RetailerModel().to_dict(),
     "n_planner_scenarios": 5,
 }
@@ -202,8 +201,7 @@ def cmd_evaluate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     report = metrics.evaluate_files(
         args.scenarios, args.observations, base=args.base,
-        gamma=cfg["metrics"]["gamma"], crps_estimator=cfg["metrics"]["crps_estimator"],
-        seed=cfg["seed"],
+        gamma=cfg["metrics"]["gamma"], seed=cfg["seed"],
     )
     report_path = out_dir / "quality_report.json"
     report.write_json(report_path)

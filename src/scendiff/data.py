@@ -126,11 +126,15 @@ class Scaler:
     """
 
     track: str
-    target_scale: float
     learn_max: float
     cov_offset: np.ndarray
     cov_scale: np.ndarray
     target_fixed: np.ndarray
+
+    @property
+    def target_scale(self) -> float:
+        """1 / learn_max for load; pv/wind targets are already fractions of nominal."""
+        return 1.0 / self.learn_max if self.track == "load" else 1.0
 
     def to_model(self, x: np.ndarray) -> np.ndarray:
         """Physical target rows (..., 24) in the network's space."""
@@ -158,7 +162,6 @@ class Scaler:
     def to_dict(self) -> dict:
         return {
             "track": self.track,
-            "target_scale": self.target_scale,
             "learn_max": self.learn_max,
             "cov_offset": self.cov_offset.tolist(),
             "cov_scale": self.cov_scale.tolist(),
@@ -169,7 +172,6 @@ class Scaler:
     def from_dict(cls, d: dict) -> "Scaler":
         return cls(
             track=d["track"],
-            target_scale=float(d["target_scale"]),
             learn_max=float(d["learn_max"]),
             cov_offset=np.asarray(d["cov_offset"], dtype=float),
             cov_scale=np.asarray(d["cov_scale"], dtype=float),
@@ -536,13 +538,8 @@ def normalize(ds: Dataset) -> Dataset:
     per_hour_lo = learn_x.min(axis=0)
     per_hour_hi = learn_x.max(axis=0)
     target_fixed = np.where(per_hour_hi == per_hour_lo, per_hour_lo, math.nan)
-    if ds.track == "load":
-        if learn_max <= 0:
-            raise DegenerateScaleError("target: learn-split maximum is not positive")
-        target_scale = 1.0 / learn_max
-    else:
-        # pv/wind targets are already fractions of nominal capacity
-        target_scale = 1.0
+    if ds.track == "load" and learn_max <= 0:
+        raise DegenerateScaleError("target: learn-split maximum is not positive")
     k = learn[0].n_channels
     cov_offset = np.zeros(k)
     cov_scale = np.ones(k)
@@ -557,7 +554,6 @@ def normalize(ds: Dataset) -> Dataset:
         cov_scale = 1.0 / (hi - lo)
     scaler = Scaler(
         track=ds.track,
-        target_scale=target_scale,
         learn_max=learn_max,
         cov_offset=cov_offset,
         cov_scale=cov_scale,
@@ -718,7 +714,7 @@ def write_manifest(ds: Dataset, path: str | Path) -> None:
         "split": {d.isoformat(): name for d, name in sorted(ds.split.items())},
         "scaler": ds.scaler.to_dict() if ds.scaler else None,
     }
-    Path(path).write_text(json.dumps(doc, indent=2))
+    write_report_json(doc, path)
 
 
 def write_report_json(doc: dict, path: str | Path) -> None:

@@ -39,16 +39,12 @@ from .errors import (
 TERMINAL_ALPHA_BAR = 0.01
 
 
-SIGMA_MODES = ("beta", "posterior")
-
-
 @dataclass
 class Schedule:
     """Noise schedule: beta[i-1] is the step-i variance increment.
 
-    sigma is the fixed reverse-process standard deviation per step:
-    sigma_i^2 = beta_i ("beta" mode) or the posterior variance
-    beta_i (1 - abar_{i-1}) / (1 - abar_i) ("posterior" mode).
+    sigma is the fixed reverse-process standard deviation per step,
+    sigma_i^2 = beta_i (Ho et al. 2020, sec. 3.2).
     """
 
     kind: str
@@ -56,7 +52,6 @@ class Schedule:
     beta: np.ndarray
     alpha_bar: np.ndarray
     sigma: np.ndarray
-    sigma_mode: str = "beta"
 
     def validate(self, enforce_terminal: bool = True) -> None:
         if self.n < 1 or self.beta.shape != (self.n,):
@@ -70,48 +65,28 @@ class Schedule:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "beta": self.beta.tolist(),
-            "sigma_mode": self.sigma_mode,
-        }
+        return {"kind": self.kind, "beta": self.beta.tolist()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Schedule":
         return from_betas(np.asarray(d["beta"], dtype=float), kind=d["kind"],
-                          sigma_mode=d["sigma_mode"], enforce_terminal=False)
+                          enforce_terminal=False)
 
 
-def _sigma_from(beta: np.ndarray, alpha_bar: np.ndarray, sigma_mode: str) -> np.ndarray:
-    if sigma_mode == "beta":
-        return np.sqrt(beta)
-    abar_prev = np.concatenate([[1.0], alpha_bar[:-1]])
-    return np.sqrt(beta * (1.0 - abar_prev) / (1.0 - alpha_bar))
-
-
-def from_betas(
-    beta: np.ndarray, kind: str = "custom", sigma_mode: str = "beta",
-    enforce_terminal: bool = True,
-) -> Schedule:
+def from_betas(beta: np.ndarray, kind: str = "custom", enforce_terminal: bool = True) -> Schedule:
     """Build a Schedule from an explicit beta vector."""
-    if sigma_mode not in SIGMA_MODES:
-        raise ParameterError(f"sigma_mode must be one of {SIGMA_MODES}")
     beta = np.asarray(beta, dtype=float)
     if not np.all((beta > 0) & (beta < 1)):  # before sigma takes their square roots
         raise ParameterError("betas must lie in (0, 1)")
-    alpha_bar = np.cumprod(1.0 - beta)
-    sched = Schedule(
-        kind=kind, n=beta.size, beta=beta, alpha_bar=alpha_bar,
-        sigma=_sigma_from(beta, alpha_bar, sigma_mode), sigma_mode=sigma_mode,
-    )
+    sched = Schedule(kind=kind, n=beta.size, beta=beta, alpha_bar=np.cumprod(1.0 - beta),
+                     sigma=np.sqrt(beta))
     sched.validate(enforce_terminal=enforce_terminal)
     return sched
 
 
 def make_schedule(
     kind: str = "linear", n: int = 200, beta_start: float = 1e-4, beta_end: float = 0.05,
-    sigma_mode: str = "beta", enforce_terminal: bool = True,
+    enforce_terminal: bool = True,
 ) -> Schedule:
     """Linear or cosine variance schedule over n steps.
 
@@ -142,7 +117,7 @@ def make_schedule(
         beta = np.clip(1.0 - abar[1:] / abar[:-1], 1e-8, 0.999)
     else:
         raise ParameterError(f"kind must be linear or cosine, got {kind!r}")
-    return from_betas(beta, kind=kind, sigma_mode=sigma_mode, enforce_terminal=enforce_terminal)
+    return from_betas(beta, kind=kind, enforce_terminal=enforce_terminal)
 
 
 @dataclass
@@ -236,7 +211,6 @@ class TrainConfig:
     beta2: float = 0.999
     eps: float = 1e-8
     hidden: tuple[int, ...] = (256, 256, 256)
-    activation: str = "silu"
     embed_dim: int = 32
     seed: int = 0
     zone: int = 1
@@ -254,14 +228,15 @@ def train(ds, config: TrainConfig, sched: Schedule):
         raise ParameterError("dataset must be normalized before training")
     if config.batch_size < 1:
         raise ParameterError(f"batch_size must be >= 1, got {config.batch_size}")
+    if not (config.lr > 0 and 0 <= config.beta1 < 1 and 0 <= config.beta2 < 1 and config.eps > 0):
+        raise ParameterError("optimizer needs lr > 0, 0 <= beta1 < 1, 0 <= beta2 < 1 and eps > 0")
     x_learn, c_learn, _ = ds.arrays(split="learn", zone=config.zone)
     x_learn, c_learn = ds.scaler.to_model(x_learn), ds.scaler.transform_cov(c_learn)
     master = np.random.SeedSequence(config.seed)
     ss_init, ss_shuffle, ss_batch, ss_val = master.spawn(4)
     params = nn.init_params(
         hidden=tuple(config.hidden), sample_dim=x_learn.shape[1],
-        embed_dim=config.embed_dim, cond_dim=c_learn.shape[1],
-        seed=ss_init, activation=config.activation,
+        embed_dim=config.embed_dim, cond_dim=c_learn.shape[1], seed=ss_init,
     )
     log: list[dict] = []
     if config.epochs == 0:
@@ -424,23 +399,26 @@ def sample_days(params, conditions: np.ndarray, day_ids, sched: Schedule, m: int
 
 
 CHECKPOINT_MAGIC = "scendiff-checkpoint"
-# 2: the header carries the parameter block's SHA-256; 3: and the zone's test days
-CHECKPOINT_VERSION = 3
+# 2: the header carries the parameter block's SHA-256; 3: and the zone's test days;
+# 4: it drops the activation, the schedule's n and sigma_mode, the scaler's target_scale
+CHECKPOINT_VERSION = 4
 # header fields load_checkpoint relies on, with their JSON types
 _HEADER_TYPES = {
     "track": str, "zone": int, "sample_dim": int, "embed_dim": int, "cond_dim": int,
-    "activation": str, "hidden": list, "n_params": int, "schedule": dict,
+    "hidden": list, "n_params": int, "schedule": dict,
     "scaler": dict, "test_days": list, "sha256": str,
 }
-# value rules for the header's scaler: (field, rule, check(scaler, header)); a
-# covariate shape equals (cond_dim / 24,) only for a whole number of channels
+# value rules for the header's scaler, checked in order: (field, rule,
+# check(scaler, header)). target_scale is derived from learn_max, so learn_max
+# is checked first; a covariate shape equals (cond_dim / 24,) only for a whole
+# number of channels
 _SCALER_RULES = (
     ("track", f"must be one of {TRACKS} and the header's track",
      lambda sc, h: sc.track in TRACKS and sc.track == h["track"]),
-    ("target_scale", "must be finite and > 0",
-     lambda sc, h: math.isfinite(sc.target_scale) and sc.target_scale > 0),
     ("learn_max", "must be finite, and > 0 for load",
      lambda sc, h: math.isfinite(sc.learn_max) and (sc.learn_max > 0 or sc.track != "load")),
+    ("target_scale", "must be finite and > 0",
+     lambda sc, h: math.isfinite(sc.target_scale) and sc.target_scale > 0),
     ("cov_offset", "needs one finite entry per cond_dim / 24 channel",
      lambda sc, h: sc.cov_offset.shape == (h["cond_dim"] / HOURS,)
      and np.isfinite(sc.cov_offset).all()),
@@ -471,7 +449,6 @@ def save_checkpoint(path: str | Path, params: nn.DenoiserParams, sched: Schedule
         "sample_dim": params.sample_dim,
         "embed_dim": params.embed_dim,
         "cond_dim": params.cond_dim,
-        "activation": params.activation,
         "hidden": list(params.hidden),
         "n_params": params.n_params,
         "schedule": sched.to_dict(),
@@ -528,9 +505,9 @@ def load_checkpoint(path: str | Path):
         # the layers are views into the block's copy, so a corrupt header
         # cannot ask for arrays larger than the file
         params = nn.DenoiserParams(
-            hidden=tuple(header["hidden"]), activation=header["activation"],
-            sample_dim=header["sample_dim"], embed_dim=header["embed_dim"],
-            cond_dim=header["cond_dim"], vector=np.frombuffer(block, dtype="<f8").astype(float),
+            hidden=tuple(header["hidden"]), sample_dim=header["sample_dim"],
+            embed_dim=header["embed_dim"], cond_dim=header["cond_dim"],
+            vector=np.frombuffer(block, dtype="<f8").astype(float),
         )
         params.validate()
         sched = Schedule.from_dict(header["schedule"])

@@ -44,12 +44,11 @@ def _check_pair(scenarios: np.ndarray, y: np.ndarray):
     return scenarios, y
 
 
-def crps(scenarios: np.ndarray, y: np.ndarray, estimator: str = "nrg"):
+def crps(scenarios: np.ndarray, y: np.ndarray):
     """Energy-form CRPS per marginal and its mean over marginals.
 
     Per marginal t: mean_m |x_mt - y_t| - (1/(2 M^2)) sum_{m,m'} |x_mt - x_m't|.
-    estimator="fair" swaps the second factor for 1/(2 M (M-1)), the unbiased
-    variant (needs M >= 2). With M = 1 the score reduces to the MAE.
+    With M = 1 the score reduces to the MAE.
 
     The pair sum is read off the sorted sample (Gneiting & Raftery 2007):
     sum_{m,m'} |x_m - x_m'| = 2 sum_i (2i - M - 1) x_(i), O(M log M) per
@@ -57,15 +56,10 @@ def crps(scenarios: np.ndarray, y: np.ndarray, estimator: str = "nrg"):
     """
     scenarios, y = _check_pair(scenarios, y)
     m = scenarios.shape[0]
-    if estimator not in ("nrg", "fair"):
-        raise ParameterError(f"estimator must be nrg or fair, got {estimator!r}")
-    if estimator == "fair" and m < 2:
-        raise InsufficientDataError("fair estimator needs at least 2 scenarios")
     term1 = np.mean(np.abs(scenarios - y[None, :]), axis=0)
     rank_weight = 2.0 * np.arange(1, m + 1) - m - 1
     half_pair = rank_weight @ np.sort(scenarios, axis=0)
-    denom = m * m if estimator == "nrg" else m * (m - 1)
-    per_marginal = term1 - half_pair / denom
+    per_marginal = term1 - half_pair / (m * m)
     return per_marginal, float(per_marginal.mean())
 
 
@@ -254,8 +248,7 @@ class QualityReport:
 
 
 def evaluate(scenarios_by_day: dict, obs_by_day: dict, base: float = 1.0,
-             gamma: float = 0.5, crps_estimator: str = "nrg",
-             seed: int = 0) -> QualityReport:
+             gamma: float = 0.5, seed: int = 0) -> QualityReport:
     """Score a full test set; inputs are {day: (M, L) array} and {day: (L,)}.
 
     `base` is the physical value equal to 100% (nominal capacity for pv and
@@ -284,7 +277,7 @@ def evaluate(scenarios_by_day: dict, obs_by_day: dict, base: float = 1.0,
         y = np.asarray(obs_by_day[d], dtype=float) / base
         scen_norm.append(x)
         obs_norm.append(y)
-        _, c = crps(x, y, estimator=crps_estimator)
+        _, c = crps(x, y)
         if x.shape[0] != scen_norm[0].shape[0]:
             raise DimensionError(
                 f"day {d} has {x.shape[0]} scenarios, but day {days[0]} has "

@@ -2,7 +2,7 @@
 
 The denoiser maps concat(noisy sample [L], timestep embedding [E],
 condition [len(c)]) -> predicted noise [L] through a plain MLP whose
-hidden layers share one activation and whose output layer is linear.
+hidden layers apply SiLU, z * sigmoid(z), and whose output layer is linear.
 Gradients are exact reverse-mode, written out by hand; the optimizer is
 a standard bias-corrected adaptive-moment update.
 """
@@ -15,8 +15,6 @@ import numpy as np
 
 from .errors import DimensionError, ParameterError, TrainingDivergenceError
 
-ACTIVATIONS = ("relu", "silu")
-
 
 @dataclass
 class DenoiserParams:
@@ -24,13 +22,12 @@ class DenoiserParams:
 
     `vector` holds every parameter in one contiguous float64 array (zeros
     when None), layer-major: each W of shape (fan_out, fan_in) row-major,
-    then its b. layers[l] = (W, b) are views into it. Hidden layers use
-    `activation`, the output layer is linear. Input layout is
+    then its b. layers[l] = (W, b) are views into it. Hidden layers apply
+    SiLU, the output layer is linear. Input layout is
     concat(x_noisy [sample_dim], embedding [embed_dim], condition [cond_dim]).
     """
 
     hidden: tuple[int, ...]
-    activation: str
     sample_dim: int
     embed_dim: int
     cond_dim: int
@@ -53,8 +50,6 @@ class DenoiserParams:
             pos = end + fan_out
 
     def validate(self) -> None:
-        if self.activation not in ACTIVATIONS:
-            raise ParameterError(f"activation must be one of {ACTIVATIONS}")
         if not self.layers:
             raise ParameterError("network needs at least one layer")
         d = self.input_dim
@@ -97,14 +92,11 @@ def init_params(
     embed_dim: int,
     cond_dim: int,
     seed: int,
-    activation: str = "silu",
 ) -> DenoiserParams:
     """Glorot-uniform weights, zero biases."""
-    if activation not in ACTIVATIONS:
-        raise ParameterError(f"activation must be one of {ACTIVATIONS}")
     rng = np.random.default_rng(seed)
-    params = DenoiserParams(hidden=tuple(hidden), activation=activation,
-                            sample_dim=sample_dim, embed_dim=embed_dim, cond_dim=cond_dim)
+    params = DenoiserParams(hidden=tuple(hidden), sample_dim=sample_dim, embed_dim=embed_dim,
+                            cond_dim=cond_dim)
     for w, _ in params.layers:
         lim = math.sqrt(6.0 / sum(w.shape))
         w[...] = rng.uniform(-lim, lim, size=w.shape)
@@ -136,16 +128,12 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return s
 
 
-def _act(z: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.ndarray:
-    """Hidden activation of z, written into `out` (which may be z) when given."""
-    if kind == "relu":
-        return np.maximum(0.0, z, out=out)
+def _silu(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """SiLU of z, written into `out` (which may be z) when given."""
     return np.multiply(z, _sigmoid(z), out=out)
 
 
-def _act_grad(z: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "relu":
-        return (z > 0).astype(float)
+def _silu_grad(z: np.ndarray) -> np.ndarray:
     s = _sigmoid(z)
     return s * (1.0 + z * (1.0 - s))
 
@@ -185,7 +173,7 @@ def forward_batch(params: DenoiserParams, x_noisy: np.ndarray, i, c: np.ndarray,
         z += b
         if cache is not None:
             cache.append((a, z))
-        a = z if idx == last else _act(z, params.activation, out=None if cache is not None else z)
+        a = z if idx == last else _silu(z, out=None if cache is not None else z)
     return a
 
 
@@ -214,7 +202,7 @@ def backward_batch(
         np.matmul(g.T, cache[idx][0], out=gw)
         np.sum(g, axis=0, out=gb)
         if idx > 0:
-            g = (g @ params.layers[idx][0]) * _act_grad(cache[idx - 1][1], params.activation)
+            g = (g @ params.layers[idx][0]) * _silu_grad(cache[idx - 1][1])
     return grad
 
 

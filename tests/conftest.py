@@ -44,7 +44,6 @@ def tiny_model(pv_fitted, tiny_schedule):
         batch_size=16,
         lr=2e-3,
         hidden=(32, 32),
-        activation="silu",
         embed_dim=8,
         seed=3,
         zone=1,

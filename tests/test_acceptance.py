@@ -159,7 +159,7 @@ def test_criterion_4_trained_sampler_beats_climatology():
 
     sched = dif.make_schedule("linear", n=200, beta_start=1e-4, beta_end=0.05)
     cfg = dif.TrainConfig(epochs=200, batch_size=64, lr=1e-3,
-                          hidden=(128, 128, 128), activation="silu",
+                          hidden=(128, 128, 128),
                           embed_dim=32, seed=7, zone=1)
     params, _ = dif.train(norm, cfg, sched)
 
@@ -401,7 +401,7 @@ def test_criterion_8_gefcom_wind_track():
     scen, obs = {}, {}
     for z in zones:
         cfg = dif.TrainConfig(epochs=200, batch_size=64, lr=1e-3,
-                              hidden=(128, 128, 128), activation="silu",
+                              hidden=(128, 128, 128),
                               embed_dim=32, seed=100 + z, zone=z)
         params, _ = dif.train(norm, cfg, sched)
         raw = sorted(ds.subset(split="test", zone=z), key=lambda s: s.day_id)

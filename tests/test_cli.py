@@ -194,11 +194,16 @@ def test_config_sections_name_their_parameters():
 
 def test_exit_2_unknown_config_key(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"optimizer": {"lrx": 1}}))
-    assert main(["train", "--config", str(bad)]) == 2
-    doc = _stderr_error(capsys)
-    assert doc["error"] == "ConfigError"
-    assert "optimizer.lrx" in doc["message"]
+    # the model is a SiLU MLP sampled with sigma^2 = beta and scored with the
+    # energy-form CRPS; the keys that once chose otherwise are unknown keys
+    for section, key, val in (("optimizer", "lrx", 1), ("model", "activation", "silu"),
+                              ("schedule", "sigma_mode", "beta"),
+                              ("metrics", "crps_estimator", "nrg")):
+        bad.write_text(json.dumps({section: {key: val}}))
+        assert main(["train", "--config", str(bad)]) == 2
+        doc = _stderr_error(capsys)
+        assert doc["error"] == "ConfigError"
+        assert f"unknown config key '{section}.{key}'" in doc["message"]
 
 
 def test_exit_2_missing_data_and_files(tmp_path, capsys):
@@ -259,6 +264,19 @@ def test_exit_2_bad_config_values(tmp_path, capsys):
     cfg.write_text(json.dumps({"track": "pv"}))
     assert main(["train", "--config", str(cfg), "--seed", "-1"]) == 2
     assert "seed" in _stderr_error(capsys)["message"]
+    # Adam settings outside their ranges are the config's fault, not a divergence
+    data = tmp_path / "pv.csv"
+    assert main(["synth", "--profile", "sine_pv", "--days", "40", "--out", str(data)]) == 0
+    capsys.readouterr()
+    for key, bad in (("lr", -0.5), ("lr", 0.0), ("beta1", 1.0), ("beta1", 1.5),
+                     ("beta1", -0.1), ("beta2", 1.0), ("eps", 0.0)):
+        cfg = _write_config(tmp_path, "pv", data, optimizer={"epochs": 2, key: bad})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        doc = _stderr_error(capsys)
+        assert doc["error"] == "ParameterError" and "optimizer needs" in doc["message"]
 
 
 def test_exit_3_training_divergence(tmp_path, capsys):
@@ -305,22 +323,28 @@ def test_exit_4_checkpoint_track_mismatch(tmp_path, capsys):
     assert doc["error"] == "ModelValidationError"
     assert "cond_dim" in doc["message"]
 
-    # a version 2 checkpoint records no test days; a test-day list must be a
-    # list of YYYY-MM-DD strings
+    # a version 3 checkpoint may ask for relu or the posterior variance, which
+    # version 4 cannot sample; a test-day list must be a list of YYYY-MM-DD strings
     old = json.loads(raw[:nl])
-    old["version"] = 2
-    del old["test_days"]
-    cases = [(old, "version 2, expected 3")]
+    old.update(version=3, activation="relu")
+    old["schedule"].update(n=len(old["schedule"]["beta"]), sigma_mode="posterior")
+    old["scaler"]["target_scale"] = 1.0
+    cases = [(old, "version 3, expected 4")]
     for bad in ("2012-01-02", [1], ["2012-02-30"], ["2012-W01-1"]):
         header = json.loads(raw[:nl])
         header["test_days"] = bad
         cases.append((header, "test_days" if bad == "2012-01-02" else "bad checkpoint"))
     # every checkpoint carries a scaler whose values fit its track and network;
-    # a bad one is refused on load, before it can warn or sample
+    # a bad one is refused on load, before it can warn or sample. A load
+    # scaler's target_scale is 1 / learn_max, so a subnormal learn_max gives
+    # an infinite scale
+    header = json.loads(raw[:nl])
+    header["track"] = header["scaler"]["track"] = "load"
+    header["scaler"]["learn_max"] = 1e-320
+    cases.append((header, "target_scale must be finite and > 0"))
     k = len(json.loads(raw[:nl])["scaler"]["cov_scale"])
     for key, bad, message in (
         (None, None, "'scaler' is missing or mistyped"),
-        ("target_scale", 0.0, "target_scale must be finite and > 0"),
         ("track", "load", "track must be"),
         ("learn_max", float("nan"), "learn_max must be finite"),
         ("cov_scale", [float("inf")] * k, "cov_scale needs one finite entry > 0"),

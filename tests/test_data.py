@@ -588,8 +588,7 @@ def _plain_scaler(track="pv", target_fixed=None):
     """A scaler with unit maps; no hour is pinned unless target_fixed says so."""
     if target_fixed is None:
         target_fixed = np.full(24, np.nan)
-    return dmod.Scaler(track=track, target_scale=1.0,
-                       learn_max=10.0, cov_offset=np.zeros(24),
+    return dmod.Scaler(track=track, learn_max=1.0, cov_offset=np.zeros(24),
                        cov_scale=np.ones(24), target_fixed=target_fixed)
 
 
@@ -598,7 +597,7 @@ def test_pin_fixed_overwrites_only_recorded_hours():
     fixed[3] = 0.0
     fixed[20] = 7.5
     scaler = _plain_scaler("load", fixed)
-    x = np.random.default_rng(0).uniform(1, 2, (5, 24))
+    x = np.random.default_rng(0).uniform(1, 1.2, (5, 24))  # 2x - 1 and back are exact
     pinned = scaler.to_physical(scaler.to_model(x))
     assert np.all(pinned[:, 3] == 0.0)
     assert np.all(pinned[:, 20] == 7.5)
@@ -632,5 +631,5 @@ def test_scaler_from_dict_refuses_missing_fixed_hours():
     with pytest.raises(KeyError, match="target_fixed"):
         dmod.Scaler.from_dict(doc)
     with pytest.raises(TypeError):
-        dmod.Scaler(track="pv", target_scale=1.0, learn_max=1.0,
+        dmod.Scaler(track="pv", learn_max=1.0,
                     cov_offset=np.zeros(1), cov_scale=np.ones(1))

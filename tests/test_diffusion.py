@@ -50,6 +50,8 @@ def test_schedule_identities_hold_exactly():
         assert np.all(np.diff(s.alpha_bar) < 0)
         np.testing.assert_allclose(s.alpha_bar, np.cumprod(1.0 - s.beta), rtol=1e-15)
         assert np.all((s.beta > 0) & (s.beta < 1))
+    s = dif.make_schedule("linear", n=40, beta_end=0.3)
+    np.testing.assert_allclose(s.sigma, np.sqrt(s.beta), rtol=1e-15)
 
 
 def test_too_short_schedule_is_rejected_with_escape_hatch():
@@ -86,27 +88,14 @@ def test_schedule_parameter_validation():
     with pytest.raises(ParameterError):
         dif.make_schedule("quadratic")
     with pytest.raises(ParameterError):
-        dif.from_betas(np.array([0.1, 0.2]), sigma_mode="learned")
-    with pytest.raises(ParameterError):
         dif.from_betas(np.array([0.1, 1.5]), enforce_terminal=False)
 
 
-def test_sigma_modes():
-    s = dif.make_schedule("linear", n=40, beta_end=0.3)
-    np.testing.assert_allclose(s.sigma, np.sqrt(s.beta), rtol=1e-15)
-    p = dif.make_schedule("linear", n=40, beta_end=0.3, sigma_mode="posterior")
-    assert p.sigma[0] == 0.0  # no uncertainty one step from the data
-    abar_prev = np.concatenate([[1.0], p.alpha_bar[:-1]])
-    want = np.sqrt(p.beta * (1 - abar_prev) / (1 - p.alpha_bar))
-    np.testing.assert_allclose(p.sigma, want, rtol=1e-12)
-    # posterior variance never exceeds the beta-mode variance
-    assert np.all(p.sigma <= np.sqrt(p.beta) + 1e-15)
-
-
 def test_schedule_dict_round_trip():
-    s = dif.make_schedule("cosine", n=25, sigma_mode="posterior")
+    s = dif.make_schedule("cosine", n=25)
+    assert set(s.to_dict()) == {"kind", "beta"}  # n and sigma follow from beta
     back = dif.Schedule.from_dict(json.loads(json.dumps(s.to_dict())))
-    assert back.kind == s.kind and back.n == s.n and back.sigma_mode == s.sigma_mode
+    assert back.kind == s.kind and back.n == s.n
     np.testing.assert_allclose(back.beta, s.beta, rtol=1e-15)
     np.testing.assert_allclose(back.sigma, s.sigma, rtol=1e-12)
 
@@ -161,10 +150,10 @@ def test_chain_forward_marginals_match_closed_form():
         assert abs(vals.var() - (1 - abar)) < 5 * (1 - abar) * math.sqrt(2 / n_draws)
 
 
-@pytest.mark.parametrize("sigma_mode", ["beta", "posterior"])
-def test_schedule_from_dict_rejects_bad_betas_without_warnings(sigma_mode):
+@pytest.mark.parametrize("sigma", ["beta"])  # sigma^2 = beta, the one reverse variance
+def test_schedule_from_dict_rejects_bad_betas_without_warnings(sigma):
     """Betas outside (0, 1) are rejected before sigma takes their square roots."""
-    d = dif.make_schedule("linear", n=10, sigma_mode=sigma_mode, enforce_terminal=False).to_dict()
+    d = dif.make_schedule("linear", n=10, enforce_terminal=False).to_dict()
     for bad in (-0.1, 0.0, 1.0, 1.5, float("nan")):
         d["beta"][3] = bad
         with warnings.catch_warnings():
@@ -640,7 +629,6 @@ def test_checkpoint_round_trip_is_exact(tmp_path, tiny_model, tiny_schedule, pv_
                         test_days[::-1])
     loaded, sched, scaler, header = dif.load_checkpoint(p)
     np.testing.assert_array_equal(loaded.vector, params.vector)
-    assert loaded.activation == params.activation
     np.testing.assert_allclose(sched.beta, tiny_schedule.beta, rtol=1e-15)
     assert scaler.track == "pv" and scaler.learn_max == pv_fitted.scaler.learn_max
     assert header["track"] == "pv" and header["zone"] == 1
@@ -697,11 +685,11 @@ def test_checkpoint_rejects_corruption(tmp_path, tiny_model, tiny_schedule, pv_f
     (tmp_path / "v.ckpt").write_bytes(json.dumps(header).encode() + raw[nl:])
     with pytest.raises(ModelValidationError, match="version"):
         dif.load_checkpoint(tmp_path / "v.ckpt")
-    # a version 2 file has no test days; the message names both versions
-    header["version"] = 2
-    del header["test_days"]
+    # a version 3 file may name relu or the posterior variance; the message
+    # names both versions
+    header.update(version=3, activation="relu")
     (tmp_path / "v.ckpt").write_bytes(json.dumps(header).encode() + raw[nl:])
-    with pytest.raises(ModelValidationError, match="version 2, expected 3"):
+    with pytest.raises(ModelValidationError, match="version 3, expected 4"):
         dif.load_checkpoint(tmp_path / "v.ckpt")
 
     header = json.loads(raw[:nl])
@@ -720,13 +708,13 @@ def test_checkpoint_rejects_corruption(tmp_path, tiny_model, tiny_schedule, pv_f
         (tmp_path / "e.ckpt").write_bytes(json.dumps(doc).encode() + raw[nl:])
         return tmp_path / "e.ckpt"
 
-    for key in ("n_params", "hidden", "schedule", "activation", "sha256"):
+    for key in ("n_params", "hidden", "schedule", "sha256"):
         broken = json.loads(raw[:nl])
         del broken[key]
         with pytest.raises(ModelValidationError, match=key):
             dif.load_checkpoint(with_header(broken))
     for key, bad in (("n_params", "abc"), ("hidden", [16, "x"]), ("hidden", [-4]),
-                     ("activation", "tanh"), ("schedule", {"kind": "linear"})):
+                     ("schedule", {"kind": "linear"})):
         broken = json.loads(raw[:nl])
         broken[key] = bad
         with pytest.raises(ModelValidationError):

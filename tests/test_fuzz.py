@@ -154,23 +154,24 @@ ENTRIES = st.one_of(VALUES, st.sampled_from([float("-inf"), 1.3, 1e-300, -1e-300
 
 def _scaler_holds(sc: dict, header: dict) -> bool:
     """The scaler rules restated: the scaler's track is the header's, one of
-    TRACKS; target_scale finite and > 0; learn_max finite (> 0 for load);
+    TRACKS; learn_max finite (> 0 for load); target_scale, 1 / learn_max for
+    load and 1 otherwise, finite;
     one finite covariate offset and scale per cond_dim / 24 channel, scales
     > 0; 24 pinned hours, each null or in [0, 1] (load: [0, 1.2 learn_max])."""
     try:
-        track, scale, top = sc["track"], float(sc["target_scale"]), float(sc["learn_max"])
+        track, top = sc["track"], float(sc["learn_max"])
         offset = np.asarray(sc["cov_offset"], dtype=float)
         cov_scale = np.asarray(sc["cov_scale"], dtype=float)
         fixed = np.array([math.nan if v is None else float(v) for v in sc["target_fixed"]])
     except (KeyError, TypeError, ValueError, OverflowError):
         return False
     load = track == "load"
+    scale = 1.0 / top if load and top > 0 else 1.0
     hi = 1.2 * top if load else 1.0
     channels = (header["cond_dim"] // 24,)
     pinned = fixed[~np.isnan(fixed)]
     return (track in TRACKS and track == header["track"]
-            and math.isfinite(scale) and scale > 0
-            and math.isfinite(top) and (top > 0 or not load)
+            and math.isfinite(top) and (top > 0 or not load) and math.isfinite(scale)
             and offset.shape == channels and bool(np.isfinite(offset).all())
             and cov_scale.shape == channels and bool(np.isfinite(cov_scale).all())
             and bool((cov_scale > 0).all())

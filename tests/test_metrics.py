@@ -17,14 +17,13 @@ from scendiff.errors import (
 from oracles import pinball
 
 
-def _crps_brute(scens, y, estimator="nrg"):
+def _crps_brute(scens, y):
     """Double-loop energy-form estimator, one marginal at a time."""
     m, l = scens.shape
-    pairs = m * m if estimator == "nrg" else m * (m - 1)
     out = np.zeros(l)
     for t in range(l):
         t1 = np.mean([abs(x - y[t]) for x in scens[:, t]])
-        t2 = sum(abs(a - b) for a in scens[:, t] for b in scens[:, t]) / pairs
+        t2 = sum(abs(a - b) for a in scens[:, t] for b in scens[:, t]) / (m * m)
         out[t] = t1 - 0.5 * t2
     return out
 
@@ -121,22 +120,6 @@ def test_crps_matches_brute_force():
     assert mean == pytest.approx(want.mean(), abs=1e-12)
 
 
-def test_crps_fair_estimator_relation():
-    """fair and nrg share term1; their spread terms differ by M/(M-1)."""
-    rng = np.random.default_rng(1)
-    scens = rng.standard_normal((6, 4))
-    y = rng.standard_normal(4)
-    per_n, _ = met.crps(scens, y, estimator="nrg")
-    per_f, _ = met.crps(scens, y, estimator="fair")
-    t1 = np.mean(np.abs(scens - y[None, :]), axis=0)
-    np.testing.assert_allclose(t1 - per_f, (t1 - per_n) * 6 / 5, atol=1e-12)
-    assert np.all(per_f <= per_n + 1e-12)
-    with pytest.raises(InsufficientDataError):
-        met.crps(scens[:1], y, estimator="fair")
-    with pytest.raises(ParameterError):
-        met.crps(scens, y, estimator="pwm")
-
-
 def test_energy_and_variogram_match_brute_force():
     rng = np.random.default_rng(2)
     scens = rng.uniform(0, 1, (5, 6))
@@ -172,12 +155,11 @@ def test_scores_match_brute_force_on_tie_heavy_inputs(m):
     the double loops on zero night hours, duplicated rows and few or many
     scenarios."""
     scens, y = _tie_heavy(m, seed=20 + m)
-    for estimator in ("nrg", "fair") if m >= 2 else ("nrg",):
-        per, mean = met.crps(scens, y, estimator=estimator)
-        want = _crps_brute(scens, y, estimator)
-        np.testing.assert_allclose(per, want, rtol=1e-12)
-        assert np.all(per[:6] == 0.0) and np.all(per[20:] == 0.0)
-        assert mean == pytest.approx(want.mean(), rel=1e-12)
+    per, mean = met.crps(scens, y)
+    want = _crps_brute(scens, y)
+    np.testing.assert_allclose(per, want, rtol=1e-12)
+    assert np.all(per[:6] == 0.0) and np.all(per[20:] == 0.0)
+    assert mean == pytest.approx(want.mean(), rel=1e-12)
     if m == 1:
         np.testing.assert_array_equal(met.crps(scens, y)[0], np.abs(scens[0] - y))
     assert met.energy_score(scens, y) == pytest.approx(_es_brute(scens, y), rel=1e-12)
