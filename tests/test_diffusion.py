@@ -50,8 +50,18 @@ def test_schedule_identities_hold_exactly():
         assert np.all(np.diff(s.alpha_bar) < 0)
         np.testing.assert_allclose(s.alpha_bar, np.cumprod(1.0 - s.beta), rtol=1e-15)
         assert np.all((s.beta > 0) & (s.beta < 1))
+
+
+def test_sigma_modes():
+    # one reverse variance is left, sigma_t^2 = beta_t, whichever way the schedule is built
     s = dif.make_schedule("linear", n=40, beta_end=0.3)
     np.testing.assert_allclose(s.sigma, np.sqrt(s.beta), rtol=1e-15)
+    c = dif.make_schedule("cosine", n=60)
+    np.testing.assert_allclose(c.sigma, np.sqrt(c.beta), rtol=1e-15)
+    back = dif.Schedule.from_dict(json.loads(json.dumps(s.to_dict())))
+    np.testing.assert_allclose(back.sigma, np.sqrt(back.beta), rtol=1e-15)
+    with pytest.raises(TypeError):
+        dif.make_schedule("linear", n=40, beta_end=0.3, sigma_mode="posterior")
 
 
 def test_too_short_schedule_is_rejected_with_escape_hatch():
