@@ -134,15 +134,18 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config, {"seed": args.seed, "out_dir": args.out})
-    out_dir = Path(cfg["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # every zone's settings are checked before anything is written
+    configs = [diffusion.TrainConfig(**cfg["optimizer"], **cfg["model"], seed=cfg["seed"],
+                                     zone=zone) for zone in cfg["zones"]]
     ds = data_mod.split_random(_load_dataset(cfg), tuple(cfg["split"]["fractions"]), cfg["seed"])
     ds = data_mod.normalize(ds)
     sched = diffusion.make_schedule(**cfg["schedule"])
+    out_dir = Path(cfg["out_dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
     data_mod.write_manifest(ds, out_dir / f"manifest_{cfg['track']}.json")
     print(out_dir / f"manifest_{cfg['track']}.json")
-    for zone in cfg["zones"]:
-        tc = diffusion.TrainConfig(**cfg["optimizer"], **cfg["model"], seed=cfg["seed"], zone=zone)
+    for tc in configs:
+        zone = tc.zone
         params, log = diffusion.train(ds, tc, sched)
         ckpt = _checkpoint_path(out_dir, cfg["track"], zone)
         diffusion.save_checkpoint(ckpt, params, sched, ds.scaler, cfg["track"], zone,

@@ -9,6 +9,7 @@ return physical units.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -154,16 +155,6 @@ def forward_sample(x0: np.ndarray, i, eps: np.ndarray, sched: Schedule) -> np.nd
     return np.sqrt(abar) * np.asarray(x0) + np.sqrt(1.0 - abar) * np.asarray(eps)
 
 
-def _as_denoiser(params, cache: list | None = None):
-    """The callable (x_noisy, steps, c) -> eps_hat behind params, which are
-    DenoiserParams or already such a callable. `steps` is a scalar step
-    shared by every row or a (B,) array of per-row steps. DenoiserParams
-    fill `cache` for nn.backward_batch when it is given."""
-    if isinstance(params, nn.DenoiserParams):
-        return lambda x, steps, c: nn.forward_batch(params, x, steps, c, cache)
-    return params
-
-
 def training_loss(
     params, x0: np.ndarray, c: np.ndarray, sched: Schedule,
     rng: np.random.Generator | None = None, *,
@@ -191,8 +182,12 @@ def training_loss(
     if noise is None:
         noise = rng.standard_normal((b, l))
     x_noisy = forward_sample(x0, steps, noise, sched)
-    cache = [] if want_grads and isinstance(params, nn.DenoiserParams) else None
-    resid = _as_denoiser(params, cache)(x_noisy, steps, c) - noise
+    cache = None
+    if isinstance(params, nn.DenoiserParams):
+        cache = [] if want_grads else None
+        resid = nn.forward_batch(params, x_noisy, steps, c, cache) - noise
+    else:
+        resid = params(x_noisy, steps, c) - noise
     loss = float(np.mean(resid**2))
     if not math.isfinite(loss):
         raise TrainingDivergenceError("non-finite loss")
@@ -215,6 +210,15 @@ class TrainConfig:
     seed: int = 0
     zone: int = 1
 
+    def __post_init__(self) -> None:
+        if self.batch_size < 1:
+            raise ParameterError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not (self.lr > 0 and 0 <= self.beta1 < 1 and 0 <= self.beta2 < 1 and self.eps > 0):
+            raise ParameterError(
+                "optimizer needs lr > 0, 0 <= beta1 < 1, 0 <= beta2 < 1 and eps > 0")
+        if self.embed_dim <= 0 or self.embed_dim % 2:
+            raise ParameterError(f"embed_dim must be positive and even, got {self.embed_dim}")
+
 
 def train(ds, config: TrainConfig, sched: Schedule):
     """Minibatch noise-MSE training; returns (best params, per-epoch log).
@@ -226,10 +230,6 @@ def train(ds, config: TrainConfig, sched: Schedule):
     """
     if ds.scaler is None:
         raise ParameterError("dataset must be normalized before training")
-    if config.batch_size < 1:
-        raise ParameterError(f"batch_size must be >= 1, got {config.batch_size}")
-    if not (config.lr > 0 and 0 <= config.beta1 < 1 and 0 <= config.beta2 < 1 and config.eps > 0):
-        raise ParameterError("optimizer needs lr > 0, 0 <= beta1 < 1, 0 <= beta2 < 1 and eps > 0")
     x_learn, c_learn, _ = ds.arrays(split="learn", zone=config.zone)
     x_learn, c_learn = ds.scaler.to_model(x_learn), ds.scaler.transform_cov(c_learn)
     master = np.random.SeedSequence(config.seed)
@@ -287,8 +287,10 @@ def _reverse_engine(denoiser, c_rows: np.ndarray, sched: Schedule,
                     seed_seqs, l: int, chunk: int = 256) -> np.ndarray:
     """Ancestral sampling for many (condition, stream) rows at once.
 
-    `denoiser` is DenoiserParams or a callable (x_noisy (B, l), step, c (B, K))
-    -> eps_hat (B, l); it gets the step as a scalar, the same for every row.
+    `denoiser` is DenoiserParams, run in float32 by nn.sampling_forward, or
+    a callable (x_noisy (B, l), step, c (B, K)) -> eps_hat (B, l) that gets
+    the step as a scalar, the same for every row. The chain state, the
+    update and the finiteness check stay float64.
     Each row has its own RNG stream drawing, in order, the initial noise and
     then one z vector per reverse step from n down to 2, so a row's draws
     do not depend on `chunk` or on the other rows. Its bits do not either as
@@ -297,15 +299,23 @@ def _reverse_engine(denoiser, c_rows: np.ndarray, sched: Schedule,
     kernel), where results move in the last bits.
 
     Rows run in chunks: at 256 rows one hidden layer's activations
-    (256 x 128 x 8 B) stay in L2 cache. Chunks are independent, so they run
+    (256 x 128 x 4 B) stay in L2 cache. Chunks are independent, so they run
     concurrently on a thread pool of min(CPUs this process may run on,
     chunk count) threads; numpy's matrix products and large ufuncs release
-    the interpreter lock. One chunk or one CPU runs in the calling thread.
-    Each worker samples under the caller's numpy error state. Errors are
-    those of the first failing chunk in row order, as if the chunks ran one
-    after another, and the chunks not yet started are cancelled.
+    the interpreter lock. While the pool runs, numpy's OpenBLAS runs each
+    product on one thread (see _blas_threads), so the workers' BLAS threads
+    do not contend for the cores; where its thread count can be neither set
+    nor seen pinned to 1, the chunks run in the calling thread, as do one
+    chunk or one CPU. Each worker samples under the caller's numpy error
+    state. Errors are those of the first failing chunk in row order, as if
+    the chunks ran one after another, and the chunks not yet started are
+    cancelled.
     """
-    denoiser = _as_denoiser(denoiser)
+    if isinstance(denoiser, nn.DenoiserParams):
+        bind = nn.sampling_forward(denoiser, sched.n)
+    else:
+        def bind(c):
+            return lambda x, i: denoiser(x, i, c)
     r = c_rows.shape[0]
     out = np.empty((r, l))
     errstate = dict(np.geterr(), call=np.geterrcall())
@@ -313,10 +323,13 @@ def _reverse_engine(denoiser, c_rows: np.ndarray, sched: Schedule,
     def run(lo: int) -> None:
         hi = min(lo + chunk, r)
         with np.errstate(**errstate):
-            _reverse_chunk(denoiser, c_rows[lo:hi], sched, seed_seqs[lo:hi], out[lo:hi])
+            _reverse_chunk(bind(c_rows[lo:hi]), sched, seed_seqs[lo:hi], out[lo:hi])
 
     starts = range(0, r, chunk)
     workers = min(_cpu_count(), len(starts))
+    blas = _blas_threads() if workers > 1 else None
+    if blas is None and not any(os.environ.get(v) == "1" for v in _BLAS_THREAD_VARS):
+        workers = 1
     if workers <= 1:
         for lo in starts:
             run(lo)
@@ -325,17 +338,23 @@ def _reverse_engine(denoiser, c_rows: np.ndarray, sched: Schedule,
     # commands that never sample need not carry
     from concurrent.futures import ThreadPoolExecutor
 
+    if blas:
+        threads = blas[0]()
+        blas[1](1)
     pool = ThreadPoolExecutor(workers)
     try:
         for f in [pool.submit(run, lo) for lo in starts]:
             f.result()
     finally:
         pool.shutdown(cancel_futures=True)
+        if blas:
+            blas[1](threads)
     return out
 
 
-def _reverse_chunk(denoiser, c: np.ndarray, sched: Schedule, seed_seqs, x: np.ndarray) -> None:
-    """Run the reverse chain for the rows of one chunk in place in `x`.
+def _reverse_chunk(step, sched: Schedule, seed_seqs, x: np.ndarray) -> None:
+    """Run the reverse chain for the rows of one chunk in place in `x`;
+    step(x, i) is the denoiser bound to the chunk's conditions.
 
     Each row's generator draws its initial noise, then its z vectors
     NOISE_SLAB steps at a time; the draws follow one another in the stream
@@ -352,7 +371,7 @@ def _reverse_chunk(denoiser, c: np.ndarray, sched: Schedule, seed_seqs, x: np.nd
             steps = min(NOISE_SLAB, i - 1)
             for j, rng in enumerate(rngs):
                 rng.standard_normal(out=z[j, :steps])
-        eps_hat = denoiser(x, i, c)
+        eps_hat = step(x, i)
         x -= sched.beta[i - 1] / math.sqrt(1.0 - sched.alpha_bar[i - 1]) * eps_hat
         x /= math.sqrt(1.0 - sched.beta[i - 1])
         if i > 1:
@@ -367,6 +386,39 @@ def _cpu_count() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
+
+
+# environment variables that pin a BLAS library to one thread when read at load time
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# (get, set) thread-count symbols of numpy's bundled OpenBLAS, newest wheel layout first
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _blas_threads():
+    """(get, set): the thread-count functions get() -> int and set(int) of
+    the OpenBLAS that numpy's wheel bundles in numpy.libs/ (numpy/.dylibs/
+    on macOS), or None when no such library or function is found. Looked
+    up once, through ctypes."""
+    import ctypes
+
+    pkg = Path(np.__file__).parent
+    for lib in sorted([*pkg.parent.glob("numpy.libs/*openblas*"), *pkg.glob(".dylibs/*openblas*")]):
+        try:
+            handle = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        for get_name, set_name in _BLAS_THREAD_SYMBOLS:
+            get, set_ = getattr(handle, get_name, None), getattr(handle, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
 
 
 def sample_days(params, conditions: np.ndarray, day_ids, sched: Schedule, m: int, seed,

@@ -177,6 +177,52 @@ def forward_batch(params: DenoiserParams, x_noisy: np.ndarray, i, c: np.ndarray,
     return a
 
 
+def sampling_forward(params: DenoiserParams, n: int):
+    """The denoiser as the reverse sampler runs it, in float32: a function
+    bind(c) of one chunk's conditions (B, K) that returns step(x_noisy (B, L),
+    i) -> eps_hat (B, L) as float64, for steps i in 1..n.
+
+    Layer 0's W splits into its x, embedding and condition column blocks.
+    Only x changes from step to step, so the condition's projection is made
+    once per bind and the embedding's, with b0, once here for every step, as
+    one n-row float64 product (a lone embedding row would take OpenBLAS's
+    small-matrix kernel). Both are then cast to float32, as are the weights;
+    per step only x @ W_x.T and the later layers run, in float32. Overflow
+    and invalid results are left to the caller's finiteness check, and raise
+    no warning.
+    """
+    l, e = params.sample_dim, params.embed_dim
+    (w0, b0), rest = params.layers[0], params.layers[1:]
+    w_c = w0[:, l + e :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        w_x = w0[:, :l].astype(np.float32)
+        table = (timestep_embedding(np.arange(1, n + 1), e) @ w0[:, l : l + e].T + b0
+                 ).astype(np.float32)
+        layers = [(w.astype(np.float32), b.astype(np.float32)) for w, b in rest]
+
+    def bind(c: np.ndarray):
+        if c.ndim != 2 or c.shape[1] != params.cond_dim:
+            raise DimensionError(f"condition shape {c.shape} != (B, {params.cond_dim})")
+        with np.errstate(over="ignore", invalid="ignore"):
+            proj_c = (c @ w_c.T).astype(np.float32)
+
+        def step(x: np.ndarray, i: int) -> np.ndarray:
+            if x.shape != (c.shape[0], l):
+                raise DimensionError(f"sample shape {x.shape} != ({c.shape[0]}, {l})")
+            with np.errstate(over="ignore", invalid="ignore"):
+                a = x.astype(np.float32) @ w_x.T
+                a += proj_c
+                a += table[i - 1]
+                for w, b in layers:
+                    a = _silu(a, out=a) @ w.T
+                    a += b
+                return a.astype(float)
+
+        return step
+
+    return bind
+
+
 def backward_batch(
     params: DenoiserParams, x_noisy: np.ndarray, i, c: np.ndarray, grad_out: np.ndarray,
     cache: list | None = None,

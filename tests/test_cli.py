@@ -295,6 +295,54 @@ def test_exit_3_training_divergence(tmp_path, capsys):
     assert _stderr_error(capsys)["error"] == "TrainingDivergenceError"
 
 
+def test_train_checks_every_setting_before_writing(tmp_path, capsys):
+    """A config refused with exit 2 leaves the output directory as it was:
+    no manifest, no checkpoint."""
+    data = tmp_path / "pv.csv"
+    assert main(["synth", "--profile", "sine_pv", "--days", "40", "--out", str(data)]) == 0
+    out = tmp_path / "o"
+    out.mkdir()
+    capsys.readouterr()
+    for bad in ({"optimizer": {"epochs": 2, "lr": -0.5}}, {"model": {"embed_dim": 3}},
+                {"zones": [1, 2], "optimizer": {"batch_size": 0}}):
+        cfg = _write_config(tmp_path, "pv", data, **bad)
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        assert _stderr_error(capsys)["error"] == "ParameterError"
+        assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("scale", [1e12, 1e3])
+def test_exit_3_sampling_divergence_is_one_line(tmp_path, capsys, scale):
+    """A model whose parameters were scaled up diverges while sampling: the
+    engine's finiteness check reports it as one JSON line and exit 3, with
+    no RuntimeWarning before it, also when RuntimeWarnings are errors (the
+    float32 denoiser overflows quietly into inf and nan)."""
+    data = tmp_path / "pv.csv"
+    assert main(["synth", "--profile", "sine_pv", "--days", "80", "--seed", "1",
+                 "--out", str(data)]) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"data": str(data), "schedule": {"n": 20, "beta_end": 0.5},
+                               "model": {"hidden": [16], "embed_dim": 8},
+                               "optimizer": {"epochs": 1}, "m_scenarios": 10}))
+    out = tmp_path / "o"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+    ckpt = out / "model_pv_z1.ckpt"
+    params, sched, scaler, header = dif.load_checkpoint(ckpt)
+    params.vector *= scale
+    dif.save_checkpoint(ckpt, params, sched, scaler, "pv", 1, header["test_days"])
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 3
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert _stderr_error(capsys)["error"] == "SamplingDivergenceError"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 3
+    assert _stderr_error(capsys)["error"] == "SamplingDivergenceError"
+    assert not (out / "scenarios_pv_z1.csv").exists()
+
+
 def test_exit_4_checkpoint_track_mismatch(tmp_path, capsys):
     _run_track(tmp_path, "sine_pv", "pv")
     wind_data = tmp_path / "wind.csv"

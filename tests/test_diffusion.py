@@ -351,7 +351,9 @@ def test_reverse_engine_chunking_is_invisible():
     # its matrix products: the scenario file's bytes, and their agreement with
     # earlier releases that used other chunk sizes, rely on it. A product of
     # a few rows (chunk 3 here) goes through OpenBLAS's small-matrix kernel,
-    # which rounds differently, so that case is held to 1e-12 only.
+    # which rounds differently, so that case is held to a bound only: 1e-12
+    # on the float64 forward_batch, and on the float32 sampling path the
+    # float32 rounding of a few layers, 1e-5 of max(1, max |x|).
     p = nn.init_params((128, 128), sample_dim=24, embed_dim=8, cond_dim=24, seed=4)
     c_rows = np.random.default_rng(6).uniform(0, 1, (600, 24))
     seqs = np.random.SeedSequence(8).spawn(600)
@@ -359,15 +361,43 @@ def test_reverse_engine_chunking_is_invisible():
     for chunk in (128, 300, 1000):
         np.testing.assert_array_equal(
             dif._reverse_engine(p, c_rows, s, seqs, l=24, chunk=chunk), default)
-    np.testing.assert_allclose(dif._reverse_engine(p, c_rows, s, seqs, l=24, chunk=3),
-                               default, rtol=1e-12, atol=1e-12)
+    small = dif._reverse_engine(p, c_rows, s, seqs, l=24, chunk=3)
+    assert np.abs(small - default).max() <= 1e-5 * max(1.0, np.abs(default).max())
+
+    def float64(x, i, c):
+        return nn.forward_batch(p, x, i, c)
+
+    np.testing.assert_allclose(dif._reverse_engine(float64, c_rows, s, seqs, l=24, chunk=3),
+                               dif._reverse_engine(float64, c_rows, s, seqs, l=24),
+                               rtol=1e-12, atol=1e-12)
+
+
+def test_float32_sampler_stays_near_the_float64_forward(tiny_model, tiny_schedule, pv_fitted):
+    """The sampler runs DenoiserParams in float32 (nn.sampling_forward);
+    on the trained tiny model its chain ends within 1e-5 of max(1, max |x|) of
+    the same chain driven by the float64 forward_batch: float32 keeps about
+    7 digits, and the chain's 30 steps do not amplify the difference."""
+    params, _ = tiny_model
+    _, c, _ = pv_fitted.arrays(split="test", zone=1)
+    c_rows = np.repeat(pv_fitted.scaler.transform_cov(c), 20, axis=0)
+    seqs = np.random.SeedSequence(12).spawn(c_rows.shape[0])
+    got = dif._reverse_engine(params, c_rows, tiny_schedule, seqs, l=24)
+    ref = dif._reverse_engine(lambda x, i, c: nn.forward_batch(params, x, i, c), c_rows,
+                              tiny_schedule, seqs, l=24)
+    assert not np.array_equal(got, ref)
+    assert np.abs(got - ref).max() <= 1e-5 * max(1.0, np.abs(ref).max())
 
 
 def _sequential_engine(denoiser, c_rows, sched, seed_seqs, l, chunk=256):
     """The reverse engine as it was before chunks ran on a thread pool: one
     chunk after another, each drawing every row's whole (n - 1, l) z block
-    up front. The threaded engine must reproduce its bytes."""
-    denoiser = dif._as_denoiser(denoiser)
+    up front, and DenoiserParams run through nn.sampling_forward as in the
+    sampler. The threaded engine must reproduce its bytes."""
+    if isinstance(denoiser, nn.DenoiserParams):
+        bind = nn.sampling_forward(denoiser, sched.n)
+    else:
+        def bind(c):
+            return lambda x, i: denoiser(x, i, c)
     r = c_rows.shape[0]
     out = np.empty((r, l))
     for lo in range(0, r, chunk):
@@ -380,9 +410,9 @@ def _sequential_engine(denoiser, c_rows, sched, seed_seqs, l, chunk=256):
             x[j] = rng.standard_normal(l)
             if sched.n > 1:
                 z[j] = rng.standard_normal((sched.n - 1, l))
-        c_chunk = c_rows[lo:hi]
+        step = bind(c_rows[lo:hi])
         for i in range(sched.n, 0, -1):
-            eps_hat = denoiser(x, i, c_chunk)
+            eps_hat = step(x, i)
             x -= sched.beta[i - 1] / math.sqrt(1.0 - sched.alpha_bar[i - 1]) * eps_hat
             x /= math.sqrt(1.0 - sched.beta[i - 1])
             if i > 1:
@@ -394,9 +424,12 @@ def _sequential_engine(denoiser, c_rows, sched, seed_seqs, l, chunk=256):
 
 
 def _set_cpus(monkeypatch, cpus):
-    """Make the engine see `cpus` CPUs in its affinity set."""
+    """Make the engine see `cpus` CPUs in its affinity set, and BLAS pinned
+    to one thread, so that it starts a pool even where it finds no BLAS
+    thread setter."""
     monkeypatch.setattr(dif.os, "sched_getaffinity", lambda pid: set(range(cpus)),
                         raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
 
 
 def _counting_pools(monkeypatch):
@@ -436,6 +469,7 @@ def test_reverse_engine_matches_sequential_reference(monkeypatch, fast_switching
     pools = _counting_pools(monkeypatch)
     s = dif.make_schedule("cosine", n=n)
     p = nn.init_params((128, 128), sample_dim=24, embed_dim=8, cond_dim=24, seed=4)
+    forward = nn.sampling_forward(p, n)
     for rows in (1, 255, 256, 257, 600):
         c_rows = np.random.default_rng(rows).uniform(0, 1, (rows, 24))
         seqs = np.random.SeedSequence(rows).spawn(rows)
@@ -443,7 +477,7 @@ def test_reverse_engine_matches_sequential_reference(monkeypatch, fast_switching
 
         def net(x, i, c):
             threads.add(threading.get_ident())
-            return nn.forward_batch(p, x, i, c)
+            return forward(c)(x, i)
 
         pools.clear()
         got = dif._reverse_engine(net, c_rows, s, seqs, l=24)
@@ -454,6 +488,54 @@ def test_reverse_engine_matches_sequential_reference(monkeypatch, fast_switching
         assert len(threads) <= workers
         if workers == 1:
             assert threads == {threading.get_ident()}
+
+
+def test_reverse_engine_caps_blas_threads_while_the_pool_runs(monkeypatch):
+    """Pool workers see numpy's OpenBLAS at one thread; the caller's count
+    is back afterwards, also when a chunk raises."""
+    blas = dif._blas_threads()
+    if blas is None:
+        pytest.skip("no OpenBLAS thread setter found")
+    get, set_ = blas
+    _set_cpus(monkeypatch, 2)
+    s = dif.make_schedule("cosine", n=5)
+    seqs = np.random.SeedSequence(1).spawn(600)
+    seen = []
+
+    def denoiser(x, i, c):
+        seen.append(get())
+        if c.shape[1] and i == 3:
+            raise SamplingDivergenceError("chunk failed")
+        return np.zeros_like(x)
+
+    old = get()
+    set_(2)
+    try:
+        dif._reverse_engine(denoiser, np.zeros((600, 0)), s, seqs, l=3)
+        assert seen and set(seen) == {1}
+        assert get() == 2
+        with pytest.raises(SamplingDivergenceError, match="chunk failed"):
+            dif._reverse_engine(denoiser, np.zeros((600, 1)), s, seqs, l=3)
+        assert get() == 2
+    finally:
+        set_(old)
+
+
+def test_reverse_engine_runs_inline_when_blas_threads_cannot_be_capped(monkeypatch):
+    """With no BLAS thread setter and no BLAS pinned by the environment, the
+    chunks run one after another in the calling thread."""
+    _set_cpus(monkeypatch, 2)
+    for var in dif._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setattr(dif, "_blas_threads", lambda: None)
+    pools = _counting_pools(monkeypatch)
+    s = dif.make_schedule("cosine", n=6)
+    p = nn.init_params((16,), sample_dim=24, embed_dim=8, cond_dim=2, seed=1)
+    c_rows = np.random.default_rng(0).uniform(0, 1, (600, 2))
+    seqs = np.random.SeedSequence(3).spawn(600)
+    got = dif._reverse_engine(p, c_rows, s, seqs, l=24)
+    assert pools == []
+    np.testing.assert_array_equal(got, _sequential_engine(p, c_rows, s, seqs, l=24))
 
 
 def _overflowing(x, i, c):

@@ -1,5 +1,6 @@
 """MLP denoiser: shapes, embeddings, hand-derived gradients, optimizer."""
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -170,6 +171,41 @@ def test_forward_rejects_wrong_dims():
         nn.forward_batch(p, np.zeros((2, 4)), 1, np.zeros((2, 2)))
     with pytest.raises(DimensionError):
         nn.forward_batch(p, np.zeros((2, 3)), 1, np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("hidden", [(), (16,), (32, 32, 32)])
+def test_sampling_forward_is_forward_batch_in_float32(hidden):
+    """The split, float32 first layer and float32 hidden layers give
+    forward_batch's output within float32 rounding (1e-5 relative to the
+    largest output), as float64, for every step and any chunk's rows; each
+    bind keeps its own conditions."""
+    p = nn.init_params(hidden, sample_dim=24, embed_dim=8, cond_dim=48, seed=7)
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((40, 24)) * 3.0
+    c1, c2 = rng.uniform(0, 1, (2, 40, 48))
+    forward = nn.sampling_forward(p, 50)
+    step1, step2 = forward(c1), forward(c2)
+    for i in (1, 17, 50):
+        for step, c in ((step1, c1), (step2, c2)):
+            got, ref = step(x, i), nn.forward_batch(p, x, i, c)
+            assert got.dtype == np.float64
+            assert np.abs(got - ref).max() <= 1e-5 * max(1.0, np.abs(ref).max())
+            assert not np.array_equal(got, ref)
+    with pytest.raises(DimensionError):
+        forward(np.zeros((40, 47)))
+    with pytest.raises(DimensionError):
+        step1(np.zeros((39, 24)), 1)
+
+
+def test_sampling_forward_reports_overflow_as_non_finite_values():
+    """Weights too large for float32 become inf and their products inf or
+    nan, with no warning, so that the sampler's finiteness check reports."""
+    p = nn.init_params((8,), sample_dim=2, embed_dim=2, cond_dim=1, seed=0)
+    p.vector[:] *= 1e300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = nn.sampling_forward(p, 3)(np.ones((4, 1)))(np.ones((4, 2)), 2)
+    assert out.shape == (4, 2) and not np.all(np.isfinite(out))
 
 
 def test_silu_forward_is_stable_for_extreme_inputs():
