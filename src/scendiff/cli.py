@@ -266,7 +266,7 @@ def cmd_value(args) -> int:
     days = sorted({d for (d, z) in obs["load"] if z == load_zone})
     retailer = value.RetailerModel.from_dict(cfg["retailer"])
     report = value.run_value_benchmark(
-        {"ddpm": scen}, obs, retailer, days,
+        scen, obs, retailer, days,
         pv_zones=zone_lists["pv"], wind_zones=zone_lists["wind"], load_zone=load_zone,
         n_planner_scenarios=cfg["n_planner_scenarios"],
     )

@@ -130,14 +130,6 @@ class ScenarioSet:
     scenarios: np.ndarray
     condition: np.ndarray
 
-    def validate(self) -> None:
-        if self.m < 1:
-            raise ParameterError("m must be >= 1")
-        if self.scenarios.shape != (self.m, HOURS):
-            raise DimensionError(f"scenarios shape {self.scenarios.shape} != ({self.m}, {HOURS})")
-        if not np.all(np.isfinite(self.scenarios)):
-            raise SamplingDivergenceError(f"non-finite scenario values for day {self.day_id}")
-
 
 def forward_sample(x0: np.ndarray, i, eps: np.ndarray, sched: Schedule) -> np.ndarray:
     """Closed-form forward marginal: sqrt(abar_i) x0 + sqrt(1 - abar_i) eps.
@@ -156,7 +148,7 @@ def forward_sample(x0: np.ndarray, i, eps: np.ndarray, sched: Schedule) -> np.nd
 
 
 def training_loss(
-    params, x0: np.ndarray, c: np.ndarray, sched: Schedule,
+    params: nn.DenoiserParams, x0: np.ndarray, c: np.ndarray, sched: Schedule,
     rng: np.random.Generator | None = None, *,
     steps: np.ndarray | None = None, noise: np.ndarray | None = None,
     want_grads: bool = True,
@@ -166,9 +158,8 @@ def training_loss(
     For each row a step is drawn uniformly from 1..n and a standard-normal
     noise vector is injected (both overridable for tests); the loss is
     mean over the batch of ||eps - eps_hat||^2 / L. With gradients, the one
-    forward pass caches what the backward pass needs. `params` may also be a
-    plain callable (x_noisy, steps, c) -> eps_hat, in which case gradients
-    are skipped. Draw order from rng: steps first, then noise.
+    forward pass caches what the backward pass needs. Draw order from rng:
+    steps first, then noise.
     """
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     c = np.atleast_2d(np.asarray(c, dtype=float))
@@ -182,12 +173,8 @@ def training_loss(
     if noise is None:
         noise = rng.standard_normal((b, l))
     x_noisy = forward_sample(x0, steps, noise, sched)
-    cache = None
-    if isinstance(params, nn.DenoiserParams):
-        cache = [] if want_grads else None
-        resid = nn.forward_batch(params, x_noisy, steps, c, cache) - noise
-    else:
-        resid = params(x_noisy, steps, c) - noise
+    cache = [] if want_grads else None
+    resid = nn.forward_batch(params, x_noisy, steps, c, cache) - noise
     loss = float(np.mean(resid**2))
     if not math.isfinite(loss):
         raise TrainingDivergenceError("non-finite loss")
@@ -250,9 +237,7 @@ def train(ds, config: TrainConfig, sched: Schedule):
 
     rng_shuffle = np.random.default_rng(ss_shuffle)
     rng_batch = np.random.default_rng(ss_batch)
-    state = nn.OptimizerState.for_params(
-        params, lr=config.lr, beta1=config.beta1, beta2=config.beta2, eps=config.eps,
-    )
+    state = nn.OptimizerState(m=np.zeros_like(params.vector), v=np.zeros_like(params.vector))
     best_params = params.copy()
     best_val = math.inf
     n = x_learn.shape[0]
@@ -260,17 +245,19 @@ def train(ds, config: TrainConfig, sched: Schedule):
         order = rng_shuffle.permutation(n)
         losses = []
         try:
-            for lo in range(0, n, config.batch_size):
-                idx = order[lo : lo + config.batch_size]
-                loss, grads = training_loss(
-                    params, x_learn[idx], c_learn[idx], sched, rng_batch,
-                )
-                params, state = nn.adam_step(state, params, grads)
-                losses.append(loss)
-            params.validate()
-            val_loss, _ = training_loss(
-                params, x_val, c_val, sched, steps=val_steps, noise=val_noise, want_grads=False,
-            )
+            # overflow and invalid results raise no warning: the finiteness checks
+            # on the loss, the gradients and the parameters report them
+            with np.errstate(over="ignore", invalid="ignore"):
+                for lo in range(0, n, config.batch_size):
+                    idx = order[lo : lo + config.batch_size]
+                    loss, grads = training_loss(
+                        params, x_learn[idx], c_learn[idx], sched, rng_batch,
+                    )
+                    params, state = nn.adam_step(config, state, params, grads)
+                    losses.append(loss)
+                params.validate()
+                val_loss, _ = training_loss(params, x_val, c_val, sched, steps=val_steps,
+                                            noise=val_noise, want_grads=False)
         except TrainingDivergenceError as e:
             raise TrainingDivergenceError(f"epoch {epoch}: {e}") from None
         log.append({"epoch": epoch, "learn_loss": float(np.mean(losses)), "val_loss": val_loss})
@@ -441,13 +428,9 @@ def sample_days(params, conditions: np.ndarray, day_ids, sched: Schedule, m: int
             for s in day_seq.spawn(m)]
     c_rows = np.repeat(scaler.transform_cov(conditions), m, axis=0)
     x = scaler.to_physical(_reverse_engine(params, c_rows, sched, seqs, HOURS))
-    out = []
-    for j, day_id in enumerate(day_ids):
-        s = ScenarioSet(day_id=day_id, m=m, scenarios=x[j * m : (j + 1) * m],
+    return [ScenarioSet(day_id=day_id, m=m, scenarios=x[j * m : (j + 1) * m],
                         condition=conditions[j].copy())
-        s.validate()
-        out.append(s)
-    return out
+            for j, day_id in enumerate(day_ids)]
 
 
 CHECKPOINT_MAGIC = "scendiff-checkpoint"

@@ -257,8 +257,7 @@ def evaluate(scenarios_by_day: dict, obs_by_day: dict, base: float = 1.0,
     values and left unitless. Day sets must match exactly, and every day
     must carry the same number of scenarios (DimensionError otherwise).
     """
-    if base <= 0:
-        raise ParameterError(f"base must be positive, got {base}")
+    _check_base(base)
     missing = sorted(set(scenarios_by_day) - set(obs_by_day))
     extra = sorted(set(obs_by_day) - set(scenarios_by_day))
     if missing or extra:
@@ -305,9 +304,18 @@ def evaluate(scenarios_by_day: dict, obs_by_day: dict, base: float = 1.0,
     return report
 
 
-def evaluate_files(scenario_path: str | Path, obs_path: str | Path, **kwargs) -> QualityReport:
-    """evaluate() over a scenario CSV and an observation CSV."""
+def _check_base(base: float) -> None:
+    if not 0 < base < np.inf:  # nan fails both comparisons
+        raise ParameterError(f"base must be positive and finite, got {base}")
+
+
+def evaluate_files(scenario_path: str | Path, obs_path: str | Path, base: float = 1.0,
+                   **kwargs) -> QualityReport:
+    """evaluate() over a scenario CSV and an observation CSV; a bad base is
+    refused before either file is read."""
     from .data import read_observations
     from .diffusion import read_scenarios
 
-    return evaluate(read_scenarios(scenario_path), read_observations(obs_path), **kwargs)
+    _check_base(base)
+    return evaluate(read_scenarios(scenario_path), read_observations(obs_path), base=base,
+                    **kwargs)

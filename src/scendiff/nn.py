@@ -50,17 +50,6 @@ class DenoiserParams:
             pos = end + fan_out
 
     def validate(self) -> None:
-        if not self.layers:
-            raise ParameterError("network needs at least one layer")
-        d = self.input_dim
-        for idx, (w, b) in enumerate(self.layers):
-            if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
-                raise DimensionError(f"layer {idx}: weight {w.shape} / bias {b.shape} mismatch")
-            if w.shape[1] != d:
-                raise DimensionError(f"layer {idx}: fan-in {w.shape[1]} != expected {d}")
-            d = w.shape[0]
-        if d != self.sample_dim:
-            raise DimensionError(f"output dim {d} != sample dim {self.sample_dim}")
         bad = _nonfinite_layer(self, self.vector)
         if bad is not None:
             raise TrainingDivergenceError(f"non-finite parameters in layer {bad}")
@@ -225,17 +214,13 @@ def sampling_forward(params: DenoiserParams, n: int):
 
 def backward_batch(
     params: DenoiserParams, x_noisy: np.ndarray, i, c: np.ndarray, grad_out: np.ndarray,
-    cache: list | None = None,
+    cache: list,
 ) -> np.ndarray:
     """Gradient of sum_b grad_out[b] . forward(batch b) w.r.t. every parameter,
     one vector in the layout of params.vector.
 
-    `cache` is the one forward_batch filled for this batch; without it the
-    forward pass runs here.
+    `cache` is the one forward_batch filled for this batch.
     """
-    if cache is None:
-        cache = []
-        forward_batch(params, x_noisy, i, c, cache)
     grad_out = np.atleast_2d(np.asarray(grad_out, dtype=float))
     batch = cache[0][0].shape[0]
     if grad_out.shape != (batch, params.sample_dim):
@@ -256,44 +241,36 @@ def backward_batch(
 class OptimizerState:
     """Adaptive-moment accumulators, flat vectors in the layout of params.vector."""
 
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
-    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-    @classmethod
-    def for_params(cls, params: DenoiserParams, lr: float = 1e-3, beta1: float = 0.9,
-                   beta2: float = 0.999, eps: float = 1e-8) -> "OptimizerState":
-        return cls(lr=lr, beta1=beta1, beta2=beta2, eps=eps,
-                   m=np.zeros_like(params.vector), v=np.zeros_like(params.vector))
 
 
-def adam_step(state: OptimizerState, params: DenoiserParams,
+def adam_step(config, state: OptimizerState, params: DenoiserParams,
               grads: np.ndarray) -> tuple[DenoiserParams, OptimizerState]:
-    """One bias-corrected adaptive-moment update; returns new params and state.
+    """One bias-corrected adaptive-moment update with config's lr, beta1,
+    beta2 and eps (a diffusion.TrainConfig); returns new params and state.
 
     Raises TrainingDivergenceError naming the layer if a gradient is non-finite.
     """
     bad = _nonfinite_layer(params, grads)
     if bad is not None:
         raise TrainingDivergenceError(f"non-finite gradient in layer {bad}")
+    beta1, beta2 = config.beta1, config.beta2
     t = state.step + 1
-    c1 = 1.0 - state.beta1**t
-    c2 = 1.0 - state.beta2**t
+    c1 = 1.0 - beta1**t
+    c2 = 1.0 - beta2**t
     # the textbook update, term for term (same bits), written in place: every
     # vector-sized temporary is a fresh allocation whose pages fault on first use
-    m = state.beta1 * state.m
-    m += (1 - state.beta1) * grads
+    m = beta1 * state.m
+    m += (1 - beta1) * grads
     v = np.square(grads)
-    v *= 1 - state.beta2
-    v += state.beta2 * state.v
+    v *= 1 - beta2
+    v += beta2 * state.v
     denom = v / c2
     np.sqrt(denom, out=denom)
-    denom += state.eps
+    denom += config.eps
     step = m / c1
-    step *= state.lr
+    step *= config.lr
     step /= denom
-    return replace(params, vector=params.vector - step), replace(state, step=t, m=m, v=v)
+    return replace(params, vector=params.vector - step), OptimizerState(m=m, v=v, step=t)

@@ -285,19 +285,20 @@ class ValueReport:
 
 
 def run_value_benchmark(
-    model_scenarios: dict, observations: dict, retailer: RetailerModel,
+    scenarios: dict, observations: dict, retailer: RetailerModel,
     days, pv_zones, wind_zones, load_zone: int = 1, n_planner_scenarios: int = 5,
 ) -> ValueReport:
     """Simulate day-ahead bidding for every (day, pv zone, wind zone) combo.
 
-    model_scenarios: {model_name: {track: {(day, zone): (M, 24) scenarios}}}
-    observations:    {track: {(day, zone): (24,) observed values}}
+    scenarios:    {track: {(day, zone): (M, 24) scenarios}}, the model's
+    observations: {track: {(day, zone): (24,) observed values}}
 
-    For each simulated day and model: solve the stochastic planner on the
-    first n_planner_scenarios index-paired scenario triples, dispatch the
-    bids against observations, and record net profit. Adds `oracle` rows
-    (perfect knowledge) and one `<name>-det` deterministic point-forecast
-    baseline per model. Raises CoverageError listing missing combinations.
+    For each simulated day: solve the stochastic planner on the first
+    n_planner_scenarios index-paired scenario triples, dispatch the bids
+    against observations, and record net profit as a `ddpm` row. Adds
+    `oracle` rows (perfect knowledge) and `ddpm-det` rows, the deterministic
+    point-forecast baseline. Raises CoverageError listing missing
+    combinations.
     """
     retailer.validate()
     if n_planner_scenarios < 1:
@@ -309,9 +310,8 @@ def run_value_benchmark(
             for z in zones:
                 if (day, z) not in observations.get(track, {}):
                     missing.append(f"obs:{track}:{day}:zone{z}")
-                for name, scen in model_scenarios.items():
-                    if (day, z) not in scen.get(track, {}):
-                        missing.append(f"{name}:{track}:{day}:zone{z}")
+                if (day, z) not in scenarios.get(track, {}):
+                    missing.append(f"ddpm:{track}:{day}:zone{z}")
     if missing:
         raise CoverageError(
             f"{len(missing)} missing (day, zone) combinations, e.g. {missing[:5]}"
@@ -327,19 +327,18 @@ def run_value_benchmark(
                 key = {"day": day, "pv_zone": pz, "wind_zone": wz}
                 oracle = oracle_profit(retailer, (obs_w, obs_p, obs_l))
                 rows.append({"model": "oracle", **key, "profit": oracle})
-                for name, scen in model_scenarios.items():
-                    s_w = np.asarray(scen["wind"][(day, wz)], dtype=float)
-                    s_p = np.asarray(scen["pv"][(day, pz)], dtype=float)
-                    s_l = np.asarray(scen["load"][(day, load_zone)], dtype=float)
-                    s = min(n_planner_scenarios, s_w.shape[0], s_p.shape[0], s_l.shape[0])
-                    triples = [(s_w[i], s_p[i], s_l[i]) for i in range(s)]
-                    lp, sol = solve_bidding(retailer, triples)
-                    bids = extract_bids(lp, sol)
-                    profit = realtime_dispatch(retailer, bids, (obs_w, obs_p, obs_l))
-                    rows.append({"model": name, **key, "profit": profit})
-                    det = deterministic_bids(retailer, triples)
-                    det_profit = realtime_dispatch(retailer, det, (obs_w, obs_p, obs_l))
-                    rows.append({"model": f"{name}-det", **key, "profit": det_profit})
+                s_w = np.asarray(scenarios["wind"][(day, wz)], dtype=float)
+                s_p = np.asarray(scenarios["pv"][(day, pz)], dtype=float)
+                s_l = np.asarray(scenarios["load"][(day, load_zone)], dtype=float)
+                s = min(n_planner_scenarios, s_w.shape[0], s_p.shape[0], s_l.shape[0])
+                triples = [(s_w[i], s_p[i], s_l[i]) for i in range(s)]
+                lp, sol = solve_bidding(retailer, triples)
+                bids = extract_bids(lp, sol)
+                profit = realtime_dispatch(retailer, bids, (obs_w, obs_p, obs_l))
+                rows.append({"model": "ddpm", **key, "profit": profit})
+                det = deterministic_bids(retailer, triples)
+                det_profit = realtime_dispatch(retailer, det, (obs_w, obs_p, obs_l))
+                rows.append({"model": "ddpm-det", **key, "profit": det_profit})
 
     aggregate: dict[str, float] = {}
     for r in rows:

@@ -50,8 +50,9 @@ def _report(n: int, ok: bool, detail: str) -> None:
 
 def _loss_and_grads(params, x, i, c, g):
     """Scalar probe s(theta) = sum g * f_theta and its analytic gradient."""
-    out = nn.forward_batch(params, x, i, c)
-    return float(np.sum(g * out)), nn.backward_batch(params, x, i, c, g)
+    cache = []
+    out = nn.forward_batch(params, x, i, c, cache)
+    return float(np.sum(g * out)), nn.backward_batch(params, x, i, c, g, cache)
 
 
 def _max_fd_error(params, x, i, c, g, n_probe, seed, h=1e-6):

@@ -264,6 +264,15 @@ def test_exit_2_bad_config_values(tmp_path, capsys):
     cfg.write_text(json.dumps({"track": "pv"}))
     assert main(["train", "--config", str(cfg), "--seed", "-1"]) == 2
     assert "seed" in _stderr_error(capsys)["message"]
+    # a base that is not positive and finite is refused before either file is read
+    out = tmp_path / "out"
+    for base in ("nan", "inf", "-inf", "0", "-1"):
+        assert main(["evaluate", "--scenarios", str(tmp_path / "none.csv"), "--observations",
+                     str(tmp_path / "none.csv"), f"--base={base}", "--out", str(out)]) == 2
+        doc = _stderr_error(capsys)
+        assert doc["error"] == "ParameterError"
+        assert "base must be positive and finite" in doc["message"]
+        assert not (out / "quality_report.json").exists()
     # Adam settings outside their ranges are the config's fault, not a divergence
     data = tmp_path / "pv.csv"
     assert main(["synth", "--profile", "sine_pv", "--days", "40", "--out", str(data)]) == 0
@@ -280,6 +289,9 @@ def test_exit_2_bad_config_values(tmp_path, capsys):
 
 
 def test_exit_3_training_divergence(tmp_path, capsys):
+    """A step size that blows the parameters up is reported by the finiteness
+    checks as one JSON line and exit 3, with no RuntimeWarning before it, also
+    when RuntimeWarnings are errors."""
     data = tmp_path / "pv.csv"
     main(["synth", "--profile", "sine_pv", "--days", "40", "--seed", "1",
           "--out", str(data)])
@@ -289,9 +301,16 @@ def test_exit_3_training_divergence(tmp_path, capsys):
     doc["optimizer"]["lr"] = 1e160
     doc["optimizer"]["epochs"] = 2
     cfg.write_text(json.dumps(doc))
-    with np.errstate(all="ignore"):
-        assert main(["train", "--config", str(cfg), "--out",
-                     str(tmp_path / "o")]) == 3
+    capsys.readouterr()
+    args = ["train", "--config", str(cfg), "--out", str(tmp_path / "o")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(args) == 3
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert _stderr_error(capsys)["error"] == "TrainingDivergenceError"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(args) == 3
     assert _stderr_error(capsys)["error"] == "TrainingDivergenceError"
 
 

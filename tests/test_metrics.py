@@ -366,8 +366,9 @@ def test_evaluate_base_scaling():
     assert r2.es == pytest.approx(2 * r1.es, rel=1e-9)
     assert r2.mae_r == pytest.approx(r1.mae_r, abs=1e-12)  # ranks are scale-free
     assert r2.vs > r1.vs
-    with pytest.raises(ParameterError):
-        met.evaluate(scen, obs, base=0.0)
+    for base in (0.0, math.nan, math.inf):
+        with pytest.raises(ParameterError, match="positive and finite"):
+            met.evaluate(scen, obs, base=base)
 
 
 def test_evaluate_perfect_scenarios():

@@ -421,23 +421,23 @@ def test_run_value_benchmark_end_to_end(tmp_path):
     retailer = RetailerModel(capacity=2.0, p_charge=1.0, p_discharge=1.0,
                              soc_start=1.0, soc_end=1.0,
                              price=np.r_[np.full(12, 35.0), np.full(12, 65.0)])
-    report = run_value_benchmark({"m1": scen}, obs, retailer, days,
+    report = run_value_benchmark(scen, obs, retailer, days,
                                  pv_zones=[1], wind_zones=[1, 2])
     combos = len(days) * 1 * 2
     assert report.n_simulated == combos
-    assert len(report.rows) == combos * 3  # oracle + m1 + m1-det
-    assert set(report.aggregate) == {"oracle", "m1", "m1-det"}
-    for name in ("m1", "m1-det"):
+    assert len(report.rows) == combos * 3  # oracle + ddpm + ddpm-det
+    assert set(report.aggregate) == {"oracle", "ddpm", "ddpm-det"}
+    for name in ("ddpm", "ddpm-det"):
         total = sum(r["profit"] for r in report.rows if r["model"] == name)
         assert report.aggregate[name] == pytest.approx(total, abs=1e-9)
     assert report.oracle_total == pytest.approx(report.aggregate["oracle"], abs=1e-12)
-    assert report.aggregate["m1"] <= report.oracle_total + 1e-6
+    assert report.aggregate["ddpm"] <= report.oracle_total + 1e-6
 
     jp = tmp_path / "value.json"
     report.write_json(jp)
     doc = json.loads(jp.read_text())
     assert doc["n_simulated"] == combos
-    assert doc["aggregate"]["m1"] == report.aggregate["m1"]
+    assert doc["aggregate"]["ddpm"] == report.aggregate["ddpm"]
     assert len(doc["rows"]) == len(report.rows)
 
     cp = tmp_path / "value.csv"
@@ -445,8 +445,8 @@ def test_run_value_benchmark_end_to_end(tmp_path):
     lines = cp.read_text().strip().splitlines()
     assert lines[0] == "model,day,pv_zone,wind_zone,profit"
     assert len(lines) == 1 + len(report.rows)
-    total = sum(float(l.split(",")[4]) for l in lines[1:] if l.startswith("m1,"))
-    assert total == pytest.approx(report.aggregate["m1"], rel=1e-12)
+    total = sum(float(l.split(",")[4]) for l in lines[1:] if l.startswith("ddpm,"))
+    assert total == pytest.approx(report.aggregate["ddpm"], rel=1e-12)
 
 
 def test_run_value_benchmark_takes_any_iterable():
@@ -455,11 +455,11 @@ def test_run_value_benchmark_takes_any_iterable():
     days, obs, scen = _benchmark_inputs(m=2)  # S = 2 planners keep it quick
     retailer = RetailerModel(capacity=2.0, p_charge=1.0, p_discharge=1.0,
                              soc_start=1.0, soc_end=1.0)
-    want = run_value_benchmark({"m1": scen}, obs, retailer, days,
+    want = run_value_benchmark(scen, obs, retailer, days,
                                pv_zones=[1], wind_zones=[1, 2]).to_dict()
     assert want["n_simulated"] == 4
     for kind in (tuple, iter, lambda v: (x for x in v)):
-        got = run_value_benchmark({"m1": scen}, obs, retailer, kind(days),
+        got = run_value_benchmark(scen, obs, retailer, kind(days),
                                   pv_zones=kind([1]), wind_zones=kind([1, 2]))
         assert got.to_dict() == want
 
@@ -468,15 +468,15 @@ def test_run_value_benchmark_coverage_error():
     days, obs, scen = _benchmark_inputs()
     del obs["wind"][(days[1], 2)]
     with pytest.raises(CoverageError, match="obs:wind"):
-        run_value_benchmark({"m1": scen}, obs, RetailerModel(), days,
+        run_value_benchmark(scen, obs, RetailerModel(), days,
                             pv_zones=[1], wind_zones=[1, 2])
     days, obs, scen = _benchmark_inputs()
     del scen["pv"][(days[0], 1)]
-    with pytest.raises(CoverageError, match="m1:pv"):
-        run_value_benchmark({"m1": scen}, obs, RetailerModel(), days,
+    with pytest.raises(CoverageError, match="ddpm:pv"):
+        run_value_benchmark(scen, obs, RetailerModel(), days,
                             pv_zones=[1], wind_zones=[1, 2])
     with pytest.raises(ParameterError, match="n_planner_scenarios"):
-        run_value_benchmark({"m1": scen}, obs, RetailerModel(), days,
+        run_value_benchmark(scen, obs, RetailerModel(), days,
                             pv_zones=[1], wind_zones=[1, 2], n_planner_scenarios=0)
 
 
