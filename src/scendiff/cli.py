@@ -110,6 +110,10 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
     cfg = _merge(cfg, {k: v for k, v in (overrides or {}).items() if v is not None})
     if cfg["track"] not in data_mod.TRACKS:
         raise ConfigError(f"track must be one of {data_mod.TRACKS}, got {cfg['track']!r}")
+    zones, n_zones = cfg["zones"], data_mod.ZONE_COUNTS[cfg["track"]]
+    if not zones or len(set(zones)) < len(zones) or not all(1 <= z <= n_zones for z in zones):
+        raise ConfigError(f"zones must be one or more distinct zones in 1..{n_zones} for "
+                          f"track {cfg['track']!r}, got {zones}")
     return cfg
 
 
@@ -186,6 +190,10 @@ def cmd_generate(args) -> int:
             missing = sorted(set(day_ids) - {s.day_id for s in test})[0]
             raise ConfigError(f"{cfg['data']} lacks test day {missing} of zone {zone} "
                               f"recorded in {ckpt_path}")
+        if test[0].c.size != params.cond_dim:
+            raise ModelValidationError(
+                f"checkpoint {ckpt_path} needs {params.cond_dim // data_mod.HOURS} weather "
+                f"channel(s), {cfg['data']} has {test[0].n_channels}")
         seed = [cfg["seed"], zone, data_mod.TRACKS.index(cfg["track"])]
         sets = diffusion.sample_days(params, np.stack([s.c for s in test]), day_ids, sched,
                                      cfg["m_scenarios"], seed, scaler=scaler)

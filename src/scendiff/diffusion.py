@@ -270,14 +270,14 @@ def train(ds, config: TrainConfig, sched: Schedule):
 NOISE_SLAB = 25  # reverse steps of z noise a chunk draws at once: 25 x 256 x 24 x 8 B = 1.2 MB
 
 
-def _reverse_engine(denoiser, c_rows: np.ndarray, sched: Schedule,
+def _reverse_engine(bind, c_rows: np.ndarray, sched: Schedule,
                     seed_seqs, l: int, chunk: int = 256) -> np.ndarray:
     """Ancestral sampling for many (condition, stream) rows at once.
 
-    `denoiser` is DenoiserParams, run in float32 by nn.sampling_forward, or
-    a callable (x_noisy (B, l), step, c (B, K)) -> eps_hat (B, l) that gets
-    the step as a scalar, the same for every row. The chain state, the
-    update and the finiteness check stay float64.
+    bind(c) takes one chunk's conditions (B, K) and returns the denoiser
+    step(x_noisy (B, l), i) -> eps_hat (B, l), which gets the step as a
+    scalar, the same for every row; nn.sampling_forward builds it. The chain
+    state, the update and the finiteness check stay float64.
     Each row has its own RNG stream drawing, in order, the initial noise and
     then one z vector per reverse step from n down to 2, so a row's draws
     do not depend on `chunk` or on the other rows. Its bits do not either as
@@ -298,11 +298,6 @@ def _reverse_engine(denoiser, c_rows: np.ndarray, sched: Schedule,
     the chunks ran one after another, and the chunks not yet started are
     cancelled.
     """
-    if isinstance(denoiser, nn.DenoiserParams):
-        bind = nn.sampling_forward(denoiser, sched.n)
-    else:
-        def bind(c):
-            return lambda x, i: denoiser(x, i, c)
     r = c_rows.shape[0]
     out = np.empty((r, l))
     errstate = dict(np.geterr(), call=np.geterrcall())
@@ -408,8 +403,8 @@ def _blas_threads():
     return None
 
 
-def sample_days(params, conditions: np.ndarray, day_ids, sched: Schedule, m: int, seed,
-                scaler: Scaler) -> list[ScenarioSet]:
+def sample_days(params: nn.DenoiserParams, conditions: np.ndarray, day_ids, sched: Schedule,
+                m: int, seed, scaler: Scaler) -> list[ScenarioSet]:
     """Scenario sets for many days in one batched pass, in physical units.
 
     Row j of `conditions`, in physical units, is day_ids[j]'s weather and
@@ -427,7 +422,8 @@ def sample_days(params, conditions: np.ndarray, day_ids, sched: Schedule, m: int
     seqs = [s for day_seq in np.random.SeedSequence(seed).spawn(len(day_ids))
             for s in day_seq.spawn(m)]
     c_rows = np.repeat(scaler.transform_cov(conditions), m, axis=0)
-    x = scaler.to_physical(_reverse_engine(params, c_rows, sched, seqs, HOURS))
+    x = scaler.to_physical(
+        _reverse_engine(nn.sampling_forward(params, sched.n), c_rows, sched, seqs, HOURS))
     return [ScenarioSet(day_id=day_id, m=m, scenarios=x[j * m : (j + 1) * m],
                         condition=conditions[j].copy())
             for j, day_id in enumerate(day_ids)]
@@ -502,10 +498,10 @@ def load_checkpoint(path: str | Path):
     the header's `test_days` parsed to dates.
 
     Raises ModelValidationError on a malformed header, another format
-    version, a test day that is not a YYYY-MM-DD string or that repeats or
-    breaks the sorted order, or a parameter block whose length disagrees
-    with the declared architecture or whose bytes disagree with the
-    header's SHA-256.
+    version, a sample_dim other than 24 hours, a test day that is not a
+    YYYY-MM-DD string or that repeats or breaks the sorted order, or a
+    parameter block whose length disagrees with the declared architecture
+    or whose bytes disagree with the header's SHA-256.
     """
     raw = Path(path).read_bytes()
     nl = raw.find(b"\n")
@@ -528,6 +524,9 @@ def load_checkpoint(path: str | Path):
     dims = header["hidden"] + [header[k] for k in ("sample_dim", "embed_dim", "cond_dim")]
     if not all(isinstance(v, int) and v >= 0 for v in dims):
         raise ModelValidationError(f"{path}: layer sizes must be non-negative integers")
+    if header["sample_dim"] != HOURS:
+        raise ModelValidationError(f"{path}: sample_dim is {header['sample_dim']}, "
+                                   f"expected {HOURS}")
     block = raw[nl + 1 :]
     n_params = header["n_params"]
     if len(block) != 8 * n_params:

@@ -11,6 +11,7 @@ import pytest
 
 from scendiff import data as dmod
 from scendiff import diffusion as dif
+from scendiff import nn
 from scendiff.cli import DEFAULT_CONFIG, ConfigError, load_config, main
 
 TINY = {
@@ -286,6 +287,19 @@ def test_exit_2_bad_config_values(tmp_path, capsys):
         assert rc == 2
         doc = _stderr_error(capsys)
         assert doc["error"] == "ParameterError" and "optimizer needs" in doc["message"]
+    # zones: at least one, each named once, each a zone of the track; checked
+    # before either command writes a file
+    out = tmp_path / "zones"
+    for track, zones in (("pv", []), ("pv", [4]), ("pv", [0]), ("pv", [1, 1]),
+                         ("load", [2]), ("wind", [1, 11])):
+        cfg = _write_config(tmp_path, track, data, zones=zones)
+        for command in ("train", "generate"):
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+            doc = _stderr_error(capsys)
+            assert doc["error"] == "ConfigError" and "zones must be" in doc["message"]
+            assert not out.exists()
+    cfg = _write_config(tmp_path, "wind", data, zones=[10, 1])
+    assert load_config(str(cfg))["zones"] == [10, 1]
 
 
 def test_exit_3_training_divergence(tmp_path, capsys):
@@ -376,8 +390,25 @@ def test_exit_4_checkpoint_track_mismatch(tmp_path, capsys):
     assert doc["error"] == "ModelValidationError"
     assert "track" in doc["message"]
 
-    # a scaler whose covariate arrays do not match the network's condition width
+    # a data file with fewer or more weather channels than the network takes
+    # is refused before sampling
     ckpt = tmp_path / "out_pv" / "model_pv_z1.ckpt"
+    header, *rows = (tmp_path / "pv.csv").read_text().splitlines()
+    assert header.endswith(",target,w1")
+    for channels, lines in ((0, [header[: -len(",w1")]] + [r.rsplit(",", 1)[0] for r in rows]),
+                            (2, [header + ",w2"] + [r + ",0.5" for r in rows])):
+        data = tmp_path / f"pv_{channels}.csv"
+        data.write_text("\n".join(lines) + "\n")
+        cfg = _write_config(tmp_path, "pv", data, name=f"cfg_{channels}.json")
+        out = tmp_path / f"o{channels}"
+        assert main(["generate", "--config", str(cfg), "--out", str(out),
+                     "--checkpoint", str(ckpt)]) == 4
+        doc = _stderr_error(capsys)
+        assert doc["error"] == "ModelValidationError"
+        assert f"needs 1 weather channel(s), {data} has {channels}" in doc["message"]
+        assert not (out / "scenarios_pv_z1.csv").exists()
+
+    # a scaler whose covariate arrays do not match the network's condition width
     raw = ckpt.read_bytes()
     nl = raw.find(b"\n")
     header = json.loads(raw[:nl])
@@ -435,6 +466,19 @@ def test_exit_4_checkpoint_track_mismatch(tmp_path, capsys):
         assert rc == 4
         doc = _stderr_error(capsys)
         assert doc["error"] == "ModelValidationError" and message in doc["message"]
+
+    # a consistent checkpoint whose network samples 12 hours, not a day's 24
+    ckpt.write_bytes(raw)
+    params, sched, scaler, header = dif.load_checkpoint(ckpt)
+    short = nn.init_params(params.hidden, sample_dim=12, embed_dim=params.embed_dim,
+                           cond_dim=params.cond_dim, seed=0)
+    dif.save_checkpoint(ckpt, short, sched, scaler, "pv", 1, header["test_days"])
+    rc = main(["generate", "--config", str(tmp_path / "cfg_pv.json"), "--out",
+               str(tmp_path / "op"), "--checkpoint", str(ckpt)])
+    assert rc == 4
+    doc = _stderr_error(capsys)
+    assert doc["error"] == "ModelValidationError"
+    assert "sample_dim is 12, expected 24" in doc["message"]
 
 
 def test_exit_2_os_errors(tmp_path, capsys):

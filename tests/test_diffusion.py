@@ -34,6 +34,17 @@ def _zero_denoiser(x, steps, c):
     return np.zeros_like(x)
 
 
+def _bound(f):
+    """The reverse engine's step factory for a plain function f(x, i, c)."""
+    return lambda c: lambda x, i: f(x, i, c)
+
+
+def _run_as_network(monkeypatch, f):
+    """Make sample_days sample with f(x, i, c) as its network; the params it
+    is given are not read."""
+    monkeypatch.setattr(nn, "sampling_forward", lambda params, n: _bound(f))
+
+
 # ----------------------------------------------------------------- schedules
 
 
@@ -310,7 +321,7 @@ def test_reverse_engine_draw_order_contract():
     s = dif.make_schedule("linear", n=3, beta_start=0.2, beta_end=0.6,
                           enforce_terminal=False)
     seqs = np.random.SeedSequence(123).spawn(2)
-    out = dif._reverse_engine(_zero_denoiser, np.zeros((2, 0)), s, seqs, l=4)
+    out = dif._reverse_engine(_bound(_zero_denoiser), np.zeros((2, 0)), s, seqs, l=4)
 
     children = np.random.SeedSequence(123).spawn(2)
     for j in range(2):
@@ -330,7 +341,8 @@ def test_reverse_engine_is_deterministic_and_order_independent():
 
     def draw(m, seed):
         c_rows = np.repeat(c[None], m, axis=0)
-        return dif._reverse_engine(p, c_rows, s, np.random.SeedSequence(seed).spawn(m), l=2)
+        return dif._reverse_engine(nn.sampling_forward(p, s.n), c_rows, s,
+                                   np.random.SeedSequence(seed).spawn(m), l=2)
 
     a = draw(5, 7)
     np.testing.assert_array_equal(draw(5, 7), a)
@@ -343,8 +355,8 @@ def test_reverse_engine_chunking_is_invisible():
     s = dif.make_schedule("cosine", n=6)
     c_rows = np.linspace(0, 1, 10)[:, None]
     seqs = np.random.SeedSequence(5).spawn(10)
-    big = dif._reverse_engine(_zero_denoiser, c_rows, s, seqs, l=3, chunk=1000)
-    small = dif._reverse_engine(_zero_denoiser, c_rows, s, seqs, l=3, chunk=3)
+    big = dif._reverse_engine(_bound(_zero_denoiser), c_rows, s, seqs, l=3, chunk=1000)
+    small = dif._reverse_engine(_bound(_zero_denoiser), c_rows, s, seqs, l=3, chunk=3)
     np.testing.assert_array_equal(big, small)
 
     # With a real network a row's bits must not depend on how many rows share
@@ -357,16 +369,15 @@ def test_reverse_engine_chunking_is_invisible():
     p = nn.init_params((128, 128), sample_dim=24, embed_dim=8, cond_dim=24, seed=4)
     c_rows = np.random.default_rng(6).uniform(0, 1, (600, 24))
     seqs = np.random.SeedSequence(8).spawn(600)
-    default = dif._reverse_engine(p, c_rows, s, seqs, l=24)
+    float32 = nn.sampling_forward(p, s.n)
+    default = dif._reverse_engine(float32, c_rows, s, seqs, l=24)
     for chunk in (128, 300, 1000):
         np.testing.assert_array_equal(
-            dif._reverse_engine(p, c_rows, s, seqs, l=24, chunk=chunk), default)
-    small = dif._reverse_engine(p, c_rows, s, seqs, l=24, chunk=3)
+            dif._reverse_engine(float32, c_rows, s, seqs, l=24, chunk=chunk), default)
+    small = dif._reverse_engine(float32, c_rows, s, seqs, l=24, chunk=3)
     assert np.abs(small - default).max() <= 1e-5 * max(1.0, np.abs(default).max())
 
-    def float64(x, i, c):
-        return nn.forward_batch(p, x, i, c)
-
+    float64 = _bound(lambda x, i, c: nn.forward_batch(p, x, i, c))
     np.testing.assert_allclose(dif._reverse_engine(float64, c_rows, s, seqs, l=24, chunk=3),
                                dif._reverse_engine(float64, c_rows, s, seqs, l=24),
                                rtol=1e-12, atol=1e-12)
@@ -381,23 +392,18 @@ def test_float32_sampler_stays_near_the_float64_forward(tiny_model, tiny_schedul
     _, c, _ = pv_fitted.arrays(split="test", zone=1)
     c_rows = np.repeat(pv_fitted.scaler.transform_cov(c), 20, axis=0)
     seqs = np.random.SeedSequence(12).spawn(c_rows.shape[0])
-    got = dif._reverse_engine(params, c_rows, tiny_schedule, seqs, l=24)
-    ref = dif._reverse_engine(lambda x, i, c: nn.forward_batch(params, x, i, c), c_rows,
+    got = dif._reverse_engine(nn.sampling_forward(params, tiny_schedule.n), c_rows,
+                              tiny_schedule, seqs, l=24)
+    ref = dif._reverse_engine(_bound(lambda x, i, c: nn.forward_batch(params, x, i, c)), c_rows,
                               tiny_schedule, seqs, l=24)
     assert not np.array_equal(got, ref)
     assert np.abs(got - ref).max() <= 1e-5 * max(1.0, np.abs(ref).max())
 
 
-def _sequential_engine(denoiser, c_rows, sched, seed_seqs, l, chunk=256):
+def _sequential_engine(bind, c_rows, sched, seed_seqs, l, chunk=256):
     """The reverse engine as it was before chunks ran on a thread pool: one
     chunk after another, each drawing every row's whole (n - 1, l) z block
-    up front, and DenoiserParams run through nn.sampling_forward as in the
-    sampler. The threaded engine must reproduce its bytes."""
-    if isinstance(denoiser, nn.DenoiserParams):
-        bind = nn.sampling_forward(denoiser, sched.n)
-    else:
-        def bind(c):
-            return lambda x, i: denoiser(x, i, c)
+    up front. The threaded engine must reproduce its bytes."""
     r = c_rows.shape[0]
     out = np.empty((r, l))
     for lo in range(0, r, chunk):
@@ -480,8 +486,8 @@ def test_reverse_engine_matches_sequential_reference(monkeypatch, fast_switching
             return forward(c)(x, i)
 
         pools.clear()
-        got = dif._reverse_engine(net, c_rows, s, seqs, l=24)
-        np.testing.assert_array_equal(got, _sequential_engine(p, c_rows, s, seqs, l=24))
+        got = dif._reverse_engine(_bound(net), c_rows, s, seqs, l=24)
+        np.testing.assert_array_equal(got, _sequential_engine(forward, c_rows, s, seqs, l=24))
         chunks = -(-rows // 256)
         workers = min(cpus, chunks)
         assert pools == ([workers] if workers > 1 else [])
@@ -511,11 +517,11 @@ def test_reverse_engine_caps_blas_threads_while_the_pool_runs(monkeypatch):
     old = get()
     set_(2)
     try:
-        dif._reverse_engine(denoiser, np.zeros((600, 0)), s, seqs, l=3)
+        dif._reverse_engine(_bound(denoiser), np.zeros((600, 0)), s, seqs, l=3)
         assert seen and set(seen) == {1}
         assert get() == 2
         with pytest.raises(SamplingDivergenceError, match="chunk failed"):
-            dif._reverse_engine(denoiser, np.zeros((600, 1)), s, seqs, l=3)
+            dif._reverse_engine(_bound(denoiser), np.zeros((600, 1)), s, seqs, l=3)
         assert get() == 2
     finally:
         set_(old)
@@ -533,9 +539,10 @@ def test_reverse_engine_runs_inline_when_blas_threads_cannot_be_capped(monkeypat
     p = nn.init_params((16,), sample_dim=24, embed_dim=8, cond_dim=2, seed=1)
     c_rows = np.random.default_rng(0).uniform(0, 1, (600, 2))
     seqs = np.random.SeedSequence(3).spawn(600)
-    got = dif._reverse_engine(p, c_rows, s, seqs, l=24)
+    forward = nn.sampling_forward(p, s.n)
+    got = dif._reverse_engine(forward, c_rows, s, seqs, l=24)
     assert pools == []
-    np.testing.assert_array_equal(got, _sequential_engine(p, c_rows, s, seqs, l=24))
+    np.testing.assert_array_equal(got, _sequential_engine(forward, c_rows, s, seqs, l=24))
 
 
 def _overflowing(x, i, c):
@@ -552,11 +559,11 @@ def test_reverse_engine_keeps_the_callers_numpy_error_state(monkeypatch, rows):
     c_rows = np.zeros((rows, 0))
     seqs = np.random.SeedSequence(1).spawn(rows)
     with np.errstate(all="raise"), pytest.raises(FloatingPointError, match="overflow"):
-        dif._reverse_engine(_overflowing, c_rows, s, seqs, l=3)
+        dif._reverse_engine(_bound(_overflowing), c_rows, s, seqs, l=3)
     with warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("error")
         with pytest.raises(SamplingDivergenceError, match="^non-finite sample at step 5$"):
-            dif._reverse_engine(_overflowing, c_rows, s, seqs, l=3)
+            dif._reverse_engine(_bound(_overflowing), c_rows, s, seqs, l=3)
 
 
 def test_reverse_engine_raises_the_first_failing_chunks_error(monkeypatch):
@@ -588,7 +595,7 @@ def test_reverse_engine_raises_the_first_failing_chunks_error(monkeypatch):
 
     with np.errstate(invalid="ignore"), \
             pytest.raises(SamplingDivergenceError, match="^non-finite sample at step 3$"):
-        dif._reverse_engine(denoiser, c_rows, s, seqs, l=2, chunk=chunk)
+        dif._reverse_engine(_bound(denoiser), c_rows, s, seqs, l=2, chunk=chunk)
     # the two workers may each start one more chunk before the error is read
     assert {0, 1, 2, 3} <= started <= {0, 1, 2, 3, 4, 5}
 
@@ -613,7 +620,7 @@ def test_reverse_sampler_matches_analytic_gaussian_law():
         v_star = alpha * v_star + (s.sigma[i - 1] ** 2 if i > 1 else 0.0)
 
     seqs = np.random.SeedSequence(17).spawn(8000)
-    draws = dif._reverse_engine(oracle, np.zeros((8000, 0)), s, seqs, l=1).ravel()
+    draws = dif._reverse_engine(_bound(oracle), np.zeros((8000, 0)), s, seqs, l=1).ravel()
     assert abs(draws.mean() - m_star) < 4 * math.sqrt(v_star / draws.size)
     stat, p = scipy.stats.kstest(draws, "norm", args=(m_star, math.sqrt(v_star)))
     assert p > 0.01
@@ -634,7 +641,8 @@ def test_sample_days_applies_scaler_and_clipping(tiny_model, tiny_schedule, pv_f
     # the same streams straight from the engine stray below -1, that is
     # below zero, unclipped
     seqs = np.random.SeedSequence(3).spawn(1)[0].spawn(16)
-    raw = dif._reverse_engine(params, np.repeat(scaler.transform_cov(sample.c)[None], 16, axis=0),
+    raw = dif._reverse_engine(nn.sampling_forward(params, tiny_schedule.n),
+                              np.repeat(scaler.transform_cov(sample.c)[None], 16, axis=0),
                               tiny_schedule, seqs, l=24)
     assert raw.min() < -1.0
 
@@ -652,7 +660,8 @@ def test_sample_days_matches_standalone_calls(tiny_model, tiny_schedule, pv_fitt
     assert [s.day_id for s in sets] == list(days[:3])
     for j, s in enumerate(sets):
         seqs = np.random.SeedSequence(11).spawn(3)[j].spawn(4)
-        raw = dif._reverse_engine(params, np.repeat(scaler.transform_cov(c[j : j + 1]), 4, axis=0),
+        raw = dif._reverse_engine(nn.sampling_forward(params, tiny_schedule.n),
+                                  np.repeat(scaler.transform_cov(c[j : j + 1]), 4, axis=0),
                                   tiny_schedule, seqs, l=24)
         np.testing.assert_array_equal(s.scenarios, scaler.to_physical(raw))
         np.testing.assert_array_equal(s.condition, c[j])
@@ -667,7 +676,7 @@ def test_sample_days_matches_standalone_calls(tiny_model, tiny_schedule, pv_fitt
         dif.sample_days(params, c[:1], days[:1], tiny_schedule, m=0, seed=7, scaler=scaler)
 
 
-def test_sample_days_scales_the_covariates_once(tiny_schedule, pv_fitted):
+def test_sample_days_scales_the_covariates_once(monkeypatch, tiny_schedule, pv_fitted):
     """The engine sees each day's raw covariate row through
     scaler.transform_cov exactly once, repeated m times."""
     scaler = pv_fitted.scaler
@@ -678,7 +687,8 @@ def test_sample_days_scales_the_covariates_once(tiny_schedule, pv_fitted):
         seen.append(cond.copy())
         return np.zeros_like(x)
 
-    dif.sample_days(recording, c[:3], days[:3], tiny_schedule, m=5, seed=2, scaler=scaler)
+    _run_as_network(monkeypatch, recording)
+    dif.sample_days(None, c[:3], days[:3], tiny_schedule, m=5, seed=2, scaler=scaler)
     want = np.repeat(scaler.transform_cov(c[:3]), 5, axis=0)
     assert len(seen) == tiny_schedule.n
     for cond in seen:
@@ -693,7 +703,7 @@ def test_sampling_divergence_is_reported_with_step():
         return np.full_like(x, np.inf)
 
     with pytest.raises(SamplingDivergenceError, match="step"):
-        dif._reverse_engine(exploding, np.zeros((2, 0)), s,
+        dif._reverse_engine(_bound(exploding), np.zeros((2, 0)), s,
                             np.random.SeedSequence(0).spawn(2), l=2)
 
 
@@ -857,7 +867,7 @@ def test_read_scenarios_rejects_bad_numbering_and_header(tmp_path):
         dif.read_scenarios(p)
 
 
-def test_reverse_sample_is_mapped_raw_chain(tiny_schedule, pv_fitted):
+def test_reverse_sample_is_mapped_raw_chain(monkeypatch, tiny_schedule, pv_fitted):
     """sample_days maps the engine's model-space draws back to physical
     units: on every hour the clip and the pins leave alone, the scenario is
     0.5 (raw + 1) / target_scale. The denoiser is the exact posterior mean
@@ -872,9 +882,10 @@ def test_reverse_sample_is_mapped_raw_chain(tiny_schedule, pv_fitted):
         return math.sqrt(1 - abar) * x / (abar * 0.09 + 1 - abar)
 
     seqs = np.random.SeedSequence(21).spawn(1)[0].spawn(5)
-    raw = dif._reverse_engine(oracle, np.repeat(sample.c[None], 5, axis=0),
+    raw = dif._reverse_engine(_bound(oracle), np.repeat(sample.c[None], 5, axis=0),
                               tiny_schedule, seqs, l=24)
-    out, = dif.sample_days(oracle, sample.c, [sample.day_id], tiny_schedule, m=5,
+    _run_as_network(monkeypatch, oracle)
+    out, = dif.sample_days(None, sample.c, [sample.day_id], tiny_schedule, m=5,
                            seed=21, scaler=scaler)
     mapped = 0.5 * (raw + 1.0) / scaler.target_scale
     free = (mapped >= 0.0) & (mapped <= 1.0) & np.isnan(scaler.target_fixed)
