@@ -24,6 +24,7 @@ from .errors import (
     AlignmentError,
     CoverageError,
     ModelValidationError,
+    ParameterError,
     SamplingDivergenceError,
     ScendiffError,
     TrainingDivergenceError,
@@ -38,10 +39,8 @@ DEFAULT_CONFIG = {
     "split": {"fractions": [0.7, 0.15, 0.15]},
     "schedule": {"kind": "linear", "n": 200, "beta_start": 1e-4, "beta_end": 0.05},
     "model": {"hidden": [256, 256, 256], "embed_dim": 32},
-    "optimizer": {"epochs": 200, "batch_size": 64, "lr": 1e-3, "beta1": 0.9,
-                  "beta2": 0.999, "eps": 1e-8},
+    "optimizer": {"epochs": 200, "batch_size": 64, "lr": 1e-3},
     "m_scenarios": 100,
-    "metrics": {"gamma": 0.5},
     "retailer": value.RetailerModel().to_dict(),
     "n_planner_scenarios": 5,
 }
@@ -166,11 +165,14 @@ def cmd_train(args) -> int:
 def cmd_generate(args) -> int:
     cfg = load_config(args.config, {"seed": args.seed, "out_dir": args.out,
                                     "m_scenarios": args.m})
+    if cfg["m_scenarios"] < 1:
+        raise ParameterError(f"m_scenarios must be >= 1, got {cfg['m_scenarios']}")
     out_dir = Path(cfg["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     raw = _load_dataset(cfg)
     checkpoints = ([Path(args.checkpoint)] if args.checkpoint
                    else [_checkpoint_path(out_dir, cfg["track"], z) for z in cfg["zones"]])
+    # every checkpoint is loaded and checked against the data before anything is written
+    runs = []
     for ckpt_path in checkpoints:
         if not ckpt_path.is_file():
             raise ConfigError(f"checkpoint not found: {ckpt_path}")
@@ -194,9 +196,13 @@ def cmd_generate(args) -> int:
             raise ModelValidationError(
                 f"checkpoint {ckpt_path} needs {params.cond_dim // data_mod.HOURS} weather "
                 f"channel(s), {cfg['data']} has {test[0].n_channels}")
+        runs.append((params, sched, scaler, zone, ds, test))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for params, sched, scaler, zone, ds, test in runs:
         seed = [cfg["seed"], zone, data_mod.TRACKS.index(cfg["track"])]
-        sets = diffusion.sample_days(params, np.stack([s.c for s in test]), day_ids, sched,
-                                     cfg["m_scenarios"], seed, scaler=scaler)
+        sets = diffusion.sample_days(params, np.stack([s.c for s in test]),
+                                     [s.day_id for s in test], sched, cfg["m_scenarios"],
+                                     seed, scaler=scaler)
         scen_path = out_dir / f"scenarios_{cfg['track']}_z{zone}.csv"
         diffusion.write_scenarios(sets, scen_path)
         obs_path = out_dir / f"observations_{cfg['track']}_z{zone}.csv"
@@ -207,13 +213,14 @@ def cmd_generate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if not 0 < args.base < math.inf:  # nan fails both comparisons
+        raise ParameterError(f"base must be positive and finite, got {args.base}")
     cfg = load_config(args.config, {"seed": args.seed, "out_dir": args.out})
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    report = metrics.evaluate_files(
-        args.scenarios, args.observations, base=args.base,
-        gamma=cfg["metrics"]["gamma"], seed=cfg["seed"],
-    )
+    report = metrics.evaluate(diffusion.read_scenarios(args.scenarios),
+                              data_mod.read_observations(args.observations),
+                              base=args.base, seed=cfg["seed"])
     report_path = out_dir / "quality_report.json"
     report.write_json(report_path)
     rel_path = out_dir / "reliability.csv"

@@ -14,7 +14,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
 
@@ -44,50 +44,42 @@ TERMINAL_ALPHA_BAR = 0.01
 class Schedule:
     """Noise schedule: beta[i-1] is the step-i variance increment.
 
-    sigma is the fixed reverse-process standard deviation per step,
-    sigma_i^2 = beta_i (Ho et al. 2020, sec. 3.2).
+    alpha_bar and sigma follow from beta: alpha_bar_i = prod_{j <= i} (1 -
+    beta_j), and sigma is the fixed reverse-process standard deviation per
+    step, sigma_i^2 = beta_i (Ho et al. 2020, sec. 3.2).
     """
 
     kind: str
-    n: int
     beta: np.ndarray
-    alpha_bar: np.ndarray
-    sigma: np.ndarray
+    alpha_bar: np.ndarray = field(init=False, repr=False, compare=False)
+    sigma: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def validate(self, enforce_terminal: bool = True) -> None:
-        if self.n < 1 or self.beta.shape != (self.n,):
-            raise ParameterError(f"schedule needs n >= 1 betas, got {self.beta.shape}")
+    def __post_init__(self) -> None:
+        beta = np.asarray(self.beta, dtype=float)
+        if not np.all((beta > 0) & (beta < 1)):  # before sigma takes their square roots
+            raise ParameterError("betas must lie in (0, 1)")
+        if beta.ndim != 1 or beta.size < 1:
+            raise ParameterError(f"schedule needs n >= 1 betas, got {beta.shape}")
+        self.beta = beta
+        self.alpha_bar = np.cumprod(1.0 - beta)
         if np.any(np.diff(self.alpha_bar) >= 0):
             raise ParameterError("alpha_bar must be strictly decreasing")
-        if enforce_terminal and self.alpha_bar[-1] >= TERMINAL_ALPHA_BAR:
-            raise ScheduleTooShortError(
-                f"terminal alpha_bar {self.alpha_bar[-1]:.6g} >= {TERMINAL_ALPHA_BAR}; "
-                "raise n or the beta range"
-            )
+        self.sigma = np.sqrt(beta)
+
+    @property
+    def n(self) -> int:
+        return self.beta.size
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "beta": self.beta.tolist()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Schedule":
-        return from_betas(np.asarray(d["beta"], dtype=float), kind=d["kind"],
-                          enforce_terminal=False)
-
-
-def from_betas(beta: np.ndarray, kind: str = "custom", enforce_terminal: bool = True) -> Schedule:
-    """Build a Schedule from an explicit beta vector."""
-    beta = np.asarray(beta, dtype=float)
-    if not np.all((beta > 0) & (beta < 1)):  # before sigma takes their square roots
-        raise ParameterError("betas must lie in (0, 1)")
-    sched = Schedule(kind=kind, n=beta.size, beta=beta, alpha_bar=np.cumprod(1.0 - beta),
-                     sigma=np.sqrt(beta))
-    sched.validate(enforce_terminal=enforce_terminal)
-    return sched
+        return cls(d["kind"], d["beta"])
 
 
 def make_schedule(
     kind: str = "linear", n: int = 200, beta_start: float = 1e-4, beta_end: float = 0.05,
-    enforce_terminal: bool = True,
 ) -> Schedule:
     """Linear or cosine variance schedule over n steps.
 
@@ -97,8 +89,7 @@ def make_schedule(
     (1e-8, 0.999).
 
     The terminal marginal must be near-standard-normal: alpha_bar[n-1] must
-    fall below 0.01 or a ScheduleTooShortError is raised. Pass
-    enforce_terminal=False only for diagnostic/test schedules.
+    fall below 0.01 or a ScheduleTooShortError is raised.
     """
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
@@ -118,7 +109,13 @@ def make_schedule(
         beta = np.clip(1.0 - abar[1:] / abar[:-1], 1e-8, 0.999)
     else:
         raise ParameterError(f"kind must be linear or cosine, got {kind!r}")
-    return from_betas(beta, kind=kind, enforce_terminal=enforce_terminal)
+    sched = Schedule(kind, beta)
+    if sched.alpha_bar[-1] >= TERMINAL_ALPHA_BAR:
+        raise ScheduleTooShortError(
+            f"terminal alpha_bar {sched.alpha_bar[-1]:.6g} >= {TERMINAL_ALPHA_BAR}; "
+            "raise n or the beta range"
+        )
+    return sched
 
 
 @dataclass
@@ -149,29 +146,19 @@ def forward_sample(x0: np.ndarray, i, eps: np.ndarray, sched: Schedule) -> np.nd
 
 def training_loss(
     params: nn.DenoiserParams, x0: np.ndarray, c: np.ndarray, sched: Schedule,
-    rng: np.random.Generator | None = None, *,
-    steps: np.ndarray | None = None, noise: np.ndarray | None = None,
-    want_grads: bool = True,
+    steps: np.ndarray, noise: np.ndarray, *, want_grads: bool = True,
 ):
     """Noise-prediction MSE over a batch and its parameter gradients.
 
-    For each row a step is drawn uniformly from 1..n and a standard-normal
-    noise vector is injected (both overridable for tests); the loss is
-    mean over the batch of ||eps - eps_hat||^2 / L. With gradients, the one
-    forward pass caches what the backward pass needs. Draw order from rng:
-    steps first, then noise.
+    Row b is noised at step steps[b] in 1..n with the standard-normal vector
+    noise[b]; the loss is the mean over the batch of ||noise - eps_hat||^2 / L.
+    With gradients, the one forward pass caches what the backward pass needs.
     """
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     c = np.atleast_2d(np.asarray(c, dtype=float))
     b, l = x0.shape
     if b == 0:
         raise InsufficientDataError("empty batch")
-    if rng is None and (steps is None or noise is None):
-        raise ParameterError("need an rng unless both steps and noise are injected")
-    if steps is None:
-        steps = rng.integers(1, sched.n + 1, size=b)
-    if noise is None:
-        noise = rng.standard_normal((b, l))
     x_noisy = forward_sample(x0, steps, noise, sched)
     cache = [] if want_grads else None
     resid = nn.forward_batch(params, x_noisy, steps, c, cache) - noise
@@ -189,9 +176,6 @@ class TrainConfig:
     epochs: int = 200
     batch_size: int = 64
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     hidden: tuple[int, ...] = (256, 256, 256)
     embed_dim: int = 32
     seed: int = 0
@@ -200,9 +184,10 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.batch_size < 1:
             raise ParameterError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not (self.lr > 0 and 0 <= self.beta1 < 1 and 0 <= self.beta2 < 1 and self.eps > 0):
-            raise ParameterError(
-                "optimizer needs lr > 0, 0 <= beta1 < 1, 0 <= beta2 < 1 and eps > 0")
+        if not self.lr > 0:
+            raise ParameterError(f"optimizer needs lr > 0, got {self.lr}")
+        if any(h < 1 for h in self.hidden):
+            raise ParameterError(f"hidden sizes must be >= 1, got {list(self.hidden)}")
         if self.embed_dim <= 0 or self.embed_dim % 2:
             raise ParameterError(f"embed_dim must be positive and even, got {self.embed_dim}")
 
@@ -212,6 +197,8 @@ def train(ds, config: TrainConfig, sched: Schedule):
 
     The checkpoint with the lowest validation loss wins; validation uses one
     fixed draw of steps and noise so epochs are compared on the same ruler.
+    Each batch draws its steps, then its noise, from one stream for all
+    batches; the validation draw comes from its own stream, in the same order.
     The log is a list of {epoch, learn_loss, val_loss} dicts, deterministic
     for a fixed config seed.
     """
@@ -250,14 +237,15 @@ def train(ds, config: TrainConfig, sched: Schedule):
             with np.errstate(over="ignore", invalid="ignore"):
                 for lo in range(0, n, config.batch_size):
                     idx = order[lo : lo + config.batch_size]
-                    loss, grads = training_loss(
-                        params, x_learn[idx], c_learn[idx], sched, rng_batch,
-                    )
+                    steps = rng_batch.integers(1, sched.n + 1, size=idx.size)
+                    noise = rng_batch.standard_normal((idx.size, x_learn.shape[1]))
+                    loss, grads = training_loss(params, x_learn[idx], c_learn[idx], sched,
+                                                steps, noise)
                     params, state = nn.adam_step(config, state, params, grads)
                     losses.append(loss)
                 params.validate()
-                val_loss, _ = training_loss(params, x_val, c_val, sched, steps=val_steps,
-                                            noise=val_noise, want_grads=False)
+                val_loss, _ = training_loss(params, x_val, c_val, sched, val_steps, val_noise,
+                                            want_grads=False)
         except TrainingDivergenceError as e:
             raise TrainingDivergenceError(f"epoch {epoch}: {e}") from None
         log.append({"epoch": epoch, "learn_loss": float(np.mean(losses)), "val_loss": val_loss})

@@ -248,16 +248,17 @@ class QualityReport:
 
 
 def evaluate(scenarios_by_day: dict, obs_by_day: dict, base: float = 1.0,
-             gamma: float = 0.5, seed: int = 0) -> QualityReport:
+             seed: int = 0) -> QualityReport:
     """Score a full test set; inputs are {day: (M, L) array} and {day: (L,)}.
 
     `base` is the physical value equal to 100% (nominal capacity for pv and
     wind, learn-split maximum for load). CRPS/QS/ES are means over days in
-    percent, MAE-r is in percentage points, VS is computed on base-normalized
-    values and left unitless. Day sets must match exactly, and every day
-    must carry the same number of scenarios (DimensionError otherwise).
+    percent, MAE-r is in percentage points, VS (gamma = 0.5) is computed on
+    base-normalized values and left unitless. Day sets must match exactly, and
+    every day must carry the same number of scenarios (DimensionError otherwise).
     """
-    _check_base(base)
+    if not 0 < base < np.inf:  # nan fails both comparisons
+        raise ParameterError(f"base must be positive and finite, got {base}")
     missing = sorted(set(scenarios_by_day) - set(obs_by_day))
     extra = sorted(set(obs_by_day) - set(scenarios_by_day))
     if missing or extra:
@@ -286,7 +287,7 @@ def evaluate(scenarios_by_day: dict, obs_by_day: dict, base: float = 1.0,
             "crps_pct": c * 100.0,
             "qs_pct": quantile_score(x, y) * 100.0,
             "es_pct": energy_score(x, y) * 100.0,
-            "vs": variogram_score(x, y, gamma=gamma),
+            "vs": variogram_score(x, y),
         }
     curve, mae_r = reliability(scen_norm, obs_norm, seed=seed)
     report = QualityReport(
@@ -302,20 +303,3 @@ def evaluate(scenarios_by_day: dict, obs_by_day: dict, base: float = 1.0,
         reliability_curve=curve.tolist(),
     )
     return report
-
-
-def _check_base(base: float) -> None:
-    if not 0 < base < np.inf:  # nan fails both comparisons
-        raise ParameterError(f"base must be positive and finite, got {base}")
-
-
-def evaluate_files(scenario_path: str | Path, obs_path: str | Path, base: float = 1.0,
-                   **kwargs) -> QualityReport:
-    """evaluate() over a scenario CSV and an observation CSV; a bad base is
-    refused before either file is read."""
-    from .data import read_observations
-    from .diffusion import read_scenarios
-
-    _check_base(base)
-    return evaluate(read_scenarios(scenario_path), read_observations(obs_path), base=base,
-                    **kwargs)

@@ -15,6 +15,11 @@ import numpy as np
 
 from .errors import DimensionError, ParameterError, TrainingDivergenceError
 
+# Adam's moment decay rates and denominator offset (Kingma & Ba 2015)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class DenoiserParams:
@@ -248,28 +253,27 @@ class OptimizerState:
 
 def adam_step(config, state: OptimizerState, params: DenoiserParams,
               grads: np.ndarray) -> tuple[DenoiserParams, OptimizerState]:
-    """One bias-corrected adaptive-moment update with config's lr, beta1,
-    beta2 and eps (a diffusion.TrainConfig); returns new params and state.
+    """One bias-corrected adaptive-moment update with config's lr (a
+    diffusion.TrainConfig) and the ADAM_* constants; returns new params and state.
 
     Raises TrainingDivergenceError naming the layer if a gradient is non-finite.
     """
     bad = _nonfinite_layer(params, grads)
     if bad is not None:
         raise TrainingDivergenceError(f"non-finite gradient in layer {bad}")
-    beta1, beta2 = config.beta1, config.beta2
     t = state.step + 1
-    c1 = 1.0 - beta1**t
-    c2 = 1.0 - beta2**t
+    c1 = 1.0 - ADAM_BETA1**t
+    c2 = 1.0 - ADAM_BETA2**t
     # the textbook update, term for term (same bits), written in place: every
     # vector-sized temporary is a fresh allocation whose pages fault on first use
-    m = beta1 * state.m
-    m += (1 - beta1) * grads
+    m = ADAM_BETA1 * state.m
+    m += (1 - ADAM_BETA1) * grads
     v = np.square(grads)
-    v *= 1 - beta2
-    v += beta2 * state.v
+    v *= 1 - ADAM_BETA2
+    v += ADAM_BETA2 * state.v
     denom = v / c2
     np.sqrt(denom, out=denom)
-    denom += config.eps
+    denom += ADAM_EPS
     step = m / c1
     step *= config.lr
     step /= denom

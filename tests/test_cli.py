@@ -195,16 +195,26 @@ def test_config_sections_name_their_parameters():
 
 def test_exit_2_unknown_config_key(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    # the model is a SiLU MLP sampled with sigma^2 = beta and scored with the
-    # energy-form CRPS; the keys that once chose otherwise are unknown keys
-    for section, key, val in (("optimizer", "lrx", 1), ("model", "activation", "silu"),
-                              ("schedule", "sigma_mode", "beta"),
-                              ("metrics", "crps_estimator", "nrg")):
+    out = tmp_path / "out"
+    # the model is a SiLU MLP trained by Adam at its published beta1, beta2 and
+    # eps, sampled with sigma^2 = beta and scored with the energy-form CRPS and
+    # the gamma = 0.5 variogram score; the keys that once chose otherwise are
+    # unknown keys, refused before anything is written
+    for section, key, val, unknown in (
+            ("optimizer", "lrx", 1, "optimizer.lrx"),
+            ("model", "activation", "silu", "model.activation"),
+            ("schedule", "sigma_mode", "beta", "schedule.sigma_mode"),
+            ("optimizer", "beta1", 0.9, "optimizer.beta1"),
+            ("optimizer", "beta2", 0.999, "optimizer.beta2"),
+            ("optimizer", "eps", 1e-8, "optimizer.eps"),
+            ("metrics", "gamma", 0.5, "metrics"),
+            ("metrics", "crps_estimator", "nrg", "metrics")):
         bad.write_text(json.dumps({section: {key: val}}))
-        assert main(["train", "--config", str(bad)]) == 2
+        assert main(["train", "--config", str(bad), "--out", str(out)]) == 2
         doc = _stderr_error(capsys)
         assert doc["error"] == "ConfigError"
-        assert f"unknown config key '{section}.{key}'" in doc["message"]
+        assert f"unknown config key '{unknown}'" in doc["message"]
+        assert not out.exists()
 
 
 def test_exit_2_missing_data_and_files(tmp_path, capsys):
@@ -251,7 +261,7 @@ def test_exit_2_bad_config_values(tmp_path, capsys):
             cfg.write_text(json.dumps(doc))
             with pytest.raises(ConfigError, match=dotted):
                 load_config(str(cfg))
-    for section in ("split", "schedule", "model", "optimizer", "metrics", "retailer"):
+    for section in ("split", "schedule", "model", "optimizer", "retailer"):
         cfg.write_text(json.dumps({section: [1]}))
         with pytest.raises(ConfigError, match=section):
             load_config(str(cfg))
@@ -274,19 +284,32 @@ def test_exit_2_bad_config_values(tmp_path, capsys):
         assert doc["error"] == "ParameterError"
         assert "base must be positive and finite" in doc["message"]
         assert not (out / "quality_report.json").exists()
-    # Adam settings outside their ranges are the config's fault, not a divergence
+    # a step size that is not positive and a hidden layer without units are the
+    # config's fault, not a divergence; Adam's beta1, beta2 and eps are no
+    # settings, so out-of-range values for them are unknown keys
     data = tmp_path / "pv.csv"
     assert main(["synth", "--profile", "sine_pv", "--days", "40", "--out", str(data)]) == 0
     capsys.readouterr()
-    for key, bad in (("lr", -0.5), ("lr", 0.0), ("beta1", 1.0), ("beta1", 1.5),
-                     ("beta1", -0.1), ("beta2", 1.0), ("eps", 0.0)):
-        cfg = _write_config(tmp_path, "pv", data, optimizer={"epochs": 2, key: bad})
+    for section, key, bad, error, message in (
+            ("optimizer", "lr", -0.5, "ParameterError", "optimizer needs lr > 0"),
+            ("optimizer", "lr", 0.0, "ParameterError", "optimizer needs lr > 0"),
+            ("model", "hidden", [0], "ParameterError", "hidden sizes must be >= 1"),
+            ("model", "hidden", [16, 0], "ParameterError", "hidden sizes must be >= 1"),
+            ("optimizer", "beta1", 1.5, "ConfigError", "unknown config key 'optimizer.beta1'"),
+            ("optimizer", "beta1", -0.1, "ConfigError", "unknown config key 'optimizer.beta1'"),
+            ("optimizer", "beta2", 1.0, "ConfigError", "unknown config key 'optimizer.beta2'"),
+            ("optimizer", "eps", 0.0, "ConfigError", "unknown config key 'optimizer.eps'")):
+        cfg = _write_config(tmp_path, "pv", data, optimizer={"epochs": 2})
+        doc = json.loads(cfg.read_text())
+        doc[section][key] = bad
+        cfg.write_text(json.dumps(doc))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 2
         doc = _stderr_error(capsys)
-        assert doc["error"] == "ParameterError" and "optimizer needs" in doc["message"]
+        assert doc["error"] == error and message in doc["message"]
+        assert not (tmp_path / "o").exists()
     # zones: at least one, each named once, each a zone of the track; checked
     # before either command writes a file
     out = tmp_path / "zones"
@@ -383,12 +406,14 @@ def test_exit_4_checkpoint_track_mismatch(tmp_path, capsys):
           "--out", str(wind_data)])
     wind_cfg = _write_config(tmp_path, "wind", wind_data, name="cfg_w.json")
     capsys.readouterr()
+    # a refused run makes no output directory and writes no file
     rc = main(["generate", "--config", str(wind_cfg), "--out", str(tmp_path / "ow"),
                "--checkpoint", str(tmp_path / "out_pv" / "model_pv_z1.ckpt")])
     assert rc == 4
     doc = _stderr_error(capsys)
     assert doc["error"] == "ModelValidationError"
     assert "track" in doc["message"]
+    assert not (tmp_path / "ow").exists()
 
     # a data file with fewer or more weather channels than the network takes
     # is refused before sampling
@@ -406,7 +431,25 @@ def test_exit_4_checkpoint_track_mismatch(tmp_path, capsys):
         doc = _stderr_error(capsys)
         assert doc["error"] == "ModelValidationError"
         assert f"needs 1 weather channel(s), {data} has {channels}" in doc["message"]
-        assert not (out / "scenarios_pv_z1.csv").exists()
+        assert not out.exists()
+
+    # every zone's checkpoint is checked before the first zone's files are
+    # written: a corrupt zone-2 checkpoint leaves no zone-1 scenarios behind
+    two = tmp_path / "two"
+    two.mkdir()
+    (two / "model_pv_z1.ckpt").write_bytes(ckpt.read_bytes())
+    (two / "model_pv_z2.ckpt").write_bytes(b"not a checkpoint")
+    cfg = _write_config(tmp_path, "pv", tmp_path / "pv.csv", name="cfg_two.json", zones=[1, 2])
+    assert main(["generate", "--config", str(cfg), "--out", str(two)]) == 4
+    assert _stderr_error(capsys)["error"] == "ModelValidationError"
+    assert sorted(p.name for p in two.iterdir()) == ["model_pv_z1.ckpt", "model_pv_z2.ckpt"]
+    # so are a missing checkpoint and a scenario count below 1 (exit 2)
+    for args, message in ((["--out", str(tmp_path / "none")], "checkpoint not found"),
+                          (["--out", str(tmp_path / "m0"), "--checkpoint", str(ckpt), "--m", "0"],
+                           "m_scenarios must be >= 1")):
+        assert main(["generate", "--config", str(cfg), *args]) == 2
+        assert message in _stderr_error(capsys)["message"]
+    assert not (tmp_path / "none").exists() and not (tmp_path / "m0").exists()
 
     # a scaler whose covariate arrays do not match the network's condition width
     raw = ckpt.read_bytes()
@@ -420,6 +463,7 @@ def test_exit_4_checkpoint_track_mismatch(tmp_path, capsys):
     doc = _stderr_error(capsys)
     assert doc["error"] == "ModelValidationError"
     assert "cond_dim" in doc["message"]
+    assert not (tmp_path / "op").exists()
 
     # a version 3 checkpoint may ask for relu or the posterior variance, which
     # version 4 cannot sample; a test-day list must be a list of YYYY-MM-DD strings
@@ -466,6 +510,7 @@ def test_exit_4_checkpoint_track_mismatch(tmp_path, capsys):
         assert rc == 4
         doc = _stderr_error(capsys)
         assert doc["error"] == "ModelValidationError" and message in doc["message"]
+        assert not (tmp_path / "op").exists()
 
     # a consistent checkpoint whose network samples 12 hours, not a day's 24
     ckpt.write_bytes(raw)
@@ -479,6 +524,7 @@ def test_exit_4_checkpoint_track_mismatch(tmp_path, capsys):
     doc = _stderr_error(capsys)
     assert doc["error"] == "ModelValidationError"
     assert "sample_dim is 12, expected 24" in doc["message"]
+    assert not (tmp_path / "op").exists()
 
 
 def test_exit_2_os_errors(tmp_path, capsys):

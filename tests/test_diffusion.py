@@ -39,6 +39,11 @@ def _bound(f):
     return lambda c: lambda x, i: f(x, i, c)
 
 
+def _linear(n, beta_start, beta_end):
+    """A linear schedule without make_schedule's terminal check."""
+    return dif.Schedule("linear", np.linspace(beta_start, beta_end, n))
+
+
 def _run_as_network(monkeypatch, f):
     """Make sample_days sample with f(x, i, c) as its network; the params it
     is given are not read."""
@@ -80,11 +85,12 @@ def test_too_short_schedule_is_rejected_with_escape_hatch():
     # far from the near-standard-normal terminal the sampler assumes
     with pytest.raises(ScheduleTooShortError):
         dif.make_schedule("linear", n=200, beta_start=1e-4, beta_end=0.02)
-    s = dif.make_schedule("linear", n=200, beta_start=1e-4, beta_end=0.02,
-                          enforce_terminal=False)
+    # only make_schedule checks the terminal alpha_bar: a Schedule built from
+    # its betas, or read back from a checkpoint header, is not refused
+    s = _linear(200, 1e-4, 0.02)
     assert 0.12 < s.alpha_bar[-1] < 0.14
-    with pytest.raises(ScheduleTooShortError):
-        s.validate(enforce_terminal=True)
+    back = dif.Schedule.from_dict(s.to_dict())
+    np.testing.assert_array_equal(back.alpha_bar, s.alpha_bar)
 
 
 def test_cosine_schedule_matches_squared_cosine_ramp():
@@ -108,13 +114,15 @@ def test_schedule_parameter_validation():
         dif.make_schedule("linear", beta_start=0.5, beta_end=0.1)
     with pytest.raises(ParameterError):
         dif.make_schedule("quadratic")
-    with pytest.raises(ParameterError):
-        dif.from_betas(np.array([0.1, 1.5]), enforce_terminal=False)
+    for betas, message in (([0.1, 1.5], "betas"), ([], "n >= 1"), ([[0.1, 0.2]], "n >= 1"),
+                           ([0.1, 1e-17], "strictly decreasing")):
+        with pytest.raises(ParameterError, match=message):
+            dif.Schedule("linear", np.array(betas))
 
 
 def test_schedule_dict_round_trip():
     s = dif.make_schedule("cosine", n=25)
-    assert set(s.to_dict()) == {"kind", "beta"}  # n and sigma follow from beta
+    assert set(s.to_dict()) == {"kind", "beta"}  # n, alpha_bar and sigma follow from beta
     back = dif.Schedule.from_dict(json.loads(json.dumps(s.to_dict())))
     assert back.kind == s.kind and back.n == s.n
     np.testing.assert_allclose(back.beta, s.beta, rtol=1e-15)
@@ -125,7 +133,7 @@ def test_schedule_dict_round_trip():
 
 
 def test_forward_sample_formula_and_range():
-    s = dif.make_schedule("linear", n=10, beta_end=0.5, enforce_terminal=False)
+    s = _linear(10, 1e-4, 0.5)
     x0 = np.array([1.0, -2.0])
     eps = np.array([0.5, 0.25])
     for i in (1, 5, 10):
@@ -174,7 +182,7 @@ def test_chain_forward_marginals_match_closed_form():
 @pytest.mark.parametrize("sigma", ["beta"])  # sigma^2 = beta, the one reverse variance
 def test_schedule_from_dict_rejects_bad_betas_without_warnings(sigma):
     """Betas outside (0, 1) are rejected before sigma takes their square roots."""
-    d = dif.make_schedule("linear", n=10, enforce_terminal=False).to_dict()
+    d = _linear(10, 1e-4, 0.05).to_dict()
     for bad in (-0.1, 0.0, 1.0, 1.5, float("nan")):
         d["beta"][3] = bad
         with warnings.catch_warnings():
@@ -203,7 +211,7 @@ def test_training_loss_matches_manual_recompute():
 
 
 def test_training_loss_gradients_match_finite_differences():
-    s = dif.make_schedule("linear", n=12, beta_end=0.4, enforce_terminal=False)
+    s = _linear(12, 1e-4, 0.4)
     p = nn.init_params((6,), sample_dim=3, embed_dim=2, cond_dim=1, seed=1)
     rng = np.random.default_rng(4)
     x0 = rng.standard_normal((4, 3))
@@ -227,21 +235,34 @@ def test_training_loss_gradients_match_finite_differences():
         assert abs(fd - gvec[j]) <= 1e-4 * max(abs(fd), abs(gvec[j]), 1e-8)
 
 
-def test_training_loss_zero_params_and_rng_contract():
+def test_training_loss_zero_params_and_rng_contract(pv_fitted, tiny_schedule, monkeypatch):
+    """A zero network predicts eps_hat = 0. train draws each batch's steps and
+    then its noise from SeedSequence(seed).spawn(4)[2], batch after batch."""
     s = dif.make_schedule("cosine", n=10)
-    x0 = np.zeros((3, 2))
-    c = np.zeros((3, 0))
     zero = nn.DenoiserParams(hidden=(4,), sample_dim=2, embed_dim=2, cond_dim=0)
-    loss, grads = dif.training_loss(
-        zero, x0, c, s, steps=np.array([1, 2, 3]), noise=np.ones((3, 2)), want_grads=False
-    )
+    loss, grads = dif.training_loss(zero, np.zeros((3, 2)), np.zeros((3, 0)), s,
+                                    np.array([1, 2, 3]), np.ones((3, 2)), want_grads=False)
     assert grads is None
     assert loss == pytest.approx(1.0)  # eps_hat = 0 vs eps = 1
-    with pytest.raises(ParameterError, match="rng"):
-        dif.training_loss(zero, x0, c, s)
-    rng = np.random.default_rng(0)
-    loss2, _ = dif.training_loss(zero, x0, c, s, rng)
-    assert math.isfinite(loss2)
+
+    drawn = []
+    real = dif.training_loss
+
+    def recording(params, x0, c, sched, steps, noise, *, want_grads=True):
+        if want_grads:  # a learn batch, not the validation pass
+            drawn.append((steps, noise))
+        return real(params, x0, c, sched, steps, noise, want_grads=want_grads)
+
+    monkeypatch.setattr(dif, "training_loss", recording)
+    cfg = dif.TrainConfig(epochs=2, batch_size=16, hidden=(8,), embed_dim=4, seed=7)
+    dif.train(pv_fitted, cfg, tiny_schedule)
+    n_learn = pv_fitted.arrays(split="learn", zone=1)[0].shape[0]
+    sizes = [min(16, n_learn - lo) for lo in range(0, n_learn, 16)] * 2
+    rng = np.random.default_rng(np.random.SeedSequence(7).spawn(4)[2])
+    assert [steps.size for steps, _ in drawn] == sizes
+    for steps, noise in drawn:
+        np.testing.assert_array_equal(steps, rng.integers(1, tiny_schedule.n + 1, size=steps.size))
+        np.testing.assert_array_equal(noise, rng.standard_normal((steps.size, dmod.HOURS)))
 
 
 def test_training_loss_uniform_step_coverage():
@@ -318,8 +339,7 @@ def test_train_validation_divergence_reports_epoch(pv_fitted, tiny_schedule):
 def test_reverse_engine_draw_order_contract():
     """Stream layout is pinned: initial noise first, then z for steps n..2,
     applied with sigma_i after the step-i update, and no noise at step 1."""
-    s = dif.make_schedule("linear", n=3, beta_start=0.2, beta_end=0.6,
-                          enforce_terminal=False)
+    s = _linear(3, 0.2, 0.6)
     seqs = np.random.SeedSequence(123).spawn(2)
     out = dif._reverse_engine(_bound(_zero_denoiser), np.zeros((2, 0)), s, seqs, l=4)
 
@@ -696,8 +716,7 @@ def test_sample_days_scales_the_covariates_once(monkeypatch, tiny_schedule, pv_f
 
 
 def test_sampling_divergence_is_reported_with_step():
-    s = dif.make_schedule("linear", n=4, beta_start=0.2, beta_end=0.5,
-                          enforce_terminal=False)
+    s = _linear(4, 0.2, 0.5)
 
     def exploding(x, steps, c):
         return np.full_like(x, np.inf)

@@ -423,6 +423,8 @@ def test_quality_report_round_trip(tmp_path):
 
 
 def test_evaluate_files_round_trip(tmp_path):
+    """Scores over written and read-back scenario and observation files equal
+    those over the arrays."""
     from scendiff import data as dmod
     from scendiff import diffusion as dif
 
@@ -438,7 +440,7 @@ def test_evaluate_files_round_trip(tmp_path):
     op = tmp_path / "obs.csv"
     dmod.write_observations(ds, op, split="learn", zone=1)
 
-    rep = met.evaluate_files(sp, op, base=1.0)
+    rep = met.evaluate(dif.read_scenarios(sp), dmod.read_observations(op), base=1.0)
     direct = met.evaluate({s.day_id: s.scenarios for s in sets},
                           {s.day_id: s.x for s in ds.samples})
     assert rep.crps == pytest.approx(direct.crps, rel=1e-12)
@@ -528,7 +530,12 @@ def test_reports_refuse_non_finite_values(tmp_path, monkeypatch, capsys):
             report.write_json(tmp_path / "report.json")
         assert not (tmp_path / "report.json").exists()
 
-    monkeypatch.setattr(met, "evaluate_files", lambda *a, **k: nan_quality)
+    from scendiff import data as dmod
+    from scendiff import diffusion as dif
+
+    monkeypatch.setattr(dif, "read_scenarios", lambda path: {})
+    monkeypatch.setattr(dmod, "read_observations", lambda path: {})
+    monkeypatch.setattr(met, "evaluate", lambda *a, **k: nan_quality)
     capsys.readouterr()
     rc = main(["evaluate", "--scenarios", "s.csv", "--observations", "o.csv",
                "--out", str(tmp_path / "out")])

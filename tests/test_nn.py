@@ -261,9 +261,11 @@ def _fresh_state(p):
 
 
 def test_adam_step_matches_reference_update():
-    """Cross-check one parameter against the textbook update over 5 steps."""
+    """Cross-check one parameter against the textbook update over 5 steps,
+    with Kingma & Ba's beta1 = 0.9, beta2 = 0.999 and eps = 1e-8."""
+    assert (nn.ADAM_BETA1, nn.ADAM_BETA2, nn.ADAM_EPS) == (0.9, 0.999, 1e-8)
     p = nn.init_params((4,), sample_dim=2, embed_dim=2, cond_dim=0, seed=8)
-    config = dif.TrainConfig(lr=0.01, beta1=0.9, beta2=0.99, eps=1e-8)
+    config = dif.TrainConfig(lr=0.01)
     state = _fresh_state(p)
     rng = np.random.default_rng(6)
     w_ref = p.layers[0][0][0, 0]
@@ -272,9 +274,9 @@ def test_adam_step_matches_reference_update():
         grads = rng.standard_normal(p.n_params)
         g_ref = grads[0]
         m_ref = 0.9 * m_ref + 0.1 * g_ref
-        v_ref = 0.99 * v_ref + 0.01 * g_ref**2
+        v_ref = 0.999 * v_ref + 0.001 * g_ref**2
         mhat = m_ref / (1 - 0.9**t)
-        vhat = v_ref / (1 - 0.99**t)
+        vhat = v_ref / (1 - 0.999**t)
         w_ref = w_ref - 0.01 * mhat / (math.sqrt(vhat) + 1e-8)
         p, state = nn.adam_step(config, state, p, grads)
         assert state.step == t
@@ -324,15 +326,15 @@ def _flat(layers):
 def test_adam_step_bits_match_per_layer_reference():
     p = nn.init_params((7, 5), sample_dim=3, embed_dim=2, cond_dim=2, seed=12)
     assert len(p.layers) == 3
-    hyper = dict(lr=0.01, beta1=0.9, beta2=0.99, eps=1e-8)
-    config, state = dif.TrainConfig(**hyper), _fresh_state(p)
+    config, state = dif.TrainConfig(lr=0.01), _fresh_state(p)
     layers = [(w.copy(), b.copy()) for w, b in p.layers]
     m = v = [(np.zeros_like(w), np.zeros_like(b)) for w, b in layers]
     rng = np.random.default_rng(13)
     for t in range(1, 6):
         grads = rng.standard_normal(p.n_params) * 10.0 ** rng.integers(-3, 3)
         per_layer = replace(p, vector=grads).layers
-        layers, m, v = _reference_adam_step(layers, m, v, per_layer, t, **hyper)
+        layers, m, v = _reference_adam_step(layers, m, v, per_layer, t, config.lr,
+                                            nn.ADAM_BETA1, nn.ADAM_BETA2, nn.ADAM_EPS)
         p, state = nn.adam_step(config, state, p, grads)
     assert np.array_equal(p.vector, _flat(layers))
     assert np.array_equal(state.m, _flat(m))
