@@ -143,6 +143,9 @@ def cmd_train(args) -> int:
     ds = data_mod.split_random(_load_dataset(cfg), tuple(cfg["split"]["fractions"]), cfg["seed"])
     ds = data_mod.normalize(ds)
     sched = diffusion.make_schedule(**cfg["schedule"])
+    for tc in configs:  # as are the days it reads: arrays() refuses a zone without them
+        for split in ("learn", "validation") if tc.epochs else ("learn",):
+            ds.arrays(split=split, zone=tc.zone)
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     data_mod.write_manifest(ds, out_dir / f"manifest_{cfg['track']}.json")
@@ -252,8 +255,7 @@ def _parse_zone_paths(specs: list[str], what: str) -> dict[int, Path]:
 
 def cmd_value(args) -> int:
     cfg = load_config(args.config, {"seed": args.seed, "out_dir": args.out})
-    out_dir = Path(cfg["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    retailer = value.RetailerModel.from_dict(cfg["retailer"])
     scen: dict[str, dict] = {}
     obs: dict[str, dict] = {}
     zone_lists: dict[str, list[int]] = {}
@@ -279,12 +281,13 @@ def cmd_value(args) -> int:
                 obs[track][(day, z)] = arr
     load_zone = zone_lists["load"][0] if zone_lists["load"] else 1
     days = sorted({d for (d, z) in obs["load"] if z == load_zone})
-    retailer = value.RetailerModel.from_dict(cfg["retailer"])
     report = value.run_value_benchmark(
         scen, obs, retailer, days,
         pv_zones=zone_lists["pv"], wind_zones=zone_lists["wind"], load_zone=load_zone,
         n_planner_scenarios=cfg["n_planner_scenarios"],
     )
+    out_dir = Path(cfg["out_dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
     json_path = out_dir / "value_report.json"
     csv_path = out_dir / "value_report.csv"
     report.write_json(json_path)

@@ -84,20 +84,6 @@ class DaySample:
     x: np.ndarray
     c: np.ndarray
 
-    def validate(self) -> None:
-        if self.track not in TRACKS:
-            raise ParameterError(f"unknown track {self.track!r}")
-        if not 1 <= self.zone <= ZONE_COUNTS[self.track]:
-            raise IntegrityError(
-                f"zone {self.zone} outside 1..{ZONE_COUNTS[self.track]} for track {self.track}"
-            )
-        if self.x.shape != (HOURS,):
-            raise IntegrityError(f"target length {self.x.shape} != ({HOURS},)")
-        if self.c.size % HOURS != 0:
-            raise IntegrityError("covariate length must be a multiple of 24")
-        if not np.all(np.isfinite(self.x)) or not np.all(np.isfinite(self.c)):
-            raise IntegrityError(f"non-finite values in day {self.day_id}")
-
     @property
     def n_channels(self) -> int:
         return self.c.size // HOURS
@@ -422,8 +408,9 @@ def load_csv(path: str | Path, track: str) -> Dataset:
 
     A (day, zone) pair with missing hours or missing (blank or NaN)
     target/weather cells is dropped and counted; duplicate (day, hour, zone)
-    rows or out-of-range hours raise IntegrityError, and an hour or zone that
-    is not a whole number raises ParseError.
+    rows, out-of-range hours or zones and an infinite cell in a kept day raise
+    IntegrityError, and an hour or zone that is not a whole number raises
+    ParseError.
     """
     if track not in TRACKS:
         raise ParameterError(f"unknown track {track!r}")
@@ -468,15 +455,16 @@ def load_csv(path: str | Path, track: str) -> Dataset:
     block = np.full((groups.size, HOURS, v.shape[1]), np.nan)
     block[slot.reshape(-1), hour] = v
     date_rank = np.argsort(np.argsort(np.array(days, dtype="datetime64[D]")))
-    samples: list[DaySample] = []
-    for k in np.lexsort((groups % n_zones, date_rank[groups // n_zones])):
-        b = block[k]
-        if not np.isnan(b).any():
-            sample = DaySample(day_id=days[groups[k] // n_zones], track=track,
-                               zone=int(groups[k] % n_zones) + 1, x=b[:, 0].copy(),
-                               c=b[:, 1:].T.flatten())  # channel-major
-            sample.validate()
-            samples.append(sample)
+    order = np.lexsort((groups % n_zones, date_rank[groups // n_zones]))
+    order = order[~np.isnan(block).any(axis=(1, 2))[order]]  # a missing cell drops the day
+    infinite = np.isinf(block).any(axis=(1, 2))[order]
+    if infinite.any():
+        day = days[groups[order[infinite.argmax()]] // n_zones]
+        raise IntegrityError(f"non-finite values in day {day}")
+    samples = [DaySample(day_id=days[groups[k] // n_zones], track=track,
+                         zone=int(groups[k] % n_zones) + 1, x=block[k, :, 0].copy(),
+                         c=block[k, :, 1:].T.flatten())  # channel-major
+               for k in order]
     return Dataset(samples=samples, dropped=groups.size - len(samples))
 
 
@@ -528,10 +516,12 @@ def normalize(ds: Dataset) -> Dataset:
     DegenerateScaleError naming a zero-range feature, and IntegrityError
     on a pv/wind target outside [0, 1] or a mapped value that is not finite.
     """
-    learn = ds.subset(split="learn")
-    if not learn:
+    learn = np.array([ds.split.get(s.day_id) == "learn" for s in ds.samples], dtype=bool)
+    if not learn.any():
         raise InsufficientDataError("learn split is empty; cannot fit scaler")
-    learn_x = np.stack([s.x for s in learn])
+    x = np.stack([s.x for s in ds.samples])
+    c = np.stack([s.c for s in ds.samples])
+    learn_x = x[learn]
     learn_max = float(learn_x.max())
     # hours that never move on the learn split are degenerate marginals;
     # remember their constants (physical units) so sampling can pin them
@@ -540,11 +530,11 @@ def normalize(ds: Dataset) -> Dataset:
     target_fixed = np.where(per_hour_hi == per_hour_lo, per_hour_lo, math.nan)
     if ds.track == "load" and learn_max <= 0:
         raise DegenerateScaleError("target: learn-split maximum is not positive")
-    k = learn[0].n_channels
+    k = c.shape[1] // HOURS
     cov_offset = np.zeros(k)
     cov_scale = np.ones(k)
     if k:
-        learn_c = np.stack([s.c for s in learn]).reshape(len(learn), k, HOURS)
+        learn_c = c[learn].reshape(len(learn_x), k, HOURS)
         lo = learn_c.min(axis=(0, 2))
         hi = learn_c.max(axis=(0, 2))
         for j in range(k):
@@ -559,13 +549,19 @@ def normalize(ds: Dataset) -> Dataset:
         cov_scale=cov_scale,
         target_fixed=target_fixed,
     )
-    for s in ds.samples:
-        s.validate()
-        if ds.track != "load" and (s.x.min() < -1e-6 or s.x.max() > 1 + 1e-6):
+    # a sample is checked for finite values, then its range, then finite
+    # mapped values; the first sample that fails names the error
+    finite = np.isfinite(x).all(axis=1) & np.isfinite(c).all(axis=1)
+    outside = finite & (ds.track != "load") & ((x.min(axis=1) < -1e-6) | (x.max(axis=1) > 1 + 1e-6))
+    with np.errstate(over="ignore", invalid="ignore"):  # the check reports these
+        finite &= np.isfinite(scaler.to_model(x)).all(axis=1)
+        finite &= np.isfinite(scaler.transform_cov(c)).all(axis=1)
+    bad = np.flatnonzero(outside | ~finite)
+    if bad.size:
+        s = ds.samples[bad[0]]
+        if outside[bad[0]]:
             raise IntegrityError(f"{ds.track} day {s.day_id} zone {s.zone} outside [0, 1]")
-        if not (np.isfinite(scaler.to_model(s.x)).all()
-                and np.isfinite(scaler.transform_cov(s.c)).all()):
-            raise IntegrityError(f"non-finite values in day {s.day_id}")
+        raise IntegrityError(f"non-finite values in day {s.day_id}")
     return replace(ds, scaler=scaler)
 
 

@@ -486,7 +486,8 @@ def load_checkpoint(path: str | Path):
     the header's `test_days` parsed to dates.
 
     Raises ModelValidationError on a malformed header, another format
-    version, a sample_dim other than 24 hours, a test day that is not a
+    version, a hidden layer without units, an embed_dim that is not positive
+    and even, a sample_dim other than 24 hours, a test day that is not a
     YYYY-MM-DD string or that repeats or breaks the sorted order, or a
     parameter block whose length disagrees with the declared architecture
     or whose bytes disagree with the header's SHA-256.
@@ -524,8 +525,10 @@ def load_checkpoint(path: str | Path):
     if hashlib.sha256(block).hexdigest() != header["sha256"]:
         raise ModelValidationError(f"{path}: parameter block does not match its SHA-256")
     try:
-        # the layers are views into the block's copy, so a corrupt header
-        # cannot ask for arrays larger than the file
+        # refuse a network TrainConfig could not have built; the layers are
+        # views into the block's copy, so a corrupt header cannot ask for
+        # arrays larger than the file
+        TrainConfig(hidden=tuple(header["hidden"]), embed_dim=header["embed_dim"])
         params = nn.DenoiserParams(
             hidden=tuple(header["hidden"]), sample_dim=header["sample_dim"],
             embed_dim=header["embed_dim"], cond_dim=header["cond_dim"],

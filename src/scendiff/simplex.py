@@ -44,14 +44,15 @@ STALL_LIMIT = 50  # degenerate iterations before Bland's rule engages
 
 @dataclass
 class LPProblem:
-    """min c.x s.t. A x = b, 0 <= x <= upper; `upper` None means all +inf."""
+    """min c.x s.t. A x = b, 0 <= x <= upper; `upper` None means all +inf.
+    Building one refuses a bad shape (DimensionError) or value (ParameterError)."""
 
     c: np.ndarray
     a: np.ndarray
     b: np.ndarray
     upper: np.ndarray | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         self.c = np.asarray(self.c, dtype=float)
         self.a = np.asarray(self.a, dtype=float)
         self.b = np.asarray(self.b, dtype=float)
@@ -233,7 +234,6 @@ def _run_simplex(tab: np.ndarray, basis: list[int], upper: np.ndarray,
 
 def simplex_solve(lp: LPProblem) -> LPSolution:
     """Solve min c.x, A x = b, 0 <= x <= upper by the two-phase tableau method."""
-    lp.validate()
     a, b, c, upper = lp.a, lp.b, lp.c, lp.upper
     m, n = a.shape
 
@@ -330,7 +330,6 @@ def verify_certificate(lp: LPProblem, sol: LPSolution) -> dict:
     """
     if sol.status != "optimal":
         raise ParameterError(f"cannot certify a {sol.status} solution")
-    lp.validate()
     a, b, c, upper = lp.a, lp.b, lp.c, lp.upper
     resid = float(np.max(np.abs(a @ sol.x - b))) if a.size else 0.0
     min_x = float(sol.x.min()) if sol.x.size else 0.0

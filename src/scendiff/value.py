@@ -44,7 +44,8 @@ class RetailerModel:
 
     Energy in MWh, power in MW (hourly steps, so MW == MWh per period),
     prices and penalties in EUR/MWh. A zero-capacity battery is allowed and
-    simply disables storage recourse.
+    simply disables storage recourse. A bad field raises ParameterError (a
+    curve of the wrong length DimensionError) when the model is built.
     """
 
     capacity: float = 10.0
@@ -62,8 +63,6 @@ class RetailerModel:
         self.price = _as_curve(self.price, "price")
         self.pen_surplus = _as_curve(self.pen_surplus, "pen_surplus")
         self.pen_deficit = _as_curve(self.pen_deficit, "pen_deficit")
-
-    def validate(self) -> None:
         if self.capacity < 0:
             raise ParameterError(f"capacity must be >= 0, got {self.capacity}")
         if not (0 < self.eta_c <= 1 and 0 < self.eta_d <= 1):
@@ -139,7 +138,6 @@ def build_two_stage_lp(model: RetailerModel, scenarios, bids: np.ndarray | None 
     Rows per scenario: 24 imbalance rows, then 24 state-of-charge rows.
     The objective is min of (penalty cost - day-ahead revenue).
     """
-    model.validate()
     net = _net_scenarios(scenarios)
     n_s = net.shape[0]
     free_bids = bids is None
@@ -189,9 +187,7 @@ def build_two_stage_lp(model: RetailerModel, scenarios, bids: np.ndarray | None 
     c = np.concatenate([*first_cost, np.tile(cost, n_s)])
     upper = np.concatenate([np.full(n_first, np.inf), np.tile(bound, n_s)])
 
-    lp = LPProblem(c=c, a=a, b=b, upper=upper)
-    lp.validate()
-    return lp
+    return LPProblem(c=c, a=a, b=b, upper=upper)
 
 
 def extract_bids(lp: LPProblem, sol: LPSolution) -> np.ndarray:
@@ -300,7 +296,6 @@ def run_value_benchmark(
     point-forecast baseline. Raises CoverageError listing missing
     combinations.
     """
-    retailer.validate()
     if n_planner_scenarios < 1:
         raise ParameterError(f"n_planner_scenarios must be >= 1, got {n_planner_scenarios}")
     days, pv_zones, wind_zones = list(days), list(pv_zones), list(wind_zones)

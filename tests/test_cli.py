@@ -323,6 +323,14 @@ def test_exit_2_bad_config_values(tmp_path, capsys):
             assert not out.exists()
     cfg = _write_config(tmp_path, "wind", data, zones=[10, 1])
     assert load_config(str(cfg))["zones"] == [10, 1]
+    # a retailer that cannot exist is refused before value reads a file or
+    # makes its output directory
+    cfg.write_text(json.dumps({"retailer": {"capacity": -1}}))
+    out = tmp_path / "ov"
+    assert main(["value", "--config", str(cfg), "--out", str(out)]) == 2
+    doc = _stderr_error(capsys)
+    assert doc["error"] == "ParameterError" and "capacity must be >= 0" in doc["message"]
+    assert not out.exists()
 
 
 def test_exit_3_training_divergence(tmp_path, capsys):
@@ -352,19 +360,23 @@ def test_exit_3_training_divergence(tmp_path, capsys):
 
 
 def test_train_checks_every_setting_before_writing(tmp_path, capsys):
-    """A config refused with exit 2 leaves the output directory as it was:
-    no manifest, no checkpoint."""
+    """A config refused with exit 2 leaves the output directory as it was,
+    or makes none: no manifest, no checkpoint. A zone without learn days
+    (the synthetic file holds zone 1 only) is refused before zone 1 trains."""
     data = tmp_path / "pv.csv"
     assert main(["synth", "--profile", "sine_pv", "--days", "40", "--out", str(data)]) == 0
-    out = tmp_path / "o"
+    out, new = tmp_path / "o", tmp_path / "new"
     out.mkdir()
     capsys.readouterr()
-    for bad in ({"optimizer": {"epochs": 2, "lr": -0.5}}, {"model": {"embed_dim": 3}},
-                {"zones": [1, 2], "optimizer": {"batch_size": 0}}):
+    for bad, error in (({"optimizer": {"epochs": 2, "lr": -0.5}}, "ParameterError"),
+                       ({"model": {"embed_dim": 3}}, "ParameterError"),
+                       ({"zones": [1, 2], "optimizer": {"batch_size": 0}}, "ParameterError"),
+                       ({"zones": [1, 2]}, "InsufficientDataError")):
         cfg = _write_config(tmp_path, "pv", data, **bad)
-        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
-        assert _stderr_error(capsys)["error"] == "ParameterError"
-        assert list(out.iterdir()) == []
+        for target in (out, new):
+            assert main(["train", "--config", str(cfg), "--out", str(target)]) == 2
+            assert _stderr_error(capsys)["error"] == error
+        assert list(out.iterdir()) == [] and not new.exists()
 
 
 @pytest.mark.parametrize("scale", [1e12, 1e3])
@@ -512,19 +524,27 @@ def test_exit_4_checkpoint_track_mismatch(tmp_path, capsys):
         assert doc["error"] == "ModelValidationError" and message in doc["message"]
         assert not (tmp_path / "op").exists()
 
-    # a consistent checkpoint whose network samples 12 hours, not a day's 24
+    # a consistent checkpoint whose network samples 12 hours, not a day's 24,
+    # or one TrainConfig could not have built: a hidden layer without units
+    # would sample noise, and an embedding width of 0 or 3 fails in the
+    # step embedding
     ckpt.write_bytes(raw)
     params, sched, scaler, header = dif.load_checkpoint(ckpt)
-    short = nn.init_params(params.hidden, sample_dim=12, embed_dim=params.embed_dim,
-                           cond_dim=params.cond_dim, seed=0)
-    dif.save_checkpoint(ckpt, short, sched, scaler, "pv", 1, header["test_days"])
-    rc = main(["generate", "--config", str(tmp_path / "cfg_pv.json"), "--out",
-               str(tmp_path / "op"), "--checkpoint", str(ckpt)])
-    assert rc == 4
-    doc = _stderr_error(capsys)
-    assert doc["error"] == "ModelValidationError"
-    assert "sample_dim is 12, expected 24" in doc["message"]
-    assert not (tmp_path / "op").exists()
+    for hidden, sample_dim, embed_dim, message in (
+            (params.hidden, 12, params.embed_dim, "sample_dim is 12, expected 24"),
+            ((0,), 24, params.embed_dim, "hidden sizes must be >= 1, got [0]"),
+            ((16, 0), 24, params.embed_dim, "hidden sizes must be >= 1, got [16, 0]"),
+            (params.hidden, 24, 0, "embed_dim must be positive and even, got 0"),
+            (params.hidden, 24, 3, "embed_dim must be positive and even, got 3")):
+        net = nn.init_params(hidden, sample_dim=sample_dim, embed_dim=embed_dim,
+                             cond_dim=params.cond_dim, seed=0)
+        dif.save_checkpoint(ckpt, net, sched, scaler, "pv", 1, header["test_days"])
+        rc = main(["generate", "--config", str(tmp_path / "cfg_pv.json"), "--out",
+                   str(tmp_path / "op"), "--checkpoint", str(ckpt)])
+        assert rc == 4
+        doc = _stderr_error(capsys)
+        assert doc["error"] == "ModelValidationError" and message in doc["message"]
+        assert not (tmp_path / "op").exists()
 
 
 def test_exit_2_os_errors(tmp_path, capsys):
@@ -657,7 +677,7 @@ def test_exit_6_value_observation_zone_without_scenarios(tmp_path, capsys):
         assert main(args + [f"--obs-{track}", "2=" + obs]) == 6
         doc = _stderr_error(capsys)
         assert doc["error"] == "CoverageError" and f"ddpm:{track}:2015-02-01:zone2" in doc["message"]
-        assert not (tmp_path / "ov" / "value_report.json").exists()
+        assert not (tmp_path / "ov").exists()
 
 
 def test_exit_2_bad_retailer_config(tmp_path, capsys):
@@ -684,7 +704,7 @@ def test_exit_2_value_names_more_than_one_load_zone(tmp_path, capsys):
         assert main(argv) == 2
         doc = _stderr_error(capsys)
         assert doc["error"] == "ConfigError" and "load zones [1, 2]" in doc["message"]
-        assert not (tmp_path / "ov" / "value_report.json").exists()
+        assert not (tmp_path / "ov").exists()
 
 
 def test_value_with_a_zero_capacity_battery(tmp_path, capsys):

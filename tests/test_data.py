@@ -27,33 +27,6 @@ def _full_day(day, zone, k=1, target=0.5):
     return [f"{day},{h},{zone},{target}," + ",".join(["1.0"] * k) for h in range(24)]
 
 
-# ---------------------------------------------------------------- DaySample
-
-
-def test_day_sample_validates_shapes_and_zone():
-    x = np.zeros(24)
-    c = np.zeros(24)
-    s = dmod.DaySample(date(2012, 1, 1), "pv", 1, x, c)
-    s.validate()
-    assert s.n_channels == 1
-
-    with pytest.raises(IntegrityError):
-        dmod.DaySample(date(2012, 1, 1), "pv", 9, x, c).validate()
-    with pytest.raises(IntegrityError):
-        dmod.DaySample(date(2012, 1, 1), "pv", 1, np.zeros(23), c).validate()
-    with pytest.raises(IntegrityError):
-        dmod.DaySample(date(2012, 1, 1), "pv", 1, x, np.zeros(25)).validate()
-    with pytest.raises(ParameterError):
-        dmod.DaySample(date(2012, 1, 1), "hydro", 1, x, c).validate()
-
-
-def test_day_sample_rejects_non_finite():
-    x = np.zeros(24)
-    x[3] = np.nan
-    with pytest.raises(IntegrityError):
-        dmod.DaySample(date(2012, 1, 1), "pv", 1, x, np.zeros(24)).validate()
-
-
 # ------------------------------------------------------------------ load_csv
 
 
@@ -94,6 +67,36 @@ def test_load_csv_drops_days_with_empty_cells(tmp_path):
     ds = dmod.load_csv(p, "pv")
     assert ds.dropped == 2
     assert ds.days() == [date(2012, 1, 1)]
+
+
+@pytest.mark.parametrize("cell", [3, 4])  # the target, then w1
+def test_load_csv_refuses_an_infinite_cell_naming_its_day(tmp_path, cell):
+    """A day with an infinite cell is refused, not dropped, and the error
+    names the first such day in date order, not file order; a day that also
+    misses a cell is dropped first."""
+    def day(name, value=None, missing=False):
+        rows = _full_day(name, 1)
+        if value is not None:
+            cells = rows[7].split(",")
+            cells[cell] = value
+            rows[7] = ",".join(cells)
+        if missing:
+            rows[9] = f"{name},9,1,,1.0"
+        return rows
+
+    rows = (day("2012-01-05", "inf") + day("2012-01-01") + day("2012-01-02", "-inf", missing=True)
+            + day("2012-01-03", "+inf"))
+    p = tmp_path / "d.csv"
+    _mini_csv(p, rows)
+    with pytest.raises(IntegrityError, match="^non-finite values in day 2012-01-03$"):
+        dmod.load_csv(p, "pv")
+
+
+def test_load_csv_refuses_an_unknown_track(tmp_path):
+    p = tmp_path / "d.csv"
+    _mini_csv(p, _full_day("2012-01-01", 1))
+    with pytest.raises(ParameterError, match="unknown track 'hydro'"):
+        dmod.load_csv(p, "hydro")
 
 
 def test_load_csv_duplicate_row_is_an_integrity_error(tmp_path):
@@ -289,6 +292,51 @@ def test_normalize_rejects_non_finite_mapped_values():
     ds.samples[5].c[:24] = -1e308
     with np.errstate(all="ignore"), pytest.raises(IntegrityError, match="non-finite"):
         dmod.normalize(ds)
+
+
+def _first_refusal(ds, scaler):
+    """normalize's checks as the per-sample loop they replace: the check and
+    message for the first sample that fails, or None."""
+    for s in ds.samples:
+        if not (np.isfinite(s.x).all() and np.isfinite(s.c).all()):
+            return "raw", f"non-finite values in day {s.day_id}"
+        if ds.track != "load" and (s.x.min() < -1e-6 or s.x.max() > 1 + 1e-6):
+            return "range", f"{ds.track} day {s.day_id} zone {s.zone} outside [0, 1]"
+        if not (np.isfinite(scaler.to_model(s.x)).all()
+                and np.isfinite(scaler.transform_cov(s.c)).all()):
+            return "mapped", f"non-finite values in day {s.day_id}"
+    return None
+
+
+@pytest.mark.parametrize("profile", ["sine_pv", "bimodal_load"])
+def test_normalize_refuses_the_sample_the_loop_would(profile):
+    """Up to three days outside the learn split get a non-finite, out-of-range
+    or overflowing value; the vectorized checks name the loop's sample."""
+    rng = np.random.default_rng(7)
+    bads = [("x", np.nan), ("x", np.inf), ("x", -np.inf), ("x", 1.5), ("x", -0.5),
+            ("x", 1e308), ("c", np.nan), ("c", -np.inf), ("c", -1.7e308)]
+    refused = set()
+    for trial in range(60):
+        ds = dmod.split_random(dmod.generate_synthetic(30, trial, profile), (0.5, 0.25, 0.25),
+                               seed=trial)
+        scaler = dmod.normalize(replace(ds, samples=ds.subset(split="learn"))).scaler
+        held_out = [i for i, s in enumerate(ds.samples) if ds.split[s.day_id] != "learn"]
+        for i in rng.choice(held_out, size=rng.integers(1, 4), replace=False):
+            name, bad = bads[rng.integers(len(bads))]
+            v = getattr(ds.samples[i], name).copy()
+            v[rng.integers(v.size)] = bad
+            ds.samples[i] = replace(ds.samples[i], **{name: v})
+        with np.errstate(all="ignore"):
+            expected = _first_refusal(ds, scaler)
+        if expected is None:
+            assert dmod.normalize(ds).scaler.to_dict() == scaler.to_dict()
+            continue
+        with pytest.raises(IntegrityError) as e:
+            dmod.normalize(ds)
+        assert str(e.value) == expected[1]
+        refused.add(expected[0])
+    # a load target has no range, and no load value here overflows its map
+    assert refused == ({"raw", "range", "mapped"} if profile == "sine_pv" else {"raw"})
 
 
 def test_normalize_requires_learn_split():

@@ -254,30 +254,26 @@ def test_scipy_agrees_on_infeasible():
 
 def test_problem_validation():
     with pytest.raises(DimensionError):
-        simplex_solve(LPProblem(c=np.zeros(3), a=np.zeros((2, 2)), b=np.zeros(2)))
+        LPProblem(c=np.zeros(3), a=np.zeros((2, 2)), b=np.zeros(2))
     with pytest.raises(DimensionError):
-        simplex_solve(LPProblem(c=np.zeros(2), a=np.zeros((2, 2)), b=np.zeros(3)))
+        LPProblem(c=np.zeros(2), a=np.zeros((2, 2)), b=np.zeros(3))
     with pytest.raises(ParameterError):
-        simplex_solve(LPProblem(c=np.array([np.inf, 0.0]),
-                                a=np.ones((1, 2)), b=np.ones(1)))
+        LPProblem(c=np.array([np.inf, 0.0]), a=np.ones((1, 2)), b=np.ones(1))
     lp = LPProblem(c=np.zeros(2), a=np.ones((1, 2)), b=np.ones(1))
-    lp.validate()
     assert lp.upper.shape == (2,) and np.all(lp.upper == np.inf)
 
 
 @pytest.mark.parametrize("upper", [np.ones(3), np.ones(1), np.ones((2, 1)), np.float64(1.0)])
 def test_upper_bound_of_wrong_shape_is_refused(upper):
-    lp = LPProblem(c=np.zeros(2), a=np.ones((1, 2)), b=np.ones(1), upper=upper)
     with pytest.raises(DimensionError, match="upper"):
-        simplex_solve(lp)
+        LPProblem(c=np.zeros(2), a=np.ones((1, 2)), b=np.ones(1), upper=upper)
 
 
 @pytest.mark.parametrize("bad", [np.nan, -1.0, -np.inf, -1e-300])
 def test_upper_bound_nan_or_negative_is_refused(bad):
-    lp = LPProblem(c=np.zeros(2), a=np.ones((1, 2)), b=np.ones(1),
-                   upper=np.array([np.inf, bad]))
     with pytest.raises(ParameterError, match="upper"):
-        simplex_solve(lp)
+        LPProblem(c=np.zeros(2), a=np.ones((1, 2)), b=np.ones(1),
+                  upper=np.array([np.inf, bad]))
 
 
 def test_iteration_limit(monkeypatch):

@@ -71,14 +71,14 @@ def test_model_validation_catches_bad_fields():
     ]
     for kw in bad:
         with pytest.raises(ParameterError):
-            RetailerModel(**kw).validate()
+            RetailerModel(**kw)
     # terminal state of charge that cannot be reached within a day
     with pytest.raises(ParameterError, match="charge enough"):
         RetailerModel(capacity=1000.0, p_charge=0.01, soc_start=0.0,
-                      soc_end=900.0).validate()
+                      soc_end=900.0)
     with pytest.raises(ParameterError, match="discharge enough"):
         RetailerModel(capacity=1000.0, p_discharge=0.01, soc_start=900.0,
-                      soc_end=0.0).validate()
+                      soc_end=0.0)
 
 
 def test_model_dict_round_trip():
