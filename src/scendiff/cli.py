@@ -146,13 +146,13 @@ def cmd_train(args) -> int:
     for tc in configs:  # as are the days it reads: arrays() refuses a zone without them
         for split in ("learn", "validation") if tc.epochs else ("learn",):
             ds.arrays(split=split, zone=tc.zone)
+    # every zone is trained before anything is written, so a diverging run leaves nothing
+    trained = [(tc.zone, *diffusion.train(ds, tc, sched)) for tc in configs]
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     data_mod.write_manifest(ds, out_dir / f"manifest_{cfg['track']}.json")
     print(out_dir / f"manifest_{cfg['track']}.json")
-    for tc in configs:
-        zone = tc.zone
-        params, log = diffusion.train(ds, tc, sched)
+    for zone, params, log in trained:
         ckpt = _checkpoint_path(out_dir, cfg["track"], zone)
         diffusion.save_checkpoint(ckpt, params, sched, ds.scaler, cfg["track"], zone,
                                   [s.day_id for s in ds.subset(split="test", zone=zone)])
@@ -219,11 +219,11 @@ def cmd_evaluate(args) -> int:
     if not 0 < args.base < math.inf:  # nan fails both comparisons
         raise ParameterError(f"base must be positive and finite, got {args.base}")
     cfg = load_config(args.config, {"seed": args.seed, "out_dir": args.out})
-    out_dir = Path(cfg["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     report = metrics.evaluate(diffusion.read_scenarios(args.scenarios),
                               data_mod.read_observations(args.observations),
                               base=args.base, seed=cfg["seed"])
+    out_dir = Path(cfg["out_dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "quality_report.json"
     report.write_json(report_path)
     rel_path = out_dir / "reliability.csv"

@@ -98,18 +98,6 @@ class RetailerModel:
         return cls(**d)
 
 
-def _net_scenarios(scenarios) -> np.ndarray:
-    """Stack (wind, pv, load) triples into (S, 24) net renewable positions."""
-    rows = []
-    for s, triple in enumerate(scenarios):
-        wind, pv, load = (np.asarray(v, dtype=float) for v in triple)
-        for name, v in (("wind", wind), ("pv", pv), ("load", load)):
-            if v.shape != (HOURS,):
-                raise DimensionError(f"scenario {s} {name} has shape {v.shape}")
-        rows.append(wind + pv - load)
-    return np.stack(rows)
-
-
 # The bidding LP's columns: the free bids, positive then negative parts
 # (none when the bids are pinned), then one block per scenario. Scenario s's
 # block starts at n_first + s * PER_SCENARIO and holds charge and discharge
@@ -137,8 +125,12 @@ def build_two_stage_lp(model: RetailerModel, scenarios, bids: np.ndarray | None 
     `bids` instead pins them and drops the first stage (dispatch replay).
     Rows per scenario: 24 imbalance rows, then 24 state-of-charge rows.
     The objective is min of (penalty cost - day-ahead revenue).
+    `scenarios` is an (S, 24) array of net positions, wind + pv - load in MW.
     """
-    net = _net_scenarios(scenarios)
+    net = np.asarray(scenarios, dtype=float)
+    if net.ndim != 2 or net.shape[0] < 1 or net.shape[1] != HOURS:
+        raise DimensionError(f"scenarios must be an (S, {HOURS}) array of net positions "
+                             f"with S >= 1, got shape {net.shape}")
     n_s = net.shape[0]
     free_bids = bids is None
     if not free_bids:
@@ -190,7 +182,7 @@ def build_two_stage_lp(model: RetailerModel, scenarios, bids: np.ndarray | None 
     return LPProblem(c=c, a=a, b=b, upper=upper)
 
 
-def extract_bids(lp: LPProblem, sol: LPSolution) -> np.ndarray:
+def extract_bids(sol: LPSolution) -> np.ndarray:
     return sol.x[BID_POS] - sol.x[BID_NEG]
 
 
@@ -204,7 +196,7 @@ def solve_bidding(model: RetailerModel, scenarios) -> tuple[LPProblem, LPSolutio
 
 
 def realtime_dispatch(model: RetailerModel, bids: np.ndarray, observations) -> float:
-    """Replay fixed bids against one day's (wind, pv, load) observations.
+    """Replay fixed bids against one day's observed (24,) net position.
 
     Net profit = day-ahead revenue at the given prices minus realized
     imbalance penalties after optimal battery recourse.
@@ -218,19 +210,15 @@ def realtime_dispatch(model: RetailerModel, bids: np.ndarray, observations) -> f
 
 
 def oracle_profit(model: RetailerModel, observations) -> float:
-    """Best possible profit with perfect knowledge of the day (S=1 free-bid LP)."""
+    """Best possible profit knowing the day's (24,) net position (S=1 free-bid LP)."""
     _, sol = solve_bidding(model, [observations])
     return -sol.objective
 
 
 def deterministic_bids(model: RetailerModel, scenarios) -> np.ndarray:
     """Point-forecast baseline: plan against the scenario-mean day."""
-    triples = list(scenarios)
-    wind = np.mean([np.asarray(t[0], dtype=float) for t in triples], axis=0)
-    pv = np.mean([np.asarray(t[1], dtype=float) for t in triples], axis=0)
-    load = np.mean([np.asarray(t[2], dtype=float) for t in triples], axis=0)
-    lp, sol = solve_bidding(model, [(wind, pv, load)])
-    return extract_bids(lp, sol)
+    _, sol = solve_bidding(model, np.mean(scenarios, axis=0, keepdims=True))
+    return extract_bids(sol)
 
 
 @dataclass
@@ -239,7 +227,6 @@ class ValueReport:
 
     rows: list = field(default_factory=list)  # {model, day, pv_zone, wind_zone, profit}
     aggregate: dict = field(default_factory=dict)
-    oracle_total: float = 0.0
     n_simulated: int = 0
 
     def validate(self) -> None:
@@ -262,7 +249,6 @@ class ValueReport:
     def to_dict(self) -> dict:
         return {
             "aggregate": self.aggregate,
-            "oracle_total": self.oracle_total,
             "n_simulated": self.n_simulated,
             "rows": [
                 {**r, "day": r["day"].isoformat() if isinstance(r["day"], date) else r["day"]}
@@ -289,16 +275,21 @@ def run_value_benchmark(
     scenarios:    {track: {(day, zone): (M, 24) scenarios}}, the model's
     observations: {track: {(day, zone): (24,) observed values}}
 
-    For each simulated day: solve the stochastic planner on the first
-    n_planner_scenarios index-paired scenario triples, dispatch the bids
-    against observations, and record net profit as a `ddpm` row. Adds
-    `oracle` rows (perfect knowledge) and `ddpm-det` rows, the deterministic
-    point-forecast baseline. Raises CoverageError listing missing
-    combinations.
+    For each simulated day: solve the stochastic planner on the net
+    positions (wind + pv - load) of the first n_planner_scenarios
+    index-paired scenarios, dispatch the bids against the observed net
+    position, and record net profit as a `ddpm` row. Adds `oracle` rows
+    (perfect knowledge) and `ddpm-det` rows, the deterministic point-forecast
+    baseline. Raises CoverageError when days or zones are empty or when
+    combinations are missing.
     """
     if n_planner_scenarios < 1:
         raise ParameterError(f"n_planner_scenarios must be >= 1, got {n_planner_scenarios}")
     days, pv_zones, wind_zones = list(days), list(pv_zones), list(wind_zones)
+    empty = [name for name, v in (("days", days), ("pv_zones", pv_zones),
+                                  ("wind_zones", wind_zones)) if not v]
+    if empty:
+        raise CoverageError(f"nothing to simulate: no {', no '.join(empty)}")
     missing = []
     for day in days:
         for track, zones in (("pv", pv_zones), ("wind", wind_zones), ("load", [load_zone])):
@@ -314,35 +305,30 @@ def run_value_benchmark(
 
     rows = []
     for day in days:
-        obs_l = observations["load"][(day, load_zone)]
+        obs_l = np.asarray(observations["load"][(day, load_zone)], dtype=float)
+        s_l = np.asarray(scenarios["load"][(day, load_zone)], dtype=float)
         for pz in pv_zones:
-            obs_p = observations["pv"][(day, pz)]
+            obs_p = np.asarray(observations["pv"][(day, pz)], dtype=float)
+            s_p = np.asarray(scenarios["pv"][(day, pz)], dtype=float)
             for wz in wind_zones:
-                obs_w = observations["wind"][(day, wz)]
-                key = {"day": day, "pv_zone": pz, "wind_zone": wz}
-                oracle = oracle_profit(retailer, (obs_w, obs_p, obs_l))
-                rows.append({"model": "oracle", **key, "profit": oracle})
+                obs_w = np.asarray(observations["wind"][(day, wz)], dtype=float)
                 s_w = np.asarray(scenarios["wind"][(day, wz)], dtype=float)
-                s_p = np.asarray(scenarios["pv"][(day, pz)], dtype=float)
-                s_l = np.asarray(scenarios["load"][(day, load_zone)], dtype=float)
                 s = min(n_planner_scenarios, s_w.shape[0], s_p.shape[0], s_l.shape[0])
-                triples = [(s_w[i], s_p[i], s_l[i]) for i in range(s)]
-                lp, sol = solve_bidding(retailer, triples)
-                bids = extract_bids(lp, sol)
-                profit = realtime_dispatch(retailer, bids, (obs_w, obs_p, obs_l))
-                rows.append({"model": "ddpm", **key, "profit": profit})
-                det = deterministic_bids(retailer, triples)
-                det_profit = realtime_dispatch(retailer, det, (obs_w, obs_p, obs_l))
-                rows.append({"model": "ddpm-det", **key, "profit": det_profit})
+                net = s_w[:s] + s_p[:s] - s_l[:s]
+                observed = obs_w + obs_p - obs_l
+                key = {"day": day, "pv_zone": pz, "wind_zone": wz}
+                rows.append({"model": "oracle", **key,
+                             "profit": oracle_profit(retailer, observed)})
+                _, sol = solve_bidding(retailer, net)
+                rows.append({"model": "ddpm", **key, "profit": realtime_dispatch(
+                    retailer, extract_bids(sol), observed)})
+                rows.append({"model": "ddpm-det", **key, "profit": realtime_dispatch(
+                    retailer, deterministic_bids(retailer, net), observed)})
 
     aggregate: dict[str, float] = {}
     for r in rows:
         aggregate[r["model"]] = aggregate.get(r["model"], 0.0) + r["profit"]
-    report = ValueReport(
-        rows=rows,
-        aggregate=aggregate,
-        oracle_total=aggregate.get("oracle", 0.0),
-        n_simulated=len(days) * len(pv_zones) * len(wind_zones),
-    )
+    report = ValueReport(rows=rows, aggregate=aggregate,
+                         n_simulated=len(days) * len(pv_zones) * len(wind_zones))
     report.validate()
     return report

@@ -306,16 +306,19 @@ def _random_retailer(rng: np.random.Generator) -> RetailerModel:
 
 
 def _random_day(rng: np.random.Generator):
+    """One day's (wind, pv, load) tracks."""
     return (80 * rng.random(HOURS), 40 * rng.random(HOURS),
             100 + 100 * rng.random(HOURS))
 
 
-def _noisy_triples(rng: np.random.Generator, obs, s: int):
+def _noisy_nets(rng: np.random.Generator, tracks, s: int) -> np.ndarray:
+    """(s, 24) net positions of the day's tracks, each perturbed and clipped
+    at 0 before netting."""
     out = []
     for _ in range(s):
-        out.append(tuple(np.clip(v + rng.normal(0, 10, HOURS), 0, None)
-                         for v in obs))
-    return out
+        wind, pv, load = (np.clip(v + rng.normal(0, 10, HOURS), 0, None) for v in tracks)
+        out.append(wind + pv - load)
+    return np.stack(out)
 
 
 def test_criterion_7_value_pipeline():
@@ -326,14 +329,15 @@ def test_criterion_7_value_pipeline():
     worst_dom = -np.inf
     for k in range(100):
         model = _random_retailer(rng)
-        obs = _random_day(rng)
+        tracks = _random_day(rng)
+        obs = tracks[0] + tracks[1] - tracks[2]
         if k % 3 == 0:
             bids = rng.uniform(-50, 150, HOURS)
         elif k % 3 == 1:
-            bids = deterministic_bids(model, _noisy_triples(rng, obs, 3))
+            bids = deterministic_bids(model, _noisy_nets(rng, tracks, 3))
         else:
-            lp, sol = solve_bidding(model, _noisy_triples(rng, obs, 3))
-            bids = extract_bids(lp, sol)
+            _, sol = solve_bidding(model, _noisy_nets(rng, tracks, 3))
+            bids = extract_bids(sol)
         oracle = oracle_profit(model, obs)
         gap = (realtime_dispatch(model, bids, obs) - oracle) / max(1.0, abs(oracle))
         worst_dom = max(worst_dom, gap)
@@ -342,9 +346,10 @@ def test_criterion_7_value_pipeline():
     worst_rec = 0.0
     for _ in range(10):
         model = _random_retailer(rng)
-        obs = _random_day(rng)
-        lp, sol = solve_bidding(model, [obs])
-        profit = realtime_dispatch(model, extract_bids(lp, sol), obs)
+        wind, pv, load = _random_day(rng)
+        obs = wind + pv - load
+        _, sol = solve_bidding(model, obs[None])
+        profit = realtime_dispatch(model, extract_bids(sol), obs)
         oracle = oracle_profit(model, obs)
         worst_rec = max(worst_rec, abs(profit - oracle) / max(1.0, abs(oracle)))
     recovery = worst_rec <= 1e-6
@@ -357,14 +362,14 @@ def test_criterion_7_value_pipeline():
     diffs = []
     for i in range(n_days):
         w, p, l = wind_ds.samples[i], pv_ds.samples[i], load_ds.samples[i]
-        obs = (wind_cap * w.x, pv_cap * p.x, l.x)
+        obs = wind_cap * w.x + pv_cap * p.x - l.x
         sw = wind_cap * dmod.conditional_scenarios("ramp_wind", w.c, 5, seed=1000 + i)
         sp = pv_cap * dmod.conditional_scenarios("sine_pv", p.c, 5, seed=2000 + i)
         sl = dmod.conditional_scenarios("bimodal_load", l.c, 5, seed=3000 + i)
-        triples = [(sw[s], sp[s], sl[s]) for s in range(5)]
-        lp, sol = solve_bidding(retailer, triples)
-        stoch = realtime_dispatch(retailer, extract_bids(lp, sol), obs)
-        det = realtime_dispatch(retailer, deterministic_bids(retailer, triples), obs)
+        nets = sw + sp - sl
+        _, sol = solve_bidding(retailer, nets)
+        stoch = realtime_dispatch(retailer, extract_bids(sol), obs)
+        det = realtime_dispatch(retailer, deterministic_bids(retailer, nets), obs)
         diffs.append(stoch - det)
     diffs = np.asarray(diffs)
     se = diffs.std(ddof=1) / np.sqrt(n_days)
@@ -417,20 +422,18 @@ def test_criterion_8_gefcom_wind_track():
 
     # value: wind-only portfolio on zone 1, scenario planner vs climatology
     wind_cap = 80.0
-    zeros = np.zeros(HOURS)
     retailer = RetailerModel()
     z1_days = sorted(d for d, z in obs if z == zones[0])
     model_profit, clim_profit = [], []
     for i, d in enumerate(z1_days):
-        day_obs = (wind_cap * obs[(d, zones[0])], zeros, zeros)
+        day_obs = wind_cap * obs[(d, zones[0])]
         for source, sink in (
             (wind_cap * scen[(d, zones[0])][:5], model_profit),
             (wind_cap * dmod.climatology_scenarios(ds, 5, seed=71_000 + i,
                                                    zone=zones[0]), clim_profit),
         ):
-            triples = [(row, zeros, zeros) for row in source]
-            lp, sol = solve_bidding(retailer, triples)
-            sink.append(realtime_dispatch(retailer, extract_bids(lp, sol), day_obs))
+            _, sol = solve_bidding(retailer, source)
+            sink.append(realtime_dispatch(retailer, extract_bids(sol), day_obs))
     gain = float(np.mean(model_profit) - np.mean(clim_profit))
 
     dt = time.perf_counter() - t0

@@ -98,7 +98,7 @@ def test_pipeline_value_across_tracks(tmp_path):
     doc = json.loads((out / "value_report.json").read_text())
     assert set(doc["aggregate"]) == {"oracle", "ddpm", "ddpm-det"}
     assert doc["n_simulated"] == 4
-    assert doc["aggregate"]["ddpm"] <= doc["oracle_total"] + 1e-6
+    assert doc["aggregate"]["ddpm"] <= doc["aggregate"]["oracle"] + 1e-6
     csv_lines = (out / "value_report.csv").read_text().strip().splitlines()
     assert len(csv_lines) == 1 + len(doc["rows"])
 
@@ -233,6 +233,12 @@ def test_exit_2_missing_data_and_files(tmp_path, capsys):
     cfg.write_text(json.dumps({"track": "pv", "data": str(tmp_path)}))  # a directory
     assert main(["train", "--config", str(cfg)]) == 2
     assert "not found" in _stderr_error(capsys)["message"]
+    # evaluate reads both files before it makes its output directory
+    out = tmp_path / "ev_out"
+    assert main(["evaluate", "--scenarios", str(tmp_path / "none.csv"), "--observations",
+                 str(tmp_path / "none.csv"), "--out", str(out)]) == 2
+    assert _stderr_error(capsys)["error"] == "FileNotFoundError"
+    assert not out.exists()
 
 
 def _leaves(doc, path=""):
@@ -336,7 +342,8 @@ def test_exit_2_bad_config_values(tmp_path, capsys):
 def test_exit_3_training_divergence(tmp_path, capsys):
     """A step size that blows the parameters up is reported by the finiteness
     checks as one JSON line and exit 3, with no RuntimeWarning before it, also
-    when RuntimeWarnings are errors."""
+    when RuntimeWarnings are errors. Every zone trains before train writes,
+    so the run leaves no output directory."""
     data = tmp_path / "pv.csv"
     main(["synth", "--profile", "sine_pv", "--days", "40", "--seed", "1",
           "--out", str(data)])
@@ -353,10 +360,12 @@ def test_exit_3_training_divergence(tmp_path, capsys):
         assert main(args) == 3
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert _stderr_error(capsys)["error"] == "TrainingDivergenceError"
+    assert not (tmp_path / "o").exists()
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert main(args) == 3
     assert _stderr_error(capsys)["error"] == "TrainingDivergenceError"
+    assert not (tmp_path / "o").exists()
 
 
 def test_train_checks_every_setting_before_writing(tmp_path, capsys):
@@ -554,12 +563,22 @@ def test_exit_2_os_errors(tmp_path, capsys):
     capsys.readouterr()
     a_file = tmp_path / "a_file"
     a_file.write_text("")
+    # evaluate makes its output directory only after it has read both files,
+    # so the output path cases read a valid pair
+    rng = np.random.default_rng(0)
+    days = [date(2015, 1, 1 + i) for i in range(10)]  # the fewest evaluate scores
+    scen, obs = tmp_path / "s.csv", tmp_path / "obs.csv"
+    dif.write_scenarios([dif.ScenarioSet(d, 2, rng.uniform(0, 1, (2, 24)), np.zeros(1))
+                         for d in days], scen)
+    dmod.write_observations(dmod.Dataset(samples=[
+        dmod.DaySample(d, "pv", 1, rng.uniform(0, 1, 24), np.zeros(24)) for d in days]),
+        obs, split="learn", zone=1)
     cases = [
         (["--scenarios", str(tmp_path), "--observations", str(data),
           "--out", str(tmp_path / "o1")], "IsADirectoryError"),
-        (["--scenarios", str(data), "--observations", str(data),
+        (["--scenarios", str(scen), "--observations", str(obs),
           "--out", str(a_file)], "FileExistsError"),
-        (["--scenarios", str(data), "--observations", str(data),
+        (["--scenarios", str(scen), "--observations", str(obs),
           "--out", str(a_file / "sub")], "NotADirectoryError"),
     ]
     for args, error in cases:
@@ -605,6 +624,7 @@ def test_exit_5_alignment(tmp_path, capsys):
     assert main(["evaluate", "--scenarios", str(scen), "--observations",
                  str(obs), "--out", str(tmp_path / "oe")]) == 5
     assert _stderr_error(capsys)["error"] == "AlignmentError"
+    assert not (tmp_path / "oe").exists()
 
 
 def test_exit_2_mixed_scenario_counts(tmp_path, capsys):
@@ -627,7 +647,7 @@ def test_exit_2_mixed_scenario_counts(tmp_path, capsys):
     assert doc["error"] == "DimensionError"
     assert "day 2015-03-02 has 50 scenarios" in doc["message"]
     assert "2015-03-01" in doc["message"]
-    assert not (tmp_path / "oe" / "quality_report.json").exists()
+    assert not (tmp_path / "oe").exists()
 
 
 def _value_args(tmp_path, days, load_days):
@@ -680,6 +700,37 @@ def test_exit_6_value_observation_zone_without_scenarios(tmp_path, capsys):
         assert not (tmp_path / "ov").exists()
 
 
+def _without(args, *flags):
+    """`args` with every flag in `flags` and its value removed."""
+    out = []
+    for flag, val in zip(args[1::2], args[2::2]):
+        if flag not in flags:
+            out += [flag, val]
+    return args[:1] + out
+
+
+def test_exit_6_value_with_nothing_to_simulate(tmp_path, capsys):
+    """No load files (so no day), no pv or wind files, or no files at all:
+    `value` would report zero rows, so it exits 6 naming what is empty and
+    makes no output directory."""
+    days = [date(2015, 2, 1), date(2015, 2, 2)]
+    args = _value_args(tmp_path, days, days)
+    capsys.readouterr()
+    for flags, empty in (
+            (("--scenarios-load", "--obs-load"), "no days"),
+            (("--scenarios-pv", "--obs-pv"), "no pv_zones"),
+            (("--scenarios-wind", "--obs-wind"), "no wind_zones"),
+            (("--scenarios-wind", "--obs-wind", "--scenarios-load", "--obs-load"),
+             "no days, no wind_zones"),
+            (("--scenarios-wind", "--obs-wind", "--scenarios-pv", "--obs-pv",
+              "--scenarios-load", "--obs-load"), "no days, no pv_zones, no wind_zones")):
+        assert main(_without(args, *flags)) == 6
+        doc = _stderr_error(capsys)
+        assert doc["error"] == "CoverageError"
+        assert doc["message"] == f"nothing to simulate: {empty}"
+        assert not (tmp_path / "ov").exists()
+
+
 def test_exit_2_bad_retailer_config(tmp_path, capsys):
     days = [date(2015, 2, 1), date(2015, 2, 2)]
     cfg = tmp_path / "cfg.json"
@@ -721,7 +772,7 @@ def test_value_with_a_zero_capacity_battery(tmp_path, capsys):
                                                str(out / "value_report.csv")]
     doc = json.loads((out / "value_report.json").read_text())
     assert doc["n_simulated"] == 2 and len(doc["rows"]) == 6
-    assert doc["aggregate"]["ddpm"] <= doc["oracle_total"] + 1e-6
+    assert doc["aggregate"]["ddpm"] <= doc["aggregate"]["oracle"] + 1e-6
 
 
 def test_no_subcommand_is_usage_error(capsys):

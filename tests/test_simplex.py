@@ -570,8 +570,8 @@ def test_sparse_pivot_solves_bidding_lp_bit_for_bit(monkeypatch):
 
     rng = np.random.default_rng(11)
     pv = 30 * np.clip(np.sin((np.arange(24) - 6) * np.pi / 12), 0, None)
-    scenarios = [(rng.uniform(0, 60, 24), pv * rng.uniform(0.5, 1, 24), rng.uniform(40, 80, 24))
-                 for _ in range(5)]
+    scenarios = np.stack([rng.uniform(0, 60, 24) + pv * rng.uniform(0.5, 1, 24)
+                          - rng.uniform(40, 80, 24) for _ in range(5)])
     lp = build_two_stage_lp(RetailerModel(), scenarios)
     fast = simplex_solve(lp)
     monkeypatch.setattr(spx, "_pivot", _dense_pivot)

@@ -42,12 +42,6 @@ def _no_battery(**kw):
                          soc_start=0.0, soc_end=0.0, **kw)
 
 
-def _triple(net):
-    """Wind-only triple realizing the given net position."""
-    net = np.asarray(net, dtype=float)
-    return (net, np.zeros(HOURS), np.zeros(HOURS))
-
-
 # --------------------------------------------------------------- model guards
 
 
@@ -103,7 +97,7 @@ def test_lp_dimensions_and_names():
     """Battery ratings are column bounds, not rows; the module's slices
     address every variable block of the column vector."""
     rng = np.random.default_rng(0)
-    scens = [_triple(rng.uniform(0, 1, HOURS)) for _ in range(3)]
+    scens = rng.uniform(0, 1, (3, HOURS))
     model = RetailerModel()
     lp = build_two_stage_lp(model, scens)
     per_s = 5 * HOURS - 1
@@ -130,11 +124,11 @@ def test_lp_dimensions_and_names():
     np.testing.assert_array_equal(_block(pinned.c, 0, n_first=0)[SURPLUS], model.pen_surplus / 3)
 
 
-def _slack_row_lp(model, scenarios, bids=None) -> LPProblem:
-    """Reference: the bidding LP with every charge, discharge and SoC limit as
-    its own row and slack column, 119 rows per scenario, as the value module
-    built it before battery limits became column bounds."""
-    net = np.stack([w + p - l for w, p, l in scenarios])
+def _slack_row_lp(model, net, bids=None) -> LPProblem:
+    """Reference: the bidding LP over (S, 24) net positions with every charge,
+    discharge and SoC limit as its own row and slack column, 119 rows per
+    scenario, as the value module built it before battery limits became
+    column bounds."""
     n_s = net.shape[0]
     free = bids is None
     n_first = 2 * HOURS if free else 0
@@ -177,15 +171,15 @@ def _slack_row_lp(model, scenarios, bids=None) -> LPProblem:
     return LPProblem(c=c, a=a, b=b)
 
 
-def _gate7_triples(day: int, n_s: int):
-    """Day `day` (of 3) of gate 7's synthetic wind, PV and load, with n_s
-    conditional scenario triples."""
+def _gate7_nets(day: int, n_s: int) -> np.ndarray:
+    """Day `day` (of 3) of gate 7's synthetic wind, PV and load: the
+    (n_s, 24) net positions of n_s conditional scenarios of each track."""
     w = dmod.generate_synthetic(3, 100, "ramp_wind").samples[day]
     p = dmod.generate_synthetic(3, 200, "sine_pv").samples[day]
     l = dmod.generate_synthetic(3, 300, "bimodal_load").samples[day]
-    return list(zip(80 * dmod.conditional_scenarios("ramp_wind", w.c, n_s, seed=1000 + day),
-                    40 * dmod.conditional_scenarios("sine_pv", p.c, n_s, seed=2000 + day),
-                    dmod.conditional_scenarios("bimodal_load", l.c, n_s, seed=3000 + day)))
+    return (80 * dmod.conditional_scenarios("ramp_wind", w.c, n_s, seed=1000 + day)
+            + 40 * dmod.conditional_scenarios("sine_pv", p.c, n_s, seed=2000 + day)
+            - dmod.conditional_scenarios("bimodal_load", l.c, n_s, seed=3000 + day))
 
 
 def _scipy_objective(lp) -> float:
@@ -204,15 +198,15 @@ def test_bounded_lp_matches_slack_row_formulation(n_s):
                                              eta_c=0.9, soc_start=2.0, soc_end=12.0,
                                              price=np.linspace(30, 70, HOURS))]
     for i in range(3):
-        triples = _gate7_triples(i, n_s)
+        nets = _gate7_nets(i, n_s)
         model = models[i % 2]
-        lp, sol = solve_bidding(model, triples)
-        ref = simplex_solve(_slack_row_lp(model, triples))
+        lp, sol = solve_bidding(model, nets)
+        ref = simplex_solve(_slack_row_lp(model, nets))
         assert ref.status == "optimal"
         assert sol.objective == pytest.approx(ref.objective, rel=1e-9), f"day {i}"
-        bids = extract_bids(lp, sol)
-        pinned = simplex_solve(build_two_stage_lp(model, triples, bids=bids))
-        ref = simplex_solve(_slack_row_lp(model, triples, bids=bids))
+        bids = extract_bids(sol)
+        pinned = simplex_solve(build_two_stage_lp(model, nets, bids=bids))
+        ref = simplex_solve(_slack_row_lp(model, nets, bids=bids))
         assert pinned.status == ref.status == "optimal"
         assert pinned.objective == pytest.approx(ref.objective, rel=1e-9), f"day {i}"
 
@@ -225,10 +219,10 @@ def test_bidding_lps_start_feasible(n_s):
     for free bids and for dispatch at pinned bids."""
     model = RetailerModel()
     for day in range(3):
-        triples = _gate7_triples(day, n_s)
-        lp, sol = solve_bidding(model, triples)
+        nets = _gate7_nets(day, n_s)
+        lp, sol = solve_bidding(model, nets)
         assert sol.phase1_iterations == 0, f"day {day}"
-        pinned = simplex_solve(build_two_stage_lp(model, triples, bids=extract_bids(lp, sol)))
+        pinned = simplex_solve(build_two_stage_lp(model, nets, bids=extract_bids(sol)))
         assert pinned.status == "optimal" and pinned.phase1_iterations == 0, f"day {day}"
 
 
@@ -238,11 +232,11 @@ def test_unreachable_soc_target_falls_back_to_phase_1():
     starts on an artificial; phase 1 removes it and the optimum is scipy's."""
     model = RetailerModel(capacity=10.0, soc_start=10.0, soc_end=0.0)
     for n_s in (1, 5):
-        triples = _gate7_triples(0, n_s)
-        lp, sol = solve_bidding(model, triples)
+        nets = _gate7_nets(0, n_s)
+        lp, sol = solve_bidding(model, nets)
         assert sol.phase1_iterations > 0
         assert sol.objective == pytest.approx(_scipy_objective(lp), rel=1e-9)
-        pinned = build_two_stage_lp(model, triples, bids=extract_bids(lp, sol))
+        pinned = build_two_stage_lp(model, nets, bids=extract_bids(sol))
         sol = simplex_solve(pinned)
         assert sol.status == "optimal" and sol.phase1_iterations > 0
         assert sol.objective == pytest.approx(_scipy_objective(pinned), rel=1e-9)
@@ -252,15 +246,16 @@ def test_unreachable_soc_target_falls_back_to_phase_1():
 def test_planner_lps_match_scipy(n_s, n_days):
     """Gate-7-style planner LPs up to S = 20 reach scipy's HiGHS optimum."""
     for day in range(n_days):
-        lp, sol = solve_bidding(RetailerModel(), _gate7_triples(day, n_s))
+        lp, sol = solve_bidding(RetailerModel(), _gate7_nets(day, n_s))
         assert sol.objective == pytest.approx(_scipy_objective(lp), rel=1e-9), f"day {day}"
 
 
 def test_scenario_shape_errors():
-    good = _triple(np.zeros(HOURS))
-    bad = (np.zeros(HOURS - 1), np.zeros(HOURS), np.zeros(HOURS))
-    with pytest.raises(DimensionError, match="scenario 1"):
-        build_two_stage_lp(RetailerModel(), [good, bad])
+    """Scenarios are an (S, 24) array of net positions: 23 hours, a single
+    1-D row and an empty set are refused."""
+    for bad in (np.zeros((2, HOURS - 1)), np.zeros(HOURS), np.zeros((0, HOURS))):
+        with pytest.raises(DimensionError, match="net positions"):
+            build_two_stage_lp(RetailerModel(), bad)
 
 
 # ------------------------------------------------------------ planner oracles
@@ -273,9 +268,8 @@ def test_zero_battery_newsvendor_quantile_bids():
     model = _no_battery(price=50.0, pen_surplus=25.0, pen_deficit=90.0)
     rng = np.random.default_rng(1)
     nets = rng.uniform(0.0, 1.0, (5, HOURS))
-    scens = [_triple(nets[s]) for s in range(5)]
-    lp, sol = solve_bidding(model, scens)
-    bids = extract_bids(lp, sol)
+    lp, sol = solve_bidding(model, nets)
+    bids = extract_bids(sol)
     # fractile 75/115 ~ 0.652 lies strictly inside the (0.6, 0.8] jump:
     # the 4th of 5 order statistics per hour is the unique optimum
     want = np.sort(nets, axis=0)[3]
@@ -296,17 +290,17 @@ def test_single_scenario_bids_equal_net_position():
     rng = np.random.default_rng(2)
     net = rng.uniform(-0.5, 1.5, HOURS)
     for model in (_no_battery(), RetailerModel()):
-        lp, sol = solve_bidding(model, [_triple(net)])
-        np.testing.assert_allclose(extract_bids(lp, sol), net, atol=1e-7)
+        lp, sol = solve_bidding(model, net[None])
+        np.testing.assert_allclose(extract_bids(sol), net, atol=1e-7)
         assert sol.objective == pytest.approx(-float(model.price @ net), abs=1e-6)
 
 
 def test_perfect_information_recovers_oracle_profit():
     rng = np.random.default_rng(3)
-    obs = _triple(rng.uniform(0, 2, HOURS))
+    obs = rng.uniform(0, 2, HOURS)
     model = RetailerModel(price=np.linspace(30, 70, HOURS))
-    lp, sol = solve_bidding(model, [obs])
-    profit = realtime_dispatch(model, extract_bids(lp, sol), obs)
+    lp, sol = solve_bidding(model, obs[None])
+    profit = realtime_dispatch(model, extract_bids(sol), obs)
     want = oracle_profit(model, obs)
     assert profit == pytest.approx(want, rel=1e-6, abs=1e-6)
 
@@ -315,11 +309,11 @@ def test_oracle_dominates_any_bids():
     rng = np.random.default_rng(4)
     model = RetailerModel(price=np.r_[np.full(12, 35.0), np.full(12, 65.0)])
     for trial in range(12):
-        obs = _triple(rng.uniform(0, 2, HOURS))
+        obs = rng.uniform(0, 2, HOURS)
         bound = oracle_profit(model, obs)
-        scens = [_triple(rng.uniform(0, 2, HOURS)) for _ in range(4)]
+        scens = rng.uniform(0, 2, (4, HOURS))
         lp, sol = solve_bidding(model, scens)
-        profit = realtime_dispatch(model, extract_bids(lp, sol), obs)
+        profit = realtime_dispatch(model, extract_bids(sol), obs)
         assert profit <= bound + 1e-6 * (1 + abs(bound)), f"trial {trial}"
         arbitrary = rng.uniform(-1, 2, HOURS)
         assert realtime_dispatch(model, arbitrary, obs) <= bound + 1e-6 * (1 + abs(bound))
@@ -329,7 +323,7 @@ def test_battery_arbitrage_adds_value():
     """With a wide peak/off-peak spread, storage strictly beats no storage
     even under perfect information."""
     price = np.r_[np.full(12, 30.0), np.full(12, 70.0)]
-    obs = _triple(np.full(HOURS, 1.0))
+    obs = np.full(HOURS, 1.0)
     with_batt = RetailerModel(price=price)
     without = _no_battery(price=price)
     gain = oracle_profit(with_batt, obs) - oracle_profit(without, obs)
@@ -339,10 +333,10 @@ def test_battery_arbitrage_adds_value():
 def test_dispatch_detail_is_physically_consistent():
     rng = np.random.default_rng(5)
     model = RetailerModel(price=np.linspace(20, 80, HOURS))
-    obs = _triple(rng.uniform(0, 2, HOURS))
+    obs = rng.uniform(0, 2, HOURS)
     bids = rng.uniform(0, 2, HOURS)
     profit = realtime_dispatch(model, bids, obs)
-    lp = build_two_stage_lp(model, [obs], bids=bids)
+    lp = build_two_stage_lp(model, obs[None], bids=bids)
     sol = simplex_solve(lp)
     assert sol.status == "optimal"
     x = _block(sol.x, 0, n_first=0)
@@ -350,7 +344,7 @@ def test_dispatch_detail_is_physically_consistent():
               "deficit": x[DEFICIT], "revenue": float(model.price @ bids),
               "penalty": sol.objective,
               "soc": np.concatenate([[model.soc_start], x[SOC], [model.soc_end]])}
-    net = obs[0] + obs[1] - obs[2]
+    net = obs
     assert profit == pytest.approx(detail["revenue"] - detail["penalty"], abs=1e-9)
     assert detail["revenue"] == pytest.approx(float(model.price @ bids), abs=1e-9)
     lhs = bids - (net + detail["discharge"] - detail["charge"])
@@ -368,31 +362,31 @@ def test_dispatch_detail_is_physically_consistent():
 def test_unbounded_without_penalties():
     model = _no_battery(pen_surplus=0.0, pen_deficit=0.0)
     with pytest.raises(ParameterError, match="unbounded"):
-        solve_bidding(model, [_triple(np.ones(HOURS))])
+        solve_bidding(model, np.ones((1, HOURS)))
 
 
 def test_deterministic_bids_match_mean_scenario_plan():
     rng = np.random.default_rng(6)
-    scens = [_triple(rng.uniform(0, 1, HOURS)) for _ in range(4)]
+    scens = rng.uniform(0, 1, (4, HOURS))
     model = RetailerModel()
     det = deterministic_bids(model, scens)
-    mean_net = np.mean([t[0] for t in scens], axis=0)
-    lp, sol = solve_bidding(model, [_triple(mean_net)])
-    np.testing.assert_allclose(det, extract_bids(lp, sol), atol=1e-7)
+    mean_net = np.mean(scens, axis=0)
+    lp, sol = solve_bidding(model, mean_net[None])
+    np.testing.assert_allclose(det, extract_bids(sol), atol=1e-7)
 
 
 def test_scenario_blocks_hold_each_scenarios_schedule():
     """After the bids, each scenario's block balances the shared bids against
     its own net position and carries its own state-of-charge chain."""
     rng = np.random.default_rng(7)
-    scens = [_triple(rng.uniform(0, 1, HOURS)) for _ in range(2)]
+    scens = rng.uniform(0, 1, (2, HOURS))
     model = RetailerModel()
     lp, sol = solve_bidding(model, scens)
     assert sol.x.size == 2 * HOURS + 2 * PER_SCENARIO
-    bids = extract_bids(lp, sol)
-    for s, (wind, pv, load) in enumerate(scens):
+    bids = extract_bids(sol)
+    for s, net in enumerate(scens):
         x = _block(sol.x, s)
-        lhs = bids - (wind + pv - load + x[DISCHARGE] - x[CHARGE])
+        lhs = bids - (net + x[DISCHARGE] - x[CHARGE])
         np.testing.assert_allclose(lhs, x[DEFICIT] - x[SURPLUS], atol=1e-6)
         soc = np.concatenate([[model.soc_start], x[SOC], [model.soc_end]])
         steps = model.eta_c * x[CHARGE] - x[DISCHARGE] / model.eta_d
@@ -427,16 +421,22 @@ def test_run_value_benchmark_end_to_end(tmp_path):
     assert report.n_simulated == combos
     assert len(report.rows) == combos * 3  # oracle + ddpm + ddpm-det
     assert set(report.aggregate) == {"oracle", "ddpm", "ddpm-det"}
-    for name in ("ddpm", "ddpm-det"):
+    for name in ("oracle", "ddpm", "ddpm-det"):
         total = sum(r["profit"] for r in report.rows if r["model"] == name)
         assert report.aggregate[name] == pytest.approx(total, abs=1e-9)
-    assert report.oracle_total == pytest.approx(report.aggregate["oracle"], abs=1e-12)
-    assert report.aggregate["ddpm"] <= report.oracle_total + 1e-6
+    assert report.aggregate["ddpm"] <= report.aggregate["oracle"] + 1e-6
+    # the planner and the oracle see the net position wind + pv - load
+    day = days[1]
+    observed = obs["wind"][(day, 2)] + obs["pv"][(day, 1)] - obs["load"][(day, 1)]
+    row = next(r for r in report.rows if r["model"] == "oracle" and r["day"] == day
+               and r["wind_zone"] == 2)
+    assert row["profit"] == oracle_profit(retailer, observed)
 
     jp = tmp_path / "value.json"
     report.write_json(jp)
     doc = json.loads(jp.read_text())
     assert doc["n_simulated"] == combos
+    assert set(doc) == {"aggregate", "n_simulated", "rows"}
     assert doc["aggregate"]["ddpm"] == report.aggregate["ddpm"]
     assert len(doc["rows"]) == len(report.rows)
 
@@ -478,6 +478,21 @@ def test_run_value_benchmark_coverage_error():
     with pytest.raises(ParameterError, match="n_planner_scenarios"):
         run_value_benchmark(scen, obs, RetailerModel(), days,
                             pv_zones=[1], wind_zones=[1, 2], n_planner_scenarios=0)
+
+
+@pytest.mark.parametrize("empty,args", [
+    ("no days", ([], [1], [1])),
+    ("no pv_zones", ([date(2014, 6, 1)], [], [1])),
+    ("no wind_zones", ([date(2014, 6, 1)], [1], [])),
+    ("no days, no pv_zones, no wind_zones", ([], [], [])),
+])
+def test_run_value_benchmark_refuses_nothing_to_simulate(empty, args):
+    """A run with no day or no zone of a track would report zero rows."""
+    _, obs, scen = _benchmark_inputs()
+    days, pv_zones, wind_zones = args
+    with pytest.raises(CoverageError, match=f"nothing to simulate: {empty}$"):
+        run_value_benchmark(scen, obs, RetailerModel(), days,
+                            pv_zones=pv_zones, wind_zones=wind_zones)
 
 
 def test_value_report_validate_rejects_super_oracle_rows():
