@@ -234,6 +234,8 @@ def cmd_evaluate(args) -> int:
 
 
 def _parse_zone_paths(specs: list[str], what: str) -> dict[int, Path]:
+    track = what.partition("-")[2]  # `what` names the flag: "scenarios-pv", "obs-load"
+    n_zones = data_mod.ZONE_COUNTS[track]
     out: dict[int, Path] = {}
     for spec in specs:
         zone, _, path = spec.partition("=")
@@ -242,6 +244,9 @@ def _parse_zone_paths(specs: list[str], what: str) -> dict[int, Path]:
                 z = int(zone)
             except ValueError:
                 raise ConfigError(f"{what}: bad zone prefix in {spec!r}") from None
+            if not 1 <= z <= n_zones:
+                raise ConfigError(f"{what}: zone {z} in {spec!r} is not a {track} zone; "
+                                  f"{track} has zones 1..{n_zones}")
         else:
             z, path = 1, spec
         if z in out:
@@ -256,34 +261,25 @@ def _parse_zone_paths(specs: list[str], what: str) -> dict[int, Path]:
 def cmd_value(args) -> int:
     cfg = load_config(args.config, {"seed": args.seed, "out_dir": args.out})
     retailer = value.RetailerModel.from_dict(cfg["retailer"])
-    scen: dict[str, dict] = {}
-    obs: dict[str, dict] = {}
-    zone_lists: dict[str, list[int]] = {}
-    for track, s_specs, o_specs in (
-        ("wind", args.scenarios_wind, args.obs_wind),
-        ("pv", args.scenarios_pv, args.obs_pv),
-        ("load", args.scenarios_load, args.obs_load),
-    ):
-        s_paths = _parse_zone_paths(s_specs, f"scenarios-{track}")
-        o_paths = _parse_zone_paths(o_specs, f"obs-{track}")
-        # every zone either flag names is simulated: a missing file is a CoverageError
-        zone_lists[track] = sorted(s_paths.keys() | o_paths.keys())
-        if track == "load" and len(zone_lists[track]) > 1:
-            raise ConfigError("--scenarios-load and --obs-load together name load zones "
-                              f"{zone_lists[track]}; the benchmark takes one")
-        scen[track] = {}
-        obs[track] = {}
-        for z, p in s_paths.items():
-            for day, arr in diffusion.read_scenarios(p).items():
-                scen[track][(day, z)] = arr
-        for z, p in o_paths.items():
-            for day, arr in data_mod.read_observations(p).items():
-                obs[track][(day, z)] = arr
-    load_zone = zone_lists["load"][0] if zone_lists["load"] else 1
-    days = sorted({d for (d, z) in obs["load"] if z == load_zone})
+    # every flag is parsed before any file is read
+    paths = {track: (_parse_zone_paths(s_specs, f"scenarios-{track}"),
+                     _parse_zone_paths(o_specs, f"obs-{track}"))
+             for track, s_specs, o_specs in (
+                 ("wind", args.scenarios_wind, args.obs_wind),
+                 ("pv", args.scenarios_pv, args.obs_pv),
+                 ("load", args.scenarios_load, args.obs_load))}
+    scen, obs = {}, {}
+    for track, (s_paths, o_paths) in paths.items():
+        scen[track] = {(day, z): arr for z, p in s_paths.items()
+                       for day, arr in diffusion.read_scenarios(p).items()}
+        obs[track] = {(day, z): arr for z, p in o_paths.items()
+                      for day, arr in data_mod.read_observations(p).items()}
+    # every zone either flag names is simulated: a missing file is a CoverageError
+    zones = {track: sorted(s_paths.keys() | o_paths.keys())
+             for track, (s_paths, o_paths) in paths.items()}
     report = value.run_value_benchmark(
-        scen, obs, retailer, days,
-        pv_zones=zone_lists["pv"], wind_zones=zone_lists["wind"], load_zone=load_zone,
+        scen, obs, retailer, sorted({day for day, _ in obs["load"]}),
+        pv_zones=zones["pv"], wind_zones=zones["wind"],
         n_planner_scenarios=cfg["n_planner_scenarios"],
     )
     out_dir = Path(cfg["out_dir"])

@@ -270,26 +270,23 @@ def evaluate(scenarios_by_day: dict, obs_by_day: dict, base: float = 1.0,
         raise ParameterError("no days to evaluate")
     days = sorted(scenarios_by_day)
     per_day = {}
-    scen_norm = []
-    obs_norm = []
-    for d in days:
+    for d in days:  # a day is scaled only for CRPS, QS, ES and VS: ranks are unit-free
         x = np.asarray(scenarios_by_day[d], dtype=float) / base
         y = np.asarray(obs_by_day[d], dtype=float) / base
-        scen_norm.append(x)
-        obs_norm.append(y)
         _, c = crps(x, y)
-        if x.shape[0] != scen_norm[0].shape[0]:
-            raise DimensionError(
-                f"day {d} has {x.shape[0]} scenarios, but day {days[0]} has "
-                f"{scen_norm[0].shape[0]}; every day needs the same count"
-            )
+        if d == days[0]:
+            m = x.shape[0]
+        elif x.shape[0] != m:
+            raise DimensionError(f"day {d} has {x.shape[0]} scenarios, but day {days[0]} "
+                                 f"has {m}; every day needs the same count")
         per_day[d] = {
             "crps_pct": c * 100.0,
             "qs_pct": quantile_score(x, y) * 100.0,
             "es_pct": energy_score(x, y) * 100.0,
             "vs": variogram_score(x, y),
         }
-    curve, mae_r = reliability(scen_norm, obs_norm, seed=seed)
+    curve, mae_r = reliability([scenarios_by_day[d] for d in days],
+                               [obs_by_day[d] for d in days], seed=seed)
     report = QualityReport(
         crps=float(np.mean([v["crps_pct"] for v in per_day.values()])),
         qs=float(np.mean([v["qs_pct"] for v in per_day.values()])),
@@ -297,7 +294,7 @@ def evaluate(scenarios_by_day: dict, obs_by_day: dict, base: float = 1.0,
         es=float(np.mean([v["es_pct"] for v in per_day.values()])),
         vs=float(np.mean([v["vs"] for v in per_day.values()])),
         n_days=len(days),
-        m=scen_norm[0].shape[0],
+        m=m,
         base=base,
         per_day=per_day,
         reliability_curve=curve.tolist(),

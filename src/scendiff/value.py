@@ -268,7 +268,7 @@ class ValueReport:
 
 def run_value_benchmark(
     scenarios: dict, observations: dict, retailer: RetailerModel,
-    days, pv_zones, wind_zones, load_zone: int = 1, n_planner_scenarios: int = 5,
+    days, pv_zones, wind_zones, n_planner_scenarios: int = 5,
 ) -> ValueReport:
     """Simulate day-ahead bidding for every (day, pv zone, wind zone) combo.
 
@@ -280,8 +280,9 @@ def run_value_benchmark(
     index-paired scenarios, dispatch the bids against the observed net
     position, and record net profit as a `ddpm` row. Adds `oracle` rows
     (perfect knowledge) and `ddpm-det` rows, the deterministic point-forecast
-    baseline. Raises CoverageError when days or zones are empty or when
-    combinations are missing.
+    baseline. Load is zone 1. Raises CoverageError when days or zones are
+    empty or when combinations are missing, and DimensionError for an array
+    of another shape, naming its track, day and zone, before any LP is built.
     """
     if n_planner_scenarios < 1:
         raise ParameterError(f"n_planner_scenarios must be >= 1, got {n_planner_scenarios}")
@@ -292,12 +293,17 @@ def run_value_benchmark(
         raise CoverageError(f"nothing to simulate: no {', no '.join(empty)}")
     missing = []
     for day in days:
-        for track, zones in (("pv", pv_zones), ("wind", wind_zones), ("load", [load_zone])):
+        for track, zones in (("pv", pv_zones), ("wind", wind_zones), ("load", [1])):
             for z in zones:
-                if (day, z) not in observations.get(track, {}):
-                    missing.append(f"obs:{track}:{day}:zone{z}")
-                if (day, z) not in scenarios.get(track, {}):
-                    missing.append(f"ddpm:{track}:{day}:zone{z}")
+                for kind, given, ndim in (("obs", observations, 1), ("ddpm", scenarios, 2)):
+                    if (day, z) not in given.get(track, {}):
+                        missing.append(f"{kind}:{track}:{day}:zone{z}")
+                        continue
+                    shape = np.shape(given[track][(day, z)])
+                    if len(shape) != ndim or shape[-1] != HOURS or 0 in shape:
+                        raise DimensionError(
+                            f"{kind}:{track}:{day}:zone{z} has shape {shape}: observations "
+                            f"are ({HOURS},), scenarios (M, {HOURS}) with M >= 1")
     if missing:
         raise CoverageError(
             f"{len(missing)} missing (day, zone) combinations, e.g. {missing[:5]}"
@@ -305,8 +311,8 @@ def run_value_benchmark(
 
     rows = []
     for day in days:
-        obs_l = np.asarray(observations["load"][(day, load_zone)], dtype=float)
-        s_l = np.asarray(scenarios["load"][(day, load_zone)], dtype=float)
+        obs_l = np.asarray(observations["load"][(day, 1)], dtype=float)
+        s_l = np.asarray(scenarios["load"][(day, 1)], dtype=float)
         for pz in pv_zones:
             obs_p = np.asarray(observations["pv"][(day, pz)], dtype=float)
             s_p = np.asarray(scenarios["pv"][(day, pz)], dtype=float)

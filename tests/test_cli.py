@@ -742,19 +742,40 @@ def test_exit_2_bad_retailer_config(tmp_path, capsys):
 
 
 def test_exit_2_value_names_more_than_one_load_zone(tmp_path, capsys):
-    """The benchmark has one load zone: a second scenario zone would be read
-    and ignored, and an observation zone other than the scenarios' would
-    leave no day to simulate."""
+    """A zone prefix must name a zone of its track: load has only zone 1, pv
+    zones 1..3 and wind zones 1..10. A second load zone would be read and
+    ignored, and an observation zone other than the scenarios' would leave no
+    day to simulate. Each is refused before any file is read."""
     days = [date(2015, 2, 1), date(2015, 2, 2)]
     args = _value_args(tmp_path, days, days)
     load_scen = args[args.index("--scenarios-load") + 1]
     load_obs = args.index("--obs-load") + 1
     moved = args[:load_obs] + ["2=" + args[load_obs]] + args[load_obs + 1:]
-    for argv in (args + ["--scenarios-load", "2=" + load_scen], moved):
+    for argv, flag, zone in (
+            (args + ["--scenarios-load", "2=" + load_scen], "scenarios-load", 2),
+            (moved, "obs-load", 2),
+            (args + ["--scenarios-pv", "0=" + load_scen], "scenarios-pv", 0),
+            (args + ["--scenarios-pv=-1=" + load_scen], "scenarios-pv", -1),
+            (args + ["--scenarios-pv", "4=" + load_scen], "scenarios-pv", 4),
+            (args + ["--obs-wind", "11=" + load_scen], "obs-wind", 11)):
         capsys.readouterr()
         assert main(argv) == 2
         doc = _stderr_error(capsys)
-        assert doc["error"] == "ConfigError" and "load zones [1, 2]" in doc["message"]
+        track = flag.partition("-")[2]
+        assert doc["error"] == "ConfigError"
+        assert doc["message"].startswith(f"{flag}: zone {zone} in ")
+        assert f"is not a {track} zone" in doc["message"]
+        assert not (tmp_path / "ov").exists()
+    # the range is checked before any file is read: a zone outside it with a
+    # missing file is still the zone refusal, and so is one after a bad file
+    bad = tmp_path / "bad.csv"
+    bad.write_text("not,a,scenario,file\n")
+    bad_wind = _without(args, "--scenarios-wind") + ["--scenarios-wind", str(bad)]
+    for argv in (args + ["--obs-wind", f"11={tmp_path / 'none.csv'}"],
+                 bad_wind + ["--scenarios-pv", "4=" + load_scen]):
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert "is not a" in _stderr_error(capsys)["message"]
         assert not (tmp_path / "ov").exists()
 
 

@@ -2,7 +2,8 @@
 calibration self-consistency, and report plumbing."""
 import json
 import math
-from datetime import date
+import tracemalloc
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -357,18 +358,50 @@ def test_evaluate_aggregates_per_day_means():
 
 def test_evaluate_base_scaling():
     """Halving the base doubles percent scores; VS scales with 1/base^(2g)
-    folded into its normalized inputs."""
+    folded into its normalized inputs. Ranks are unit-free, so the curve and
+    MAE-r are the same at every base, also on a day whose scenarios sit one
+    float below its observation, where division by 0.37 rounds both to one
+    value."""
     scen, obs = _toy_days(seed=1)
+    y = next(v for v in np.linspace(1.5, 1.9, 1001) if np.nextafter(v, 0) / 0.37 == v / 0.37)
+    tie_day = date(2013, 2, 1)
+    scen[tie_day] = np.full((8, 24), np.nextafter(y, 0))
+    obs[tie_day] = np.full(24, y)
     r1 = met.evaluate(scen, obs, base=1.0)
     r2 = met.evaluate(scen, obs, base=0.5)
     assert r2.crps == pytest.approx(2 * r1.crps, rel=1e-9)
     assert r2.qs == pytest.approx(2 * r1.qs, rel=1e-9)
     assert r2.es == pytest.approx(2 * r1.es, rel=1e-9)
-    assert r2.mae_r == pytest.approx(r1.mae_r, abs=1e-12)  # ranks are scale-free
     assert r2.vs > r1.vs
+    for rep in (r2, met.evaluate(scen, obs, base=0.37)):
+        assert rep.mae_r == r1.mae_r
+        assert rep.reliability_curve == r1.reliability_curve
     for base in (0.0, math.nan, math.inf):
         with pytest.raises(ParameterError, match="positive and finite"):
             met.evaluate(scen, obs, base=base)
+
+
+def test_evaluate_keeps_no_scaled_copy_of_the_test_set():
+    """Each day is scaled only while its four scores read it: from 200 to
+    400 days of 100 scenarios (3.84 MB more input), the traced peak grows by
+    less than a quarter of that."""
+    rng = np.random.default_rng(0)
+    days = [date(2013, 1, 1) + timedelta(days=i) for i in range(400)]
+    scen = {d: rng.uniform(0, 1, (100, 24)) for d in days}
+    obs = {d: rng.uniform(0, 1, 24) for d in days}
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            met.evaluate({d: scen[d] for d in days[:n]}, {d: obs[d] for d in days[:n]},
+                         base=2.5)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    met.evaluate({d: scen[d] for d in days[:10]}, {d: obs[d] for d in days[:10]})  # warm caches
+    added = 200 * 100 * 24 * 8
+    assert peak(400) - peak(200) < added / 4
 
 
 def test_evaluate_perfect_scenarios():

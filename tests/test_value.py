@@ -1,6 +1,7 @@
 """Bidding value harness: LP structure, newsvendor and collapse oracles,
 oracle dominance, battery effects, and the benchmark runner."""
 import json
+import re
 from datetime import date, timedelta
 
 import numpy as np
@@ -493,6 +494,28 @@ def test_run_value_benchmark_refuses_nothing_to_simulate(empty, args):
     with pytest.raises(CoverageError, match=f"nothing to simulate: {empty}$"):
         run_value_benchmark(scen, obs, RetailerModel(), days,
                             pv_zones=pv_zones, wind_zones=wind_zones)
+
+
+@pytest.mark.parametrize("kind,track,key,shape", [
+    ("obs", "wind", 2, (23,)),
+    ("ddpm", "pv", 1, (5, 23)),
+    ("ddpm", "load", 1, (0, 24)),
+    ("ddpm", "wind", 1, (24,)),
+    ("obs", "load", 1, (1, 24)),
+])
+def test_run_value_benchmark_refuses_a_misshapen_array(monkeypatch, kind, track, key, shape):
+    """An observation that is not (24,), or a scenario block that is not
+    (M, 24) with M >= 1, is one DimensionError naming its track, day and
+    zone, raised before any LP is built (the bad array is on the last day)."""
+    days, obs, scen = _benchmark_inputs()
+    (obs if kind == "obs" else scen)[track][(days[-1], key)] = np.ones(shape)
+
+    def no_lp(*_):
+        raise AssertionError("an LP was solved")
+    monkeypatch.setattr("scendiff.value.simplex_solve", no_lp)
+    with pytest.raises(DimensionError,
+                       match=re.escape(f"{kind}:{track}:{days[-1]}:zone{key} has shape {shape}:")):
+        run_value_benchmark(scen, obs, RetailerModel(), days, pv_zones=[1], wind_zones=[1, 2])
 
 
 def test_value_report_validate_rejects_super_oracle_rows():
