@@ -537,11 +537,13 @@ def normalize(ds: Dataset) -> Dataset:
         learn_c = c[learn].reshape(len(learn_x), k, HOURS)
         lo = learn_c.min(axis=(0, 2))
         hi = learn_c.max(axis=(0, 2))
+        with np.errstate(over="ignore"):  # an infinite range maps to non-finite values
+            span = hi - lo
         for j in range(k):
-            if hi[j] - lo[j] <= 0:
+            if span[j] <= 0:
                 raise DegenerateScaleError(f"w{j+1}: zero range on the learn split")
         cov_offset = lo
-        cov_scale = 1.0 / (hi - lo)
+        cov_scale = 1.0 / span
     scaler = Scaler(
         track=ds.track,
         learn_max=learn_max,

@@ -270,21 +270,25 @@ def evaluate(scenarios_by_day: dict, obs_by_day: dict, base: float = 1.0,
         raise ParameterError("no days to evaluate")
     days = sorted(scenarios_by_day)
     per_day = {}
-    for d in days:  # a day is scaled only for CRPS, QS, ES and VS: ranks are unit-free
-        x = np.asarray(scenarios_by_day[d], dtype=float) / base
-        y = np.asarray(obs_by_day[d], dtype=float) / base
-        _, c = crps(x, y)
-        if d == days[0]:
-            m = x.shape[0]
-        elif x.shape[0] != m:
-            raise DimensionError(f"day {d} has {x.shape[0]} scenarios, but day {days[0]} "
-                                 f"has {m}; every day needs the same count")
-        per_day[d] = {
-            "crps_pct": c * 100.0,
-            "qs_pct": quantile_score(x, y) * 100.0,
-            "es_pct": energy_score(x, y) * 100.0,
-            "vs": variogram_score(x, y),
-        }
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite score is refused
+        for d in days:  # a day is scaled only for CRPS, QS, ES and VS: ranks are unit-free
+            x = np.asarray(scenarios_by_day[d], dtype=float) / base
+            y = np.asarray(obs_by_day[d], dtype=float) / base
+            _, c = crps(x, y)
+            if d == days[0]:
+                m = x.shape[0]
+            elif x.shape[0] != m:
+                raise DimensionError(f"day {d} has {x.shape[0]} scenarios, but day {days[0]} "
+                                     f"has {m}; every day needs the same count")
+            per_day[d] = {
+                "crps_pct": c * 100.0,
+                "qs_pct": quantile_score(x, y) * 100.0,
+                "es_pct": energy_score(x, y) * 100.0,
+                "vs": variogram_score(x, y),
+            }
+            if not np.isfinite(list(per_day[d].values())).all():
+                raise ParameterError(f"day {d}: a score is not finite at base {base}; "
+                                     "its values over base leave the float range")
     curve, mae_r = reliability([scenarios_by_day[d] for d in days],
                                [obs_by_day[d] for d in days], seed=seed)
     report = QualityReport(

@@ -25,7 +25,11 @@ is negative), and phase 1, which minimizes their sum, runs only when there
 are such rows. The value module's bidding LPs with equal state-of-charge
 targets leave none: each scenario's state-of-charge columns and one charge or
 discharge column cover its state-of-charge rows, and a surplus or deficit
-column covers each imbalance row. Phase 2 optimizes the real objective.
+column covers each imbalance row. After phase 1, an artificial still basic is
+pivoted out on a real entry of its row; a row with none is redundant, and its
+artificial stays basic at 0. Phase 2 optimizes the real objective on the same
+tableau, with every artificial fixed by an upper bound of 0 and barred from
+entering, so the basis keeps one column per row of A.
 """
 from __future__ import annotations
 
@@ -78,7 +82,7 @@ class LPSolution:
     objective: float
     x: np.ndarray
     iterations: int  # phase 1 and phase 2 together; bound flips included
-    basis: list[int] = field(default_factory=list)
+    basis: list[int] = field(default_factory=list)  # per row of A; >= n: redundant row
     phase1_iterations: int = 0  # 0 whenever the crash basis is feasible
 
 
@@ -155,26 +159,26 @@ def _pivot(tab: np.ndarray, basis: list[int], row: int, col: int, rows: np.ndarr
     basis[row] = col
 
 
-def _run_simplex(tab: np.ndarray, basis: list[int], upper: np.ndarray,
-                 flipped: np.ndarray, start_iter: int):
+def _run_simplex(tab: np.ndarray, basis: list[int], bounds: np.ndarray,
+                 flipped: np.ndarray, n_enter: int, start_iter: int):
     """Iterate on the tableau until optimal/unbounded; returns (status, iters).
 
     tab rows 0..m-1 are constraints [B^-1 A | B^-1 b] over the complemented
     variables; the last row holds the reduced costs and, in its final cell,
-    minus the current objective. Columns 0..len(upper)-1 may enter; `flipped`
-    marks the complemented ones and is updated in place.
+    minus the current objective. `bounds` holds every column's upper bound;
+    columns 0..n_enter-1 may enter. `flipped` marks the complemented columns
+    and is updated in place.
     """
-    n_cols = upper.size
-    if n_cols == 0:  # no column may enter, so the basis is optimal
+    if n_enter == 0:  # no column may enter, so the basis is optimal
         return "optimal", start_iter
-    ubasic = upper[basis]  # bound of each row's basic variable, kept by each pivot
+    ubasic = bounds[basis]  # bound of each row's basic variable, kept by each pivot
     iters = start_iter
     stall = 0
     bland = False
     while True:
         if iters >= MAX_ITER:
             raise IterationLimitError(f"simplex exceeded {MAX_ITER} iterations")
-        costs = tab[-1, :n_cols]
+        costs = tab[-1, :n_enter]
         if bland:
             neg = np.flatnonzero(costs < -OPT_TOL)
             if neg.size == 0:
@@ -192,7 +196,7 @@ def _run_simplex(tab: np.ndarray, basis: list[int], upper: np.ndarray,
         # step at which each basic variable meets a bound (falling to 0 or
         # rising to its upper bound), and last the entering variable's own
         ratios = np.full(nz.size, np.inf)
-        ratios[-1] = upper[col]
+        ratios[-1] = bounds[col]
         np.divide(value, alpha, out=ratios[:-1], where=alpha > PIVOT_TOL)
         np.divide(ubasic[rows] - value, -alpha, out=ratios[:-1], where=alpha < -PIVOT_TOL)
         k = int(ratios.argmin())
@@ -222,7 +226,7 @@ def _run_simplex(tab: np.ndarray, basis: list[int], upper: np.ndarray,
                 flipped[leaving] = not flipped[leaving]
             moved = tab[row, -1]
             _pivot(tab, basis, row, col, nz)
-            ubasic[row] = upper[col]
+            ubasic[row] = bounds[col]
         iters += 1
         if moved <= FEAS_TOL:
             stall += 1
@@ -262,6 +266,7 @@ def simplex_solve(lp: LPProblem) -> LPSolution:
         tab[i, n + k] = 1.0
         basis[i] = n + k
     flipped = np.zeros(total, dtype=bool)
+    bounds = np.concatenate([upper, np.full(n_art, np.inf)])
 
     iters = 0
     if n_art:
@@ -269,15 +274,13 @@ def simplex_solve(lp: LPProblem) -> LPSolution:
         tab[-1, n:total] = 1.0
         for i in art_rows:
             tab[-1] -= tab[i]
-        bounds = np.concatenate([upper, np.full(n_art, np.inf)])
-        status, iters = _run_simplex(tab, basis, bounds, flipped, iters)
+        status, iters = _run_simplex(tab, basis, bounds, flipped, total, iters)
         if status == "unbounded":  # cannot happen: phase-1 objective >= 0
             raise ParameterError("phase 1 reported unbounded")
         if -tab[-1, -1] > FEAS_TOL:
             return LPSolution("infeasible", float("nan"), np.full(n, np.nan), iters, basis,
                               iters)
-        # force any leftover artificials out of the basis
-        drop_rows = []
+        # pivot leftover artificials out; in a redundant row one stays at 0
         for i in range(m):
             if basis[i] >= n:
                 pivots = np.flatnonzero(np.abs(tab[i, :n]) > PIVOT_TOL)
@@ -285,36 +288,26 @@ def simplex_solve(lp: LPProblem) -> LPSolution:
                     j = int(pivots[0])
                     _pivot(tab, basis, i, j, np.flatnonzero(tab[:, j]))
                     iters += 1
-                else:
-                    drop_rows.append(i)  # redundant constraint
-        if drop_rows:
-            keep = [i for i in range(m) if i not in set(drop_rows)]
-            tab = np.vstack([tab[keep], tab[-1:]])
-            basis = [basis[i] for i in keep]
-            m = len(keep)
-        flipped = flipped[:n]
+        bounds[n:] = 0.0
     phase1 = iters
 
-    # phase 2: drop the artificial columns in place, rebuild the cost row in
-    # the complemented variables; the flipped ones' u_j c_j is a constant
-    tab[:, n] = tab[:, -1]  # right-hand side moves next to the real columns
-    tab = tab[:, :n + 1]
-    cost = np.where(flipped, -c, c)
-    tab[-1, :] = 0.0
-    tab[-1, :n] = cost
-    if flipped.any():
-        tab[-1, -1] = -float(c[flipped] @ upper[flipped])
+    # phase 2: rebuild the cost row in the complemented variables (the flipped
+    # ones' u_j c_j is a constant); the artificials cost 0 and may not enter
+    c_all = np.concatenate([c, np.zeros(n_art)])
+    cost = np.where(flipped, -c_all, c_all)
+    tab[-1, :-1] = cost
+    tab[-1, -1] = -float(c_all[flipped] @ bounds[flipped]) if flipped.any() else 0.0
     for i in range(m):
         if cost[basis[i]] != 0.0:
             tab[-1] -= cost[basis[i]] * tab[i]
-    status, iters = _run_simplex(tab, basis, upper, flipped, iters)
+    status, iters = _run_simplex(tab, basis, bounds, flipped, n, iters)
 
-    x = np.zeros(n)
+    x = np.zeros(total)
     x[np.array(basis, dtype=int)] = tab[:m, -1]
-    x[flipped] = upper[flipped] - x[flipped]
-    if status == "unbounded":
-        return LPSolution("unbounded", float("-inf"), x, iters, list(basis), phase1)
-    return LPSolution("optimal", float(c @ x), x, iters, list(basis), phase1)
+    x[flipped] = bounds[flipped] - x[flipped]
+    x = x[:n].copy()
+    objective = float("-inf") if status == "unbounded" else float(c @ x)
+    return LPSolution(status, objective, x, iters, list(basis), phase1)
 
 
 def verify_certificate(lp: LPProblem, sol: LPSolution) -> dict:

@@ -320,8 +320,12 @@ def run_value_benchmark(
                 obs_w = np.asarray(observations["wind"][(day, wz)], dtype=float)
                 s_w = np.asarray(scenarios["wind"][(day, wz)], dtype=float)
                 s = min(n_planner_scenarios, s_w.shape[0], s_p.shape[0], s_l.shape[0])
-                net = s_w[:s] + s_p[:s] - s_l[:s]
-                observed = obs_w + obs_p - obs_l
+                with np.errstate(over="ignore", invalid="ignore"):  # refused below
+                    net = s_w[:s] + s_p[:s] - s_l[:s]
+                    observed = obs_w + obs_p - obs_l
+                if not (np.isfinite(net).all() and np.isfinite(observed).all()):
+                    raise ParameterError(f"day {day}, pv zone {pz}, wind zone {wz}: the net "
+                                         "position wind + pv - load is not finite")
                 key = {"day": day, "pv_zone": pz, "wind_zone": wz}
                 rows.append({"model": "oracle", **key,
                              "profit": oracle_profit(retailer, observed)})

@@ -650,6 +650,70 @@ def test_exit_2_mixed_scenario_counts(tmp_path, capsys):
     assert not (tmp_path / "oe").exists()
 
 
+def _overflow_argv(tmp_path, case):
+    """argv and expected message for a finite input whose arithmetic
+    overflows float range."""
+    rng = np.random.default_rng(0)
+    days = [date(2015, 3, 1 + i) for i in range(12)]
+
+    def files(track, big):
+        # every day's scenarios and observation, with hour 7 of the last day set to `big`
+        sets = [dif.ScenarioSet(d, 3, rng.uniform(0.1, 0.9, (3, 24)), np.zeros(1)) for d in days]
+        ds = dmod.Dataset(samples=[dmod.DaySample(d, track, 1, rng.uniform(0.1, 0.9, 24),
+                                                  np.zeros(24)) for d in days])
+        sets[-1].scenarios[:, 7] = big
+        ds.samples[-1].x[7] = big
+        scen, obs = tmp_path / f"s_{track}.csv", tmp_path / f"o_{track}.csv"
+        dif.write_scenarios(sets, scen)
+        dmod.write_observations(ds, obs, split="learn", zone=1)
+        return ["--scenarios-" + track, str(scen), "--obs-" + track, str(obs)]
+
+    out = str(tmp_path / "out")
+    if case == "evaluate-base":
+        argv = files("pv", 0.5)
+        return (["evaluate", "--scenarios", argv[1], "--observations", argv[3], "--base",
+                 "1e-300", "--out", out], "day 2015-03-01: a score is not finite at base 1e-300")
+    if case == "evaluate-values":
+        argv = files("pv", 1e308)
+        return (["evaluate", "--scenarios", argv[1], "--observations", argv[3], "--out", out],
+                "day 2015-03-12: a score is not finite at base 1.0")
+    if case == "value":
+        argv = files("wind", 1e308) + files("pv", 1e308) + files("load", 0.5)
+        return (["value", "--out", out] + argv,
+                "day 2015-03-12, pv zone 1, wind zone 1: the net position")
+    data = tmp_path / "pv.csv"  # train: w1 alternates -1e308 and +1e308, so its range overflows
+    assert main(["synth", "--profile", "sine_pv", "--days", "30", "--seed", "1",
+                 "--out", str(data)]) == 0
+    header, *lines = data.read_text().splitlines()
+    assert header.endswith(",w1")
+    lines = [line.rpartition(",")[0] + (",1e308" if k % 2 else ",-1e308")
+             for k, line in enumerate(lines)]
+    data.write_text("\n".join([header] + lines) + "\n")
+    return (["train", "--config", str(_write_config(tmp_path, "pv", data)), "--out", out],
+            "non-finite values in day 2012-01-01")
+
+
+@pytest.mark.parametrize("case", ["evaluate-base", "evaluate-values", "value", "train"])
+def test_exit_2_finite_inputs_whose_arithmetic_overflows(tmp_path, capsys, case):
+    """`evaluate` at a base so small that the scores overflow, `evaluate` and
+    `value` on files holding 1e308, and `train` on a covariate whose range
+    overflows: each exits 2 with one JSON line naming what overflowed, warns
+    nothing, also when RuntimeWarnings are errors, and writes nothing."""
+    argv, message = _overflow_argv(tmp_path, case)
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 2
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert message in _stderr_error(capsys)["message"]
+    assert not (tmp_path / "out").exists()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv) == 2
+    assert message in _stderr_error(capsys)["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def _value_args(tmp_path, days, load_days):
     """`value` arguments over one-zone wind, pv and load files: scenarios for
     `days` on every track, observations for `days` (load: `load_days`)."""

@@ -155,9 +155,10 @@ def test_unbounded_direction():
     assert sol.objective == -np.inf
 
 
-def test_redundant_row_is_dropped():
-    """A duplicated constraint leaves a zero phase-1 row; the solver must
-    discard it and still optimize."""
+def test_redundant_rows_keep_their_artificial_at_zero():
+    """A duplicated constraint leaves a zero phase-1 row; its artificial stays
+    basic at 0 through phase 2, the basis still names a column for every row,
+    and the solver still optimizes."""
     c = np.array([1.0, 2.0, 0.0])
     a = np.array([
         [1.0, 1.0, 1.0],
@@ -165,10 +166,13 @@ def test_redundant_row_is_dropped():
         [2.0, 2.0, 2.0],
     ])
     b = np.array([3.0, 3.0, 6.0])
-    sol = simplex_solve(LPProblem(c=c, a=a, b=b))
+    lp = LPProblem(c=c, a=a, b=b)
+    sol = simplex_solve(lp)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(0.0, abs=1e-9)  # all slack
     assert sol.x[2] == pytest.approx(3.0, abs=1e-9)
+    assert len(sol.basis) == 3 and sorted(sol.basis)[1:] == [3, 4]  # rows 1 and 2: artificials
+    assert verify_certificate(lp, sol)["ok"]
 
 
 def test_lp_without_columns():
@@ -431,6 +435,43 @@ def test_random_bidiagonal_lps_match_scipy():
             assert cert["ok"], f"trial {trial}: {cert}"
     assert {"optimal", "infeasible", "unbounded"} <= set(seen)
     assert max(phase1) > 0
+
+
+def _integer_lp_with_copied_rows(rng: np.random.Generator) -> LPProblem:
+    """Random integer LP, b = A x0 for a degenerate x0 inside the bounds. With
+    probability 1/2 one row is an earlier row times 1, 2 or -1, a redundant
+    constraint that leaves an artificial basic after phase 1."""
+    m, n = int(rng.integers(2, 9)), int(rng.integers(2, 12))
+    a = rng.integers(-3, 4, (m, n)).astype(float)
+    if rng.random() < 0.5:
+        i = int(rng.integers(1, m))
+        a[i] = a[int(rng.integers(0, i))] * rng.choice([1.0, 2.0, -1.0])
+    upper = np.where(rng.random(n) < 0.5, np.inf, rng.integers(0, 5, n).astype(float))
+    x0 = np.minimum(rng.integers(0, 3, n) * (rng.random(n) < 0.5), upper)  # many zeros
+    return LPProblem(c=rng.integers(-5, 6, n).astype(float), a=a, b=a @ x0, upper=upper)
+
+
+def test_random_lps_with_redundant_rows_match_scipy():
+    """Every status and optimum agrees with scipy's HiGHS, every optimum is
+    certified, and the basis names one column for every row of A: an index
+    >= n marks a redundant row, whose artificial stayed basic at 0."""
+    rng = np.random.default_rng(26)
+    seen, redundant = set(), 0
+    for trial in range(200):
+        lp = _integer_lp_with_copied_rows(rng)
+        m, n = lp.a.shape
+        sol = simplex_solve(lp)
+        ref = linprog(lp.c, A_eq=lp.a, b_eq=lp.b, bounds=_scipy_bounds(lp.upper),
+                      method="highs")
+        assert sol.status == _SCIPY_STATUS[ref.status], f"trial {trial}"
+        assert len(sol.basis) == m, f"trial {trial}"
+        seen.add(sol.status)
+        redundant += any(j >= n for j in sol.basis)
+        if sol.status == "optimal":
+            assert sol.objective == pytest.approx(ref.fun, abs=1e-6), f"trial {trial}"
+            cert = verify_certificate(lp, sol)
+            assert cert["ok"], f"trial {trial}: {cert}"
+    assert seen == {"optimal", "unbounded"} and redundant > 50
 
 
 def test_all_zero_upper_bounds():
