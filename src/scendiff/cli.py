@@ -37,7 +37,7 @@ DEFAULT_CONFIG = {
     "seed": 0,
     "zones": [1],
     "split": {"fractions": [0.7, 0.15, 0.15]},
-    "schedule": {"kind": "linear", "n": 200, "beta_start": 1e-4, "beta_end": 0.05},
+    "schedule": {"kind": "linear", "n": 200, "beta_end": 0.05},
     "model": {"hidden": [256, 256, 256], "embed_dim": 32},
     "optimizer": {"epochs": 200, "batch_size": 64, "lr": 1e-3},
     "m_scenarios": 100,
@@ -260,7 +260,7 @@ def _parse_zone_paths(specs: list[str], what: str) -> dict[int, Path]:
 
 def cmd_value(args) -> int:
     cfg = load_config(args.config, {"seed": args.seed, "out_dir": args.out})
-    retailer = value.RetailerModel.from_dict(cfg["retailer"])
+    retailer = value.RetailerModel(**cfg["retailer"])
     # every flag is parsed before any file is read
     paths = {track: (_parse_zone_paths(s_specs, f"scenarios-{track}"),
                      _parse_zone_paths(o_specs, f"obs-{track}"))

@@ -186,9 +186,6 @@ class Dataset:
     def days(self) -> list[date]:
         return sorted({s.day_id for s in self.samples})
 
-    def split_days(self, name: str) -> list[date]:
-        return sorted(d for d, s in self.split.items() if s == name)
-
     def subset(self, split: str | None = None, zone: int | None = None) -> list[DaySample]:
         out = []
         for s in self.samples:
@@ -619,37 +616,6 @@ def generate_synthetic(n_days: int, seed: int, profile: str) -> Dataset:
     return Dataset(samples=samples)
 
 
-_ERF = np.vectorize(math.erf)
-
-
-def _norm_cdf(z: np.ndarray) -> np.ndarray:
-    return 0.5 * (1 + _ERF(np.clip(z, -40.0, 40.0) / math.sqrt(2)))
-
-
-def _norm_pdf(z: np.ndarray) -> np.ndarray:
-    zc = np.clip(z, -40.0, 40.0)
-    return np.exp(-0.5 * zc * zc) / math.sqrt(2 * math.pi)
-
-
-def _clipped_normal_mean(mu, sd, lo, hi):
-    """E[clip(Y, lo, hi)] for Y ~ N(mu, sd^2), elementwise; lo must be finite."""
-    mu = np.asarray(mu, dtype=float)
-    sd = np.asarray(sd, dtype=float)
-    safe_sd = np.where(sd > 0, sd, 1.0)
-    alpha = (lo - mu) / safe_sd
-    if math.isinf(hi):
-        val = mu * (1 - _norm_cdf(alpha)) + safe_sd * _norm_pdf(alpha) + lo * _norm_cdf(alpha)
-    else:
-        beta = (hi - mu) / safe_sd
-        val = (
-            mu * (_norm_cdf(beta) - _norm_cdf(alpha))
-            + safe_sd * (_norm_pdf(alpha) - _norm_pdf(beta))
-            + hi * (1 - _norm_cdf(beta))
-            + lo * _norm_cdf(alpha)
-        )
-    return np.where(sd > 0, val, np.clip(mu, lo, hi))
-
-
 def _profile_law(profile: str, c: np.ndarray):
     """A profile's target law given covariate rows c (one day's (24K,) or
     (n, 24K)): (scale, mean, sd, lo, hi), with the target
@@ -676,12 +642,6 @@ def _draw_target(profile: str, c: np.ndarray, rng: np.random.Generator, n: int) 
     return np.clip(scale * (mean + sd * e), lo, hi)
 
 
-def conditional_mean(profile: str, c: np.ndarray) -> np.ndarray:
-    """Closed-form conditional mean of a synthetic day given its covariates."""
-    scale, mean, sd, lo, hi = _profile_law(profile, c)
-    return _clipped_normal_mean(scale * mean, scale * sd, lo, hi)
-
-
 def conditional_scenarios(profile: str, c: np.ndarray, m: int, seed: int) -> np.ndarray:
     """Draw m fresh days from the true conditional law given covariates c.
 
@@ -691,16 +651,6 @@ def conditional_scenarios(profile: str, c: np.ndarray, m: int, seed: int) -> np.
     if m < 1:
         raise ParameterError("m must be >= 1")
     return _draw_target(profile, c, np.random.default_rng(seed), m)
-
-
-def climatology_scenarios(ds: Dataset, m: int, seed: int, zone: int = 1) -> np.ndarray:
-    """Baseline ensemble: m target profiles sampled from the learn split."""
-    learn = ds.subset(split="learn", zone=zone)
-    if not learn:
-        raise InsufficientDataError("learn split is empty")
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, len(learn), size=m)
-    return np.stack([learn[i].x for i in idx])
 
 
 def write_manifest(ds: Dataset, path: str | Path) -> None:

@@ -38,6 +38,7 @@ from .errors import (
 )
 
 TERMINAL_ALPHA_BAR = 0.01
+BETA_START = 1e-4  # a linear schedule's first variance increment
 
 
 @dataclass
@@ -78,12 +79,10 @@ class Schedule:
         return cls(d["kind"], d["beta"])
 
 
-def make_schedule(
-    kind: str = "linear", n: int = 200, beta_start: float = 1e-4, beta_end: float = 0.05,
-) -> Schedule:
+def make_schedule(kind: str = "linear", n: int = 200, beta_end: float = 0.05) -> Schedule:
     """Linear or cosine variance schedule over n steps.
 
-    Linear: beta_i = beta_start + (i-1)/(n-1) (beta_end - beta_start).
+    Linear: beta_i = BETA_START + (i-1)/(n-1) (beta_end - BETA_START).
     Cosine: abar_i = f(i)/f(0) with f(i) = cos^2(((i/n + s)/(1 + s)) pi/2),
     s = 0.008, betas recovered from consecutive abar ratios and clipped to
     (1e-8, 0.999).
@@ -94,13 +93,13 @@ def make_schedule(
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     if kind == "linear":
-        if not 0 < beta_start <= beta_end < 1:
-            raise ParameterError("need 0 < beta_start <= beta_end < 1")
+        if not BETA_START <= beta_end < 1:
+            raise ParameterError(f"need {BETA_START} <= beta_end < 1")
         if n == 1:
-            beta = np.array([beta_start])
+            beta = np.array([BETA_START])
         else:
             steps = np.arange(n, dtype=float)
-            beta = beta_start + steps / (n - 1) * (beta_end - beta_start)
+            beta = BETA_START + steps / (n - 1) * (beta_end - BETA_START)
     elif kind == "cosine":
         s = 0.008
         i = np.arange(n + 1, dtype=float)

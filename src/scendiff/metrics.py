@@ -64,10 +64,10 @@ def crps(scenarios: np.ndarray, y: np.ndarray):
 
 
 @lru_cache(maxsize=16)
-def _hazen_plan(m: int, levels: bytes):
-    """Order-statistic indices and weights of the hazen quantiles of M values,
+def _hazen_plan(m: int):
+    """Indices and weights of the hazen quantiles of M values at QUANTILE_LEVELS,
     by numpy's own virtual-index, clamp and gamma steps (read-only arrays)."""
-    q = np.frombuffer(levels)
+    q = QUANTILE_LEVELS
     alpha = beta = 0.5  # hazen: plotting positions (k - 0.5)/M
     virtual = m * q + (alpha + q * (1 - alpha - beta)) - 1
     lower = np.floor(virtual)
@@ -90,22 +90,19 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
-def empirical_quantiles(scenarios: np.ndarray, levels: np.ndarray = QUANTILE_LEVELS) -> np.ndarray:
-    """(n_levels, L) quantiles via linear interpolation of order statistics
-    at plotting positions (k - 0.5)/M.
+def empirical_quantiles(scenarios: np.ndarray) -> np.ndarray:
+    """(99, L) quantiles at QUANTILE_LEVELS via linear interpolation of order
+    statistics at plotting positions (k - 0.5)/M.
 
     The quantiles are read off one np.sort of the sample, with the index and
-    weight plan built once per (M, levels) and numpy's own interpolation
+    weight plan built once per M and numpy's own interpolation
     (its `_lerp`), so they equal np.quantile(method="hazen") bit for bit: a
     partition and a sort leave the same order statistics. Only the sign of a
     zero quantile may differ, where a column holds both 0.0 and -0.0, as
     the two algorithms may order those equal values differently.
     """
     scenarios = np.asarray(scenarios, dtype=float)
-    levels = np.asarray(levels, dtype=float)
-    if levels.ndim != 1 or not np.all((levels >= 0) & (levels <= 1)):
-        raise ParameterError("quantile levels must be a vector of values in [0, 1]")
-    plan = _hazen_plan(scenarios.shape[0], levels.tobytes())
+    plan = _hazen_plan(scenarios.shape[0])
     lower, upper = plan[:2]
     gamma, one_minus, high = (a.reshape((-1,) + (1,) * (scenarios.ndim - 1)) for a in plan[2:])
     ordered = np.sort(scenarios, axis=0)
@@ -119,15 +116,14 @@ def empirical_quantiles(scenarios: np.ndarray, levels: np.ndarray = QUANTILE_LEV
     return out
 
 
-def quantile_score(scenarios: np.ndarray, y: np.ndarray,
-                   levels: np.ndarray = QUANTILE_LEVELS) -> float:
+def quantile_score(scenarios: np.ndarray, y: np.ndarray) -> float:
     """Pinball loss against empirical scenario quantiles, averaged over
-    levels and marginals."""
+    QUANTILE_LEVELS and marginals."""
     scenarios, y = _check_pair(scenarios, y)
     if scenarios.shape[0] < 2:
         raise InsufficientDataError("quantile score needs at least 2 scenarios")
-    q = np.asarray(levels, dtype=float)[:, None]
-    xq = empirical_quantiles(scenarios, levels)
+    q = QUANTILE_LEVELS[:, None]
+    xq = empirical_quantiles(scenarios)
     diff = y[None, :] - xq
     loss = np.where(diff >= 0, q * diff, (1.0 - q) * (-diff))
     return float(loss.mean())

@@ -94,7 +94,6 @@ def init_params(
     for w, _ in params.layers:
         lim = math.sqrt(6.0 / sum(w.shape))
         w[...] = rng.uniform(-lim, lim, size=w.shape)
-    params.validate()
     return params
 
 

@@ -44,8 +44,9 @@ class RetailerModel:
 
     Energy in MWh, power in MW (hourly steps, so MW == MWh per period),
     prices and penalties in EUR/MWh. A zero-capacity battery is allowed and
-    simply disables storage recourse. A bad field raises ParameterError (a
-    curve of the wrong length DimensionError) when the model is built.
+    simply disables storage recourse. A bad field, a non-finite one
+    included, raises ParameterError naming it (a curve of the wrong length
+    DimensionError) when the model is built.
     """
 
     capacity: float = 10.0
@@ -63,6 +64,10 @@ class RetailerModel:
         self.price = _as_curve(self.price, "price")
         self.pen_surplus = _as_curve(self.pen_surplus, "pen_surplus")
         self.pen_deficit = _as_curve(self.pen_deficit, "pen_deficit")
+        for name in ("capacity", "p_charge", "p_discharge", "eta_c", "eta_d", "soc_start",
+                     "soc_end", "price", "pen_surplus", "pen_deficit"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ParameterError(f"{name} must be finite")
         if self.capacity < 0:
             raise ParameterError(f"capacity must be >= 0, got {self.capacity}")
         if not (0 < self.eta_c <= 1 and 0 < self.eta_d <= 1):
@@ -75,8 +80,6 @@ class RetailerModel:
                 raise ParameterError(f"{name}={v} outside [0, {self.capacity}]")
         if np.any(self.pen_surplus < 0) or np.any(self.pen_deficit < 0):
             raise ParameterError("penalties must be >= 0")
-        if not np.all(np.isfinite(self.price)):
-            raise ParameterError("prices must be finite")
         max_rise = HOURS * self.eta_c * self.p_charge
         max_fall = HOURS * self.p_discharge / self.eta_d
         if self.soc_end - self.soc_start > max_rise + 1e-9:
@@ -92,10 +95,6 @@ class RetailerModel:
             "price": self.price.tolist(), "pen_surplus": self.pen_surplus.tolist(),
             "pen_deficit": self.pen_deficit.tolist(),
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RetailerModel":
-        return cls(**d)
 
 
 # The bidding LP's columns: the free bids, positive then negative parts
@@ -283,6 +282,8 @@ def run_value_benchmark(
     baseline. Load is zone 1. Raises CoverageError when days or zones are
     empty or when combinations are missing, and DimensionError for an array
     of another shape, naming its track, day and zone, before any LP is built.
+    A net position that is not finite, or whose LPs overflow, raises
+    ParameterError naming the day and zones.
     """
     if n_planner_scenarios < 1:
         raise ParameterError(f"n_planner_scenarios must be >= 1, got {n_planner_scenarios}")
@@ -326,14 +327,18 @@ def run_value_benchmark(
                 if not (np.isfinite(net).all() and np.isfinite(observed).all()):
                     raise ParameterError(f"day {day}, pv zone {pz}, wind zone {wz}: the net "
                                          "position wind + pv - load is not finite")
-                key = {"day": day, "pv_zone": pz, "wind_zone": wz}
-                rows.append({"model": "oracle", **key,
-                             "profit": oracle_profit(retailer, observed)})
-                _, sol = solve_bidding(retailer, net)
-                rows.append({"model": "ddpm", **key, "profit": realtime_dispatch(
-                    retailer, extract_bids(sol), observed)})
-                rows.append({"model": "ddpm-det", **key, "profit": realtime_dispatch(
-                    retailer, deterministic_bids(retailer, net), observed)})
+                try:  # finite net positions may still overflow the LPs' arithmetic
+                    with np.errstate(all="raise", under="ignore"):
+                        profit = {"oracle": oracle_profit(retailer, observed)}
+                        _, sol = solve_bidding(retailer, net)
+                        for model, bids in (("ddpm", extract_bids(sol)),
+                                            ("ddpm-det", deterministic_bids(retailer, net))):
+                            profit[model] = realtime_dispatch(retailer, bids, observed)
+                except FloatingPointError as e:
+                    raise ParameterError(f"day {day}, pv zone {pz}, wind zone {wz}: the "
+                                         f"bidding LPs' arithmetic fails: {e}") from None
+                rows += [{"model": model, "day": day, "pv_zone": pz, "wind_zone": wz,
+                          "profit": v} for model, v in profit.items()]
 
     aggregate: dict[str, float] = {}
     for r in rows:

@@ -1,8 +1,14 @@
 """Reference implementations the tests compare the package against.
 
 Each is the plain textbook form of something the package computes another
-way: the step-by-step forward noising chain (gate 2), one pinball term
-(the quantile-score tests), and a manifest reader (the manifest round trip).
+way, or a law and a baseline that no command needs:
+
+- the step-by-step forward noising chain (gate 2);
+- one pinball term (the quantile-score tests);
+- a manifest reader (the manifest round trip) and the sorted days of one split;
+- the closed-form conditional mean of a synthetic day, read off the
+  generator's own law `data._profile_law` (the synthetic-law tests);
+- the climatology baseline, which resamples learn days (gates 4 and 7).
 """
 import json
 import math
@@ -11,7 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from scendiff.data import Scaler
+from scendiff.data import Dataset, Scaler, _profile_law
+from scendiff.errors import InsufficientDataError
 
 
 def chain_forward(x0: np.ndarray, sched, rng: np.random.Generator) -> np.ndarray:
@@ -40,3 +47,55 @@ def read_manifest(path: str | Path) -> dict:
         doc["scaler"] = Scaler.from_dict(doc["scaler"])
     doc["split"] = {date.fromisoformat(k): v for k, v in doc["split"].items()}
     return doc
+
+
+def split_days(ds: Dataset, name: str) -> list[date]:
+    """The sorted days that `ds.split` assigns to split `name`."""
+    return sorted(d for d, s in ds.split.items() if s == name)
+
+
+_ERF = np.vectorize(math.erf)
+
+
+def _norm_cdf(z: np.ndarray) -> np.ndarray:
+    return 0.5 * (1 + _ERF(np.clip(z, -40.0, 40.0) / math.sqrt(2)))
+
+
+def _norm_pdf(z: np.ndarray) -> np.ndarray:
+    zc = np.clip(z, -40.0, 40.0)
+    return np.exp(-0.5 * zc * zc) / math.sqrt(2 * math.pi)
+
+
+def clipped_normal_mean(mu, sd, lo, hi):
+    """E[clip(Y, lo, hi)] for Y ~ N(mu, sd^2), elementwise; lo must be finite."""
+    mu = np.asarray(mu, dtype=float)
+    sd = np.asarray(sd, dtype=float)
+    safe_sd = np.where(sd > 0, sd, 1.0)
+    alpha = (lo - mu) / safe_sd
+    if math.isinf(hi):
+        val = mu * (1 - _norm_cdf(alpha)) + safe_sd * _norm_pdf(alpha) + lo * _norm_cdf(alpha)
+    else:
+        beta = (hi - mu) / safe_sd
+        val = (
+            mu * (_norm_cdf(beta) - _norm_cdf(alpha))
+            + safe_sd * (_norm_pdf(alpha) - _norm_pdf(beta))
+            + hi * (1 - _norm_cdf(beta))
+            + lo * _norm_cdf(alpha)
+        )
+    return np.where(sd > 0, val, np.clip(mu, lo, hi))
+
+
+def conditional_mean(profile: str, c: np.ndarray) -> np.ndarray:
+    """Closed-form conditional mean of a synthetic day given its covariates."""
+    scale, mean, sd, lo, hi = _profile_law(profile, c)
+    return clipped_normal_mean(scale * mean, scale * sd, lo, hi)
+
+
+def climatology_scenarios(ds: Dataset, m: int, seed: int, zone: int = 1) -> np.ndarray:
+    """Baseline ensemble: m target profiles sampled from the learn split."""
+    learn = ds.subset(split="learn", zone=zone)
+    if not learn:
+        raise InsufficientDataError("learn split is empty")
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, len(learn), size=m)
+    return np.stack([learn[i].x for i in idx])

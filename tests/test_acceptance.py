@@ -36,7 +36,7 @@ from scendiff.value import (
     realtime_dispatch,
     solve_bidding,
 )
-from oracles import chain_forward, pinball
+from oracles import chain_forward, climatology_scenarios, pinball, split_days
 
 HOURS = dmod.HOURS
 
@@ -101,7 +101,7 @@ def test_criterion_2_chain_matches_closed_form_marginals():
     """Sequential noising has the closed-form Gaussian marginal at every probe
     step: standardized draws pass a KS test against N(0, 1)."""
     t0 = time.perf_counter()
-    sched = dif.make_schedule("linear", n=50, beta_start=1e-4, beta_end=0.2)
+    sched = dif.make_schedule("linear", n=50, beta_end=0.2)
     rng = np.random.default_rng(2)
     x0 = rng.uniform(-1.0, 1.0, 10_000)
     chain = chain_forward(x0, sched, rng)
@@ -156,16 +156,16 @@ def test_criterion_4_trained_sampler_beats_climatology():
     ds = dmod.split_random(ds, fractions=(5000 / 6000, 500 / 6000, 500 / 6000),
                            seed=12)
     norm = dmod.normalize(ds)
-    n_learn = len(norm.split_days("learn"))
+    n_learn = len(split_days(norm, "learn"))
 
-    sched = dif.make_schedule("linear", n=200, beta_start=1e-4, beta_end=0.05)
+    sched = dif.make_schedule("linear", n=200, beta_end=0.05)
     cfg = dif.TrainConfig(epochs=200, batch_size=64, lr=1e-3,
                           hidden=(128, 128, 128),
                           embed_dim=32, seed=7, zone=1)
     params, _ = dif.train(norm, cfg, sched)
 
     raw_by_day = {s.day_id: s for s in ds.samples if s.zone == 1}
-    test_days = sorted(norm.split_days("test"))
+    test_days = sorted(split_days(norm, "test"))
     conds = np.stack([raw_by_day[d].c for d in test_days])
     obs = {d: raw_by_day[d].x for d in test_days}
 
@@ -174,7 +174,7 @@ def test_criterion_4_trained_sampler_beats_climatology():
     scen = {s.day_id: s.scenarios for s in sets}
     rep = met.evaluate(scen, obs, base=1.0, seed=5)
 
-    clim = {d: dmod.climatology_scenarios(ds, 100, seed=31_000 + i)
+    clim = {d: climatology_scenarios(ds, 100, seed=31_000 + i)
             for i, d in enumerate(test_days)}
     crep = met.evaluate(clim, obs, base=1.0, seed=5)
 
@@ -402,7 +402,7 @@ def test_criterion_8_gefcom_wind_track():
     ds = dmod.split_random(ds, fractions=(0.7, 0.15, 0.15), seed=1)
     norm = dmod.normalize(ds)
     zones = sorted({s.zone for s in ds.samples})
-    sched = dif.make_schedule("linear", n=200, beta_start=1e-4, beta_end=0.05)
+    sched = dif.make_schedule("linear", n=200, beta_end=0.05)
 
     scen, obs = {}, {}
     for z in zones:
@@ -429,8 +429,8 @@ def test_criterion_8_gefcom_wind_track():
         day_obs = wind_cap * obs[(d, zones[0])]
         for source, sink in (
             (wind_cap * scen[(d, zones[0])][:5], model_profit),
-            (wind_cap * dmod.climatology_scenarios(ds, 5, seed=71_000 + i,
-                                                   zone=zones[0]), clim_profit),
+            (wind_cap * climatology_scenarios(ds, 5, seed=71_000 + i,
+                                              zone=zones[0]), clim_profit),
         ):
             _, sol = solve_bidding(retailer, source)
             sink.append(realtime_dispatch(retailer, extract_bids(sol), day_obs))

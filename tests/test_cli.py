@@ -197,13 +197,15 @@ def test_exit_2_unknown_config_key(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     out = tmp_path / "out"
     # the model is a SiLU MLP trained by Adam at its published beta1, beta2 and
-    # eps, sampled with sigma^2 = beta and scored with the energy-form CRPS and
-    # the gamma = 0.5 variogram score; the keys that once chose otherwise are
-    # unknown keys, refused before anything is written
+    # eps, on a linear schedule that starts at beta 1e-4, sampled with
+    # sigma^2 = beta and scored with the energy-form CRPS and the gamma = 0.5
+    # variogram score; the keys that once chose otherwise are unknown keys,
+    # refused before anything is written
     for section, key, val, unknown in (
             ("optimizer", "lrx", 1, "optimizer.lrx"),
             ("model", "activation", "silu", "model.activation"),
             ("schedule", "sigma_mode", "beta", "schedule.sigma_mode"),
+            ("schedule", "beta_start", 1e-4, "schedule.beta_start"),
             ("optimizer", "beta1", 0.9, "optimizer.beta1"),
             ("optimizer", "beta2", 0.999, "optimizer.beta2"),
             ("optimizer", "eps", 1e-8, "optimizer.eps"),
@@ -681,6 +683,10 @@ def _overflow_argv(tmp_path, case):
         argv = files("wind", 1e308) + files("pv", 1e308) + files("load", 0.5)
         return (["value", "--out", out] + argv,
                 "day 2015-03-12, pv zone 1, wind zone 1: the net position")
+    if case == "value-lp":  # the net positions are finite, the LPs' arithmetic is not
+        argv = files("wind", 1e308) + files("pv", 0.5) + files("load", 0.5)
+        return (["value", "--out", out] + argv,
+                "day 2015-03-12, pv zone 1, wind zone 1: the bidding LPs' arithmetic fails")
     data = tmp_path / "pv.csv"  # train: w1 alternates -1e308 and +1e308, so its range overflows
     assert main(["synth", "--profile", "sine_pv", "--days", "30", "--seed", "1",
                  "--out", str(data)]) == 0
@@ -693,10 +699,12 @@ def _overflow_argv(tmp_path, case):
             "non-finite values in day 2012-01-01")
 
 
-@pytest.mark.parametrize("case", ["evaluate-base", "evaluate-values", "value", "train"])
+@pytest.mark.parametrize("case", ["evaluate-base", "evaluate-values", "value", "value-lp",
+                                  "train"])
 def test_exit_2_finite_inputs_whose_arithmetic_overflows(tmp_path, capsys, case):
     """`evaluate` at a base so small that the scores overflow, `evaluate` and
-    `value` on files holding 1e308, and `train` on a covariate whose range
+    `value` on files holding 1e308 (for `value-lp` only in wind, so the net
+    positions stay finite), and `train` on a covariate whose range
     overflows: each exits 2 with one JSON line naming what overflowed, warns
     nothing, also when RuntimeWarnings are errors, and writes nothing."""
     argv, message = _overflow_argv(tmp_path, case)

@@ -15,7 +15,8 @@ from scendiff.errors import (
     ParseError,
     SchemaError,
 )
-from oracles import read_manifest
+from oracles import (climatology_scenarios, clipped_normal_mean, conditional_mean, read_manifest,
+                     split_days)
 
 
 def _mini_csv(path, rows, k=1):
@@ -179,9 +180,9 @@ def test_load_csv_schema_errors(tmp_path):
 
 
 def test_split_random_sizes_and_determinism(pv_dataset):
-    learn = pv_dataset.split_days("learn")
-    val = pv_dataset.split_days("validation")
-    test = pv_dataset.split_days("test")
+    learn = split_days(pv_dataset, "learn")
+    val = split_days(pv_dataset, "validation")
+    test = split_days(pv_dataset, "test")
     assert (len(learn), len(val), len(test)) == (42, 9, 9)
     assert set(learn) | set(val) | set(test) == set(pv_dataset.days())
     assert not (set(learn) & set(test)) and not (set(val) & set(test))
@@ -195,7 +196,7 @@ def test_split_random_sizes_and_determinism(pv_dataset):
 def test_split_random_remainder_goes_to_learn():
     ds = dmod.generate_synthetic(10, 0, "sine_pv")
     out = dmod.split_random(ds, (1 / 3, 1 / 3, 1 / 3), seed=0)
-    sizes = tuple(len(out.split_days(s)) for s in ("learn", "validation", "test"))
+    sizes = tuple(len(split_days(out, s)) for s in ("learn", "validation", "test"))
     assert sizes == (4, 3, 3)
 
 
@@ -213,7 +214,7 @@ def test_split_random_rejects_bad_fractions_and_tiny_datasets():
 def test_empty_split_selects_no_days():
     """Only a Dataset built with no split makes every day a learn day."""
     ds = dmod.generate_synthetic(5, 0, "sine_pv")
-    assert ds.split_days("learn") == ds.days()
+    assert split_days(ds, "learn") == ds.days()
     none = replace(ds, split={})
     assert none.split == {} and none.subset(split="learn") == []
     assert dmod.Dataset(samples=[], split=None).split == {}
@@ -486,12 +487,12 @@ def _reference_conditional_mean(profile, c):
     if profile == "sine_pv":
         s = dmod._daylight_shape()
         a = float(c.max())
-        return dmod._clipped_normal_mean(a * s, 0.08 * s, 0.0, 1.0)
+        return clipped_normal_mean(a * s, 0.08 * s, 0.0, 1.0)
     if profile == "ramp_wind":
         g = 1.0 / (1.0 + np.exp(-(c - 7.5) / 1.2))
-        return dmod._clipped_normal_mean(g, np.full(24, 0.06), 0.0, 1.0)
+        return clipped_normal_mean(g, np.full(24, 0.06), 0.0, 1.0)
     mu = dmod._load_base_shape() * (1.0 - 0.10 * c[24]) + 0.012 * (15.0 - c[:24])
-    return dmod._clipped_normal_mean(250.0 * mu, np.full(24, 250.0 * 0.04), 0.0, math.inf)
+    return clipped_normal_mean(250.0 * mu, np.full(24, 250.0 * 0.04), 0.0, math.inf)
 
 
 def _bits(x):
@@ -509,7 +510,7 @@ def test_synthetic_law_matches_each_profiles_formula(profile):
         np.testing.assert_array_equal(_bits(np.stack([s.x for s in ds.samples])), _bits(x))
         np.testing.assert_array_equal(_bits(np.stack([s.c for s in ds.samples])), _bits(c))
         for s in ds.samples[:40]:
-            np.testing.assert_array_equal(_bits(dmod.conditional_mean(profile, s.c)),
+            np.testing.assert_array_equal(_bits(conditional_mean(profile, s.c)),
                                           _bits(_reference_conditional_mean(profile, s.c)))
 
 
@@ -531,7 +532,7 @@ def test_clipped_normal_mean_matches_monte_carlo():
     sd = np.array([0.2, 0.05, 0.3, 0.2, 0.5])
     draws = np.clip(mu + sd * rng.standard_normal((400000, 5)), 0.0, 1.0)
     np.testing.assert_allclose(
-        dmod._clipped_normal_mean(mu, sd, 0.0, 1.0), draws.mean(axis=0), atol=3e-3
+        clipped_normal_mean(mu, sd, 0.0, 1.0), draws.mean(axis=0), atol=3e-3
     )
 
 
@@ -541,16 +542,16 @@ def test_clipped_normal_mean_handles_unbounded_top_and_zero_sd():
     sd = np.array([0.4, 0.3, 0.6])
     draws = np.maximum(0.0, mu + sd * rng.standard_normal((400000, 3)))
     np.testing.assert_allclose(
-        dmod._clipped_normal_mean(mu, sd, 0.0, math.inf), draws.mean(axis=0), atol=3e-3
+        clipped_normal_mean(mu, sd, 0.0, math.inf), draws.mean(axis=0), atol=3e-3
     )
-    out = dmod._clipped_normal_mean(np.array([-1.0, 0.5]), np.array([0.0, 0.0]), 0.0, 1.0)
+    out = clipped_normal_mean(np.array([-1.0, 0.5]), np.array([0.0, 0.0]), 0.0, 1.0)
     np.testing.assert_array_equal(out, [0.0, 0.5])
 
 
 def test_conditional_mean_matches_empirical_mean_of_scenarios(pv_dataset):
     s = pv_dataset.samples[0]
     scen = dmod.conditional_scenarios("sine_pv", s.c, m=60000, seed=3)
-    mu = dmod.conditional_mean("sine_pv", s.c)
+    mu = conditional_mean("sine_pv", s.c)
     np.testing.assert_allclose(scen.mean(axis=0), mu, atol=4e-3)
     night = s.c == 0.0
     assert np.all(scen[:, night] == 0.0)
@@ -559,7 +560,7 @@ def test_conditional_mean_matches_empirical_mean_of_scenarios(pv_dataset):
     for profile, atol in (("ramp_wind", 3e-3), ("bimodal_load", 0.5)):
         c = dmod.generate_synthetic(1, 3, profile).samples[0].c
         scen = dmod.conditional_scenarios(profile, c, m=60000, seed=3)
-        mu = dmod.conditional_mean(profile, c)
+        mu = conditional_mean(profile, c)
         np.testing.assert_allclose(scen.mean(axis=0), mu, atol=atol)
 
 
@@ -576,7 +577,7 @@ def test_conditional_scenarios_cover_all_profiles(wind_dataset):
 
 
 def test_climatology_scenarios_resample_learn_days(pv_dataset):
-    scen = dmod.climatology_scenarios(pv_dataset, m=50, seed=7)
+    scen = climatology_scenarios(pv_dataset, m=50, seed=7)
     assert scen.shape == (50, 24)
     learn_rows = {tuple(s.x) for s in pv_dataset.subset(split="learn", zone=1)}
     for row in scen:

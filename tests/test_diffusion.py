@@ -27,7 +27,7 @@ from scendiff.errors import (
     ScheduleTooShortError,
     TrainingDivergenceError,
 )
-from oracles import chain_forward
+from oracles import chain_forward, split_days
 
 
 def _zero_denoiser(x, steps, c):
@@ -84,7 +84,12 @@ def test_too_short_schedule_is_rejected_with_escape_hatch():
     # a gentle 200-step ramp to 0.02 leaves ~13% of the signal at the end,
     # far from the near-standard-normal terminal the sampler assumes
     with pytest.raises(ScheduleTooShortError):
-        dif.make_schedule("linear", n=200, beta_start=1e-4, beta_end=0.02)
+        dif.make_schedule("linear", n=200, beta_end=0.02)
+    # one linear step is beta = 1e-4 alone, refused without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ScheduleTooShortError):
+            dif.make_schedule("linear", n=1)
     # only make_schedule checks the terminal alpha_bar: a Schedule built from
     # its betas, or read back from a checkpoint header, is not refused
     s = _linear(200, 1e-4, 0.02)
@@ -109,8 +114,10 @@ def test_schedule_parameter_validation():
     with pytest.raises(ParameterError):
         dif.make_schedule("linear", n=0)
     with pytest.raises(ParameterError):
-        dif.make_schedule("linear", beta_start=0.0)
+        dif.make_schedule("linear", beta_end=1.0)
     with pytest.raises(ParameterError):
+        dif.make_schedule("linear", beta_end=dif.BETA_START / 2)
+    with pytest.raises(TypeError):  # every linear schedule starts at BETA_START
         dif.make_schedule("linear", beta_start=0.5, beta_end=0.1)
     with pytest.raises(ParameterError):
         dif.make_schedule("quadratic")
@@ -624,7 +631,7 @@ def test_reverse_sampler_matches_analytic_gaussian_law():
     """With the exact posterior-mean denoiser for x0 ~ N(mu0, 1), ancestral
     sampling has a closed-form Gaussian terminal law; a KS test checks the
     sampler reproduces it (draw order, coefficients, final noiseless step)."""
-    s = dif.make_schedule("linear", n=40, beta_start=0.01, beta_end=0.25)
+    s = _linear(40, 0.01, 0.25)
     mu0 = 0.8
 
     def oracle(x, steps, c):
@@ -732,7 +739,7 @@ def test_sampling_divergence_is_reported_with_step():
 def test_checkpoint_round_trip_is_exact(tmp_path, tiny_model, tiny_schedule, pv_fitted):
     params, _ = tiny_model
     p = tmp_path / "model.ckpt"
-    test_days = pv_fitted.split_days("test")
+    test_days = split_days(pv_fitted, "test")
     dif.save_checkpoint(p, params, tiny_schedule, pv_fitted.scaler, "pv", 1,
                         test_days[::-1])
     loaded, sched, scaler, header = dif.load_checkpoint(p)

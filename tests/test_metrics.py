@@ -50,7 +50,7 @@ def _vs_brute(scens, y, gamma, w=None):
 
 def _qs_brute(scens, y):
     levels = met.QUANTILE_LEVELS
-    xq = met.empirical_quantiles(scens, levels)
+    xq = met.empirical_quantiles(scens)
     total = 0.0
     for iq, q in enumerate(levels):
         for t in range(y.size):
@@ -183,22 +183,25 @@ def test_quantile_score_matches_per_term_pinball():
 
 def test_empirical_quantiles_match_numpy_hazen():
     """Read off one sort, the quantiles equal np.quantile's bit for bit, on
-    continuous, tied and all-zero columns, at the default and custom levels."""
+    continuous, tied and all-zero columns; small ensembles reach the clamps
+    at both ends (M = 2 at levels 0.01 and 0.99)."""
     rng = np.random.default_rng(4)
-    for m in (2, 3, 7, 10, 20, 100, 257):
+    for m in (1, 2, 3, 4, 7, 10, 20, 100, 257):
         scens = rng.standard_normal((m, 5))
         scens[:, 1] = np.round(scens[:, 1]) + 2.0  # ties
         scens[:, 2] = 0.0
         scens[: m // 2, 3] = 1.5  # a point mass beside a continuous part
-        for levels in (met.QUANTILE_LEVELS, np.array([0.0, 0.001, 0.25, 0.5, 0.999, 1.0])):
-            got = met.empirical_quantiles(scens, levels)
-            want = np.quantile(scens, levels, axis=0, method="hazen")
-            assert np.array_equal(got, want)
-            assert got.tobytes() == want.tobytes()
+        got = met.empirical_quantiles(scens)
+        want = np.quantile(scens, met.QUANTILE_LEVELS, axis=0, method="hazen")
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
+        if m <= 2:  # levels 0.01 and 0.99 lie outside the plotting positions
+            assert np.array_equal(got[0], scens.min(axis=0))
+            assert np.array_equal(got[-1], scens.max(axis=0))
     # median of an even ensemble is the midpoint of the central pair
     two = np.array([[0.0, 0.0], [1.0, 2.0]])
     np.testing.assert_allclose(
-        met.empirical_quantiles(two, np.array([0.5]))[0], [0.5, 1.0]
+        met.empirical_quantiles(two)[met.QUANTILE_LEVELS == 0.5][0], [0.5, 1.0]
     )
 
 
@@ -208,13 +211,12 @@ def test_score_plans_are_cached_and_read_only():
     i, j = met._pairs(100)
     assert met._pairs(100)[0] is i
     np.testing.assert_array_equal(np.stack([i, j]), np.triu_indices(100, 1))
-    plan = met._hazen_plan(100, met.QUANTILE_LEVELS.tobytes())
+    plan = met._hazen_plan(100)
+    assert met._hazen_plan(100) is plan
     for a in (i, j) + plan:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[...] = 0
-    with pytest.raises(ParameterError):
-        met.empirical_quantiles(np.zeros((3, 2)), np.array([0.5, 1.5]))
 
 
 def test_dimension_errors():

@@ -67,6 +67,11 @@ def test_model_validation_catches_bad_fields():
     for kw in bad:
         with pytest.raises(ParameterError):
             RetailerModel(**kw)
+    # a non-finite field is refused by name, not later as an LP coefficient
+    for name, v in (("pen_surplus", np.nan), ("pen_deficit", np.inf), ("capacity", np.nan),
+                    ("price", np.inf)):
+        with pytest.raises(ParameterError, match=f"^{name} must be finite$"):
+            RetailerModel(**{name: v})
     # terminal state of charge that cannot be reached within a day
     with pytest.raises(ParameterError, match="charge enough"):
         RetailerModel(capacity=1000.0, p_charge=0.01, soc_start=0.0,
@@ -78,7 +83,7 @@ def test_model_validation_catches_bad_fields():
 
 def test_model_dict_round_trip():
     m = RetailerModel(capacity=8.0, price=np.linspace(30, 70, HOURS))
-    m2 = RetailerModel.from_dict(json.loads(json.dumps(m.to_dict())))
+    m2 = RetailerModel(**json.loads(json.dumps(m.to_dict())))
     for k in ("capacity", "p_charge", "eta_c", "soc_end"):
         assert getattr(m2, k) == getattr(m, k)
     np.testing.assert_array_equal(m2.price, m.price)
