@@ -158,8 +158,8 @@ def cmd_train(args) -> int:
                                   [s.day_id for s in ds.subset(split="test", zone=zone)])
         log_path = out_dir / f"loss_{cfg['track']}_z{zone}.csv"
         data_mod._write_table(log_path, ["epoch", "learn_loss", "val_loss"],
-                              ("%s", "%.17g", "%.17g"),
-                              ((r["epoch"], r["learn_loss"], r["val_loss"]) for r in log))
+                              (("%s,%.17g,%.17g\r\n", (r["epoch"], r["learn_loss"], r["val_loss"]))
+                               for r in log))
         print(ckpt)
         print(log_path)
     return 0

@@ -11,6 +11,7 @@ The number of weather channels K is read from the header.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -18,7 +19,6 @@ import re
 import warnings
 from dataclasses import dataclass, replace
 from datetime import date, timedelta
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +36,7 @@ HOURS = 24
 TRACKS = ("load", "pv", "wind")
 ZONE_COUNTS = {"load": 1, "wind": 10, "pv": 3}
 SPLITS = ("learn", "validation", "test")
+OBS_BLOCK = 64  # observation rows per write: less text than one 100-scenario day
 
 PROFILES = ("sine_pv", "ramp_wind", "bimodal_load")
 PROFILE_TRACK = {"sine_pv": "pv", "ramp_wind": "wind", "bimodal_load": "load"}
@@ -187,23 +188,15 @@ class Dataset:
         return sorted({s.day_id for s in self.samples})
 
     def subset(self, split: str | None = None, zone: int | None = None) -> list[DaySample]:
-        out = []
-        for s in self.samples:
-            if split is not None and self.split.get(s.day_id) != split:
-                continue
-            if zone is not None and s.zone != zone:
-                continue
-            out.append(s)
-        return out
+        return [s for s in self.samples if (split is None or self.split.get(s.day_id) == split)
+                and (zone is None or s.zone == zone)]
 
     def arrays(self, split: str | None = None, zone: int | None = None):
         """Stacked (X, C, day_ids) for the selected samples."""
         sel = self.subset(split, zone)
         if not sel:
             raise InsufficientDataError(f"no samples for split={split} zone={zone}")
-        x = np.stack([s.x for s in sel])
-        c = np.stack([s.c for s in sel])
-        return x, c, [s.day_id for s in sel]
+        return np.stack([s.x for s in sel]), np.stack([s.c for s in sel]), [s.day_id for s in sel]
 
 
 # a date cell this wide may have been cut short by the parser's string field
@@ -353,29 +346,24 @@ def _day_index(path: str | Path, cells: np.ndarray) -> tuple[list[date], np.ndar
     return list(index), np.repeat(of_cell[inverse.reshape(-1)], runs)
 
 
-def _quote(cell):
-    """A text cell as csv's QUOTE_MINIMAL writes it; other cells unchanged."""
-    if isinstance(cell, str) and any(c in cell for c in ',"\r\n'):
-        return '"' + cell.replace('"', '""') + '"'
-    return cell
+def _float_lines(prefixes, n_floats: int) -> str:
+    """A %-template of one CSV line per prefix: its text, then n_floats "%.17g" cells."""
+    return "".join([p + ",%.17g" * n_floats + "\r\n" for p in prefixes])
 
 
-def _write_table(path: str | Path, header: list[str], fmt: tuple[str, ...], rows) -> None:
-    """Write the bytes csv.writer writes, by one %-template per table.
+def _write_table(path: str | Path, header: list[str], blocks) -> None:
+    """Write the bytes csv.writer writes, one `%` call per block of lines.
 
-    `fmt` has one conversion per column: "%.17g" for floats, "%d" for Python
-    ints, "%s" for text and for ints that may be numpy or float (csv.writer
-    writes their str()). `rows` yields tuples; text is quoted as QUOTE_MINIMAL.
+    `blocks` yields (template, values). A template holds its fixed cells
+    (dates, hours, zones, numbers) as text and a conversion for each other
+    cell: "%.17g" for floats, "%s" for text; `values` is the flat tuple those
+    take. Lines end in CRLF. No cell is quoted: the one writer given text by a
+    library caller, ValueReport.write_csv, quotes it first.
     """
-    line = ",".join(fmt) + "\r\n"
-    text_cols = [j for j, f in enumerate(fmt) if f == "%s"]
-    rows = iter(rows)
     with open(path, "w", newline="", encoding="utf-8") as f:
-        f.write(",".join(map(_quote, header)) + "\r\n")
-        while block := list(islice(rows, 16)):  # a few KB of text per block
-            if any(_quote(v) is not v for j in text_cols for v in {r[j] for r in block}):
-                block = [tuple(map(_quote, r)) for r in block]
-            f.writelines([line % r for r in block])
+        f.write(",".join(header) + "\r\n")
+        for template, values in blocks:
+            f.write(template % values)
 
 
 _ISO_DAY = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
@@ -466,13 +454,16 @@ def load_csv(path: str | Path, track: str) -> Dataset:
 
 
 def write_csv(ds: Dataset, path: str | Path) -> None:
-    """Write a Dataset back to the canonical schema (17 significant digits)."""
-    k = ds.samples[0].n_channels if ds.samples else 0
-    rows = ((s.day_id.isoformat(), h, s.zone, *v)
-            for s in sorted(ds.samples, key=lambda s: (s.day_id, s.zone))
-            for h, v in enumerate(np.column_stack([s.x, s.c.reshape(k, HOURS).T]).tolist()))
+    """Write a Dataset back to the canonical schema (17 significant digits), one
+    `%` block per (day, zone) sample from its zone's template, "\0" standing for the date."""
+    sel = sorted(ds.samples, key=lambda s: (s.day_id, s.zone))
+    k = sel[0].n_channels if sel else 0
+    lines = functools.cache(lambda zone: _float_lines([f"\0,{h},{zone}" for h in range(HOURS)],
+                                                      k + 1))
     _write_table(path, ["date", "hour", "zone", "target"] + [f"w{i+1}" for i in range(k)],
-                 ("%s", "%d", "%s") + ("%.17g",) * (k + 1), rows)
+                 ((lines(str(s.zone)).replace("\0", s.day_id.isoformat()),
+                   tuple(np.concatenate([s.x, s.c]).reshape(k + 1, HOURS).T.ravel().tolist()))
+                  for s in sel))
 
 
 def split_random(ds: Dataset, fractions: tuple[float, float, float], seed: int) -> Dataset:
@@ -676,10 +667,12 @@ def write_report_json(doc: dict, path: str | Path) -> None:
 
 def write_observations(ds: Dataset, path: str | Path, split: str = "test", zone: int = 1) -> None:
     """Write one `day,h0..h23` row per selected day, in the dataset's
-    units, which `normalize` leaves physical."""
+    units, which `normalize` leaves physical; OBS_BLOCK days per `%` block."""
     sel = sorted(ds.subset(split=split, zone=zone), key=lambda s: s.day_id)
-    _write_table(path, ["day"] + [f"h{h}" for h in range(HOURS)], ("%s",) + ("%.17g",) * HOURS,
-                 ((s.day_id.isoformat(), *s.x.tolist()) for s in sel))
+    blocks = (sel[i:i + OBS_BLOCK] for i in range(0, len(sel), OBS_BLOCK))
+    _write_table(path, ["day"] + [f"h{h}" for h in range(HOURS)],
+                 ((_float_lines([s.day_id.isoformat() for s in b], HOURS),
+                   tuple(np.concatenate([s.x for s in b]).tolist())) for b in blocks))
 
 
 def read_observations(path: str | Path) -> dict[date, np.ndarray]:

@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .data import (_DATE_WIDTH, HOURS, TRACKS, Scaler, _day_index, _iso_day, _read_table,
-                   _write_table)
+from .data import (_DATE_WIDTH, HOURS, TRACKS, Scaler, _day_index, _float_lines, _iso_day,
+                   _read_table, _write_table)
 from .errors import (
     DimensionError,
     InsufficientDataError,
@@ -550,11 +550,12 @@ def load_checkpoint(path: str | Path):
 
 
 def write_scenarios(sets: list[ScenarioSet], path: str | Path) -> None:
-    """CSV `day,scenario,h0..h23` in physical units, scenarios numbered 1..M."""
-    rows = ((s.day_id.isoformat(), m, *v)
-            for s in sets for m, v in enumerate(s.scenarios.tolist(), start=1))
+    """CSV `day,scenario,h0..h23` in physical units, scenarios numbered 1..M: one
+    `%` block per day from the template of its M lines, "\0" standing for the date."""
+    lines = functools.cache(lambda m: _float_lines([f"\0,{j}" for j in range(1, m + 1)], HOURS))
     _write_table(path, ["day", "scenario"] + [f"h{h}" for h in range(HOURS)],
-                 ("%s", "%d") + ("%.17g",) * HOURS, rows)
+                 ((lines(len(s.scenarios)).replace("\0", s.day_id.isoformat()),
+                   tuple(s.scenarios.ravel().tolist())) for s in sets))
 
 
 def read_scenarios(path: str | Path) -> dict[date, np.ndarray]:

@@ -33,6 +33,10 @@ class ParameterError(ScendiffError):
     """An argument is outside its documented domain."""
 
 
+class LPOverflowError(ParameterError):
+    """A linear program with finite coefficients overflows the simplex arithmetic."""
+
+
 class ScheduleTooShortError(ScendiffError):
     """Terminal signal level of a variance schedule is not close enough to zero."""
 

@@ -239,8 +239,9 @@ class QualityReport:
 
     def write_reliability_csv(self, path: str | Path) -> None:
         """Rows `nominal,empirical`, both in percent."""
-        _write_table(path, ["nominal", "empirical"], ("%.17g", "%.17g"),
-                     zip(QUANTILE_LEVELS * 100, np.multiply(self.reliability_curve, 100)))
+        _write_table(path, ["nominal", "empirical"],
+                     (("%.17g,%.17g\r\n", row) for row in
+                      zip(QUANTILE_LEVELS * 100, np.multiply(self.reliability_curve, 100))))
 
 
 def evaluate(scenarios_by_day: dict, obs_by_day: dict, base: float = 1.0,

@@ -121,16 +121,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return s
 
 
-def _silu(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """SiLU of z, written into `out` (which may be z) when given."""
-    return np.multiply(z, _sigmoid(z), out=out)
-
-
-def _silu_grad(z: np.ndarray) -> np.ndarray:
-    s = _sigmoid(z)
-    return s * (1.0 + z * (1.0 - s))
-
-
 def _assemble_input(params: DenoiserParams, x_noisy: np.ndarray, i, c: np.ndarray) -> np.ndarray:
     """One (B, input_dim) block: x_noisy, the step embedding, the condition.
 
@@ -155,18 +145,20 @@ def forward_batch(params: DenoiserParams, x_noisy: np.ndarray, i, c: np.ndarray,
                   cache: list | None = None) -> np.ndarray:
     """Predicted noise for a batch: x_noisy (B, L), i scalar or (B,), c (B, K).
 
-    With `cache` (a list), appends (layer input, pre-activation) per layer
-    for backward_batch and gives every activation its own buffer; without
-    it, each hidden activation overwrites its pre-activation.
+    With `cache` (a list), appends (layer input, pre-activation, its sigmoid
+    or None at the output layer) per layer for backward_batch and gives every
+    activation its own buffer; without it, each hidden activation overwrites
+    its pre-activation.
     """
     a = _assemble_input(params, x_noisy, i, c)
     last = len(params.layers) - 1
     for idx, (w, b) in enumerate(params.layers):
         z = a @ w.T
         z += b
+        s = None if idx == last else _sigmoid(z)
         if cache is not None:
-            cache.append((a, z))
-        a = z if idx == last else _silu(z, out=None if cache is not None else z)
+            cache.append((a, z, s))
+        a = z if s is None else np.multiply(z, s, out=None if cache is not None else z)
     return a
 
 
@@ -207,7 +199,7 @@ def sampling_forward(params: DenoiserParams, n: int):
                 a += proj_c
                 a += table[i - 1]
                 for w, b in layers:
-                    a = _silu(a, out=a) @ w.T
+                    a = np.multiply(a, _sigmoid(a), out=a) @ w.T  # SiLU in place
                     a += b
                 return a.astype(float)
 
@@ -236,8 +228,9 @@ def backward_batch(
         gw, gb = grad_layers[idx]
         np.matmul(g.T, cache[idx][0], out=gw)
         np.sum(g, axis=0, out=gb)
-        if idx > 0:
-            g = (g @ params.layers[idx][0]) * _silu_grad(cache[idx - 1][1])
+        if idx > 0:  # SiLU'(z) = s (1 + z (1 - s)), with the forward pass's s = sigmoid(z)
+            _, z, s = cache[idx - 1]
+            g = (g @ params.layers[idx][0]) * (s * (1.0 + z * (1.0 - s)))
     return grad
 
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, IterationLimitError, ParameterError
+from .errors import DimensionError, IterationLimitError, LPOverflowError, ParameterError
 
 FEAS_TOL = 1e-7
 OPT_TOL = 1e-9
@@ -236,8 +236,14 @@ def _run_simplex(tab: np.ndarray, basis: list[int], bounds: np.ndarray,
             stall = 0
 
 
+def _overflow(kind: str, flag: int) -> None:
+    raise LPOverflowError(f"the simplex arithmetic fails: {kind} in the tableau")
+
+
+@np.errstate(over="call", invalid="call", call=_overflow)
 def simplex_solve(lp: LPProblem) -> LPSolution:
-    """Solve min c.x, A x = b, 0 <= x <= upper by the two-phase tableau method."""
+    """Solve min c.x, A x = b, 0 <= x <= upper by the two-phase tableau method;
+    finite coefficients that overflow the tableau raise LPOverflowError, with no warning."""
     a, b, c, upper = lp.a, lp.b, lp.c, lp.upper
     m, n = a.shape
 

@@ -19,11 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import HOURS, _write_table, write_report_json
-from .errors import (
-    CoverageError,
-    DimensionError,
-    ParameterError,
-)
+from .errors import CoverageError, DimensionError, LPOverflowError, ParameterError
 from .simplex import LPProblem, LPSolution, simplex_solve
 
 SOLVE_TOL = 1e-6
@@ -259,10 +255,16 @@ class ValueReport:
         write_report_json(self.to_dict(), path)
 
     def write_csv(self, path: str | Path) -> None:
-        rows = ((r["model"], r["day"].isoformat() if isinstance(r["day"], date) else r["day"],
-                 r["pv_zone"], r["wind_zone"], r["profit"]) for r in self.rows)
-        _write_table(path, ["model", "day", "pv_zone", "wind_zone", "profit"],
-                     ("%s", "%s", "%s", "%s", "%.17g"), rows)
+        """Rows `model,day,pv_zone,wind_zone,profit`, text quoted as csv's QUOTE_MINIMAL."""
+        def quote(cell):
+            if isinstance(cell, str) and any(c in cell for c in ',"\r\n'):
+                return '"' + cell.replace('"', '""') + '"'
+            return cell
+
+        _write_table(path, ["model", "day", "pv_zone", "wind_zone", "profit"], (
+            ("%s,%s,%s,%s,%.17g\r\n",
+             (*map(quote, (r["model"], r["day"], r["pv_zone"], r["wind_zone"])), r["profit"]))
+            for r in self.to_dict()["rows"]))
 
 
 def run_value_benchmark(
@@ -334,7 +336,7 @@ def run_value_benchmark(
                         for model, bids in (("ddpm", extract_bids(sol)),
                                             ("ddpm-det", deterministic_bids(retailer, net))):
                             profit[model] = realtime_dispatch(retailer, bids, observed)
-                except FloatingPointError as e:
+                except (FloatingPointError, LPOverflowError) as e:
                     raise ParameterError(f"day {day}, pv zone {pz}, wind zone {wz}: the "
                                          f"bidding LPs' arithmetic fails: {e}") from None
                 rows += [{"model": model, "day": day, "pv_zone": pz, "wind_zone": wz,

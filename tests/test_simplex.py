@@ -1,13 +1,15 @@
 """Two-phase simplex: textbook problems, status detection, random LPs vs a
 vertex-enumeration oracle and scipy, anti-cycling, and certificates."""
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 from scendiff import simplex as spx
-from scendiff.errors import DimensionError, IterationLimitError, ParameterError
+from scendiff.errors import (DimensionError, IterationLimitError, LPOverflowError,
+                             ParameterError)
 from scendiff.simplex import LPProblem, simplex_solve, verify_certificate
 
 
@@ -622,6 +624,30 @@ def test_sparse_pivot_solves_bidding_lp_bit_for_bit(monkeypatch):
     assert fast.basis == ref.basis
     assert fast.x.tobytes() == ref.x.tobytes()
     assert np.float64(fast.objective).tobytes() == np.float64(ref.objective).tobytes()
+
+
+def test_finite_lp_whose_arithmetic_overflows_is_refused_without_a_warning():
+    """A bidding LP whose one net position of 1e308 is finite, as are all its
+    coefficients, overflows the tableau: the solver raises ParameterError
+    where it reported `optimal` with objective -inf, warns nothing, and
+    leaves numpy's error settings as it found them."""
+    from scendiff.value import RetailerModel, build_two_stage_lp
+
+    net = np.zeros((1, 24))
+    net[0, 7] = 1e308
+    lp = build_two_stage_lp(RetailerModel(), net)
+    assert all(np.isfinite(v).all() for v in (lp.a, lp.b, lp.c))
+    before = np.geterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ParameterError, match="overflow") as info:
+            simplex_solve(lp)
+    assert isinstance(info.value, LPOverflowError)
+    assert caught == []
+    assert np.geterr() == before
+    # an ordinary net position still solves
+    net[0, 7] = 1e3
+    assert simplex_solve(build_two_stage_lp(RetailerModel(), net)).status == "optimal"
 
 
 def test_unit_columns_match_loop_reference():

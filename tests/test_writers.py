@@ -180,3 +180,58 @@ def test_loss_log_matches_csv_writer(tmp_path, monkeypatch):
     got = (tmp_path / "out" / "loss_pv_z1.csv").read_bytes()
     assert got == (tmp_path / "want.csv").read_bytes()
     assert b"nan" in got and b"-inf" in got
+
+
+def test_write_csv_multi_zone_out_of_order_with_missing_zones(tmp_path):
+    """A wind dataset over four zones whose samples arrive in neither day nor
+    zone order, with some zones missing on some days: each zone's cached
+    template takes every date it meets, in (day, zone) order."""
+    rng = np.random.default_rng(4)
+    keys = [(d, z) for d in range(6) for z in (1, 2, 7, 10) if (d + z) % 3]
+    order = rng.permutation(len(keys))
+    samples = [dmod.DaySample(date(2014, 12, 30) + timedelta(keys[i][0]), "wind",
+                              np.int64(keys[i][1]) if i % 2 else keys[i][1],
+                              _odd_values(rng, HOURS), _odd_values(rng, 3 * HOURS))
+               for i in order]
+    ds = dmod.Dataset(samples=samples)
+    assert {z for d, z in keys if d == 0} != {z for d, z in keys if d == 1}
+    got = _same_bytes(tmp_path, dmod.write_csv, _ref_write_csv, ds)
+    assert got.read_bytes().count(b"\r\n") == 1 + HOURS * len(keys)
+    back = dmod.load_csv(got, "wind")
+    assert [(s.day_id, s.zone) for s in back.samples] == sorted(
+        (date(2014, 12, 30) + timedelta(d), z) for d, z in keys)
+
+
+def test_write_scenarios_mixed_scenario_counts_in_one_file(tmp_path):
+    """Days of M = 1, 3 and 100, each count seen more than once and not in
+    turn, share one file; the template cached for one M serves its later
+    days, and reading the file back gives every set bit for bit."""
+    rng = np.random.default_rng(5)
+    counts = [3, 100, 1, 3, 1, 100, 3]
+    sets = [dif.ScenarioSet(date(2016, 12, 30) + timedelta(i), m, _odd_values(rng, (m, HOURS)),
+                            np.zeros(1)) for i, m in enumerate(counts)]
+    got = _same_bytes(tmp_path, dif.write_scenarios, _ref_scenarios, sets)
+    assert got.read_bytes().count(b"\r\n") == 1 + sum(counts)
+    back = dif.read_scenarios(got)
+    for s in sets:
+        assert back[s.day_id].tobytes() == s.scenarios.tobytes()
+
+
+def test_write_observations_over_several_blocks(tmp_path):
+    """More days than two blocks and a short last block, out of day order,
+    among other zones and splits that the selection leaves out."""
+    rng = np.random.default_rng(6)
+    n = 2 * dmod.OBS_BLOCK + 5
+    days = [date(2013, 1, 1) + timedelta(int(i)) for i in rng.permutation(n + 20)]
+    samples = [dmod.DaySample(d, "wind", zone, _odd_values(rng, HOURS), np.zeros(HOURS))
+               for d in days for zone in (1, 3)]
+    split = {d: "test" if k < n else "validation" for k, d in enumerate(days)}
+    ds = dmod.Dataset(samples=samples, split=split)
+    for zone in (1, 3):
+        got = _same_bytes(tmp_path, lambda d, p: dmod.write_observations(d, p, zone=zone),
+                          lambda d, p: _ref_observations(d, p, zone=zone), ds)
+        assert got.read_bytes().count(b"\r\n") == 1 + n
+        back = dmod.read_observations(got)
+        assert sorted(back) == sorted(days[:n])
+        for s in ds.subset(split="test", zone=zone):
+            assert back[s.day_id].tobytes() == s.x.tobytes()
