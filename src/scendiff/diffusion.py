@@ -224,8 +224,7 @@ def train(ds, config: TrainConfig, sched: Schedule):
     rng_shuffle = np.random.default_rng(ss_shuffle)
     rng_batch = np.random.default_rng(ss_batch)
     state = nn.OptimizerState(m=np.zeros_like(params.vector), v=np.zeros_like(params.vector))
-    best_params = params.copy()
-    best_val = math.inf
+    best_val = math.inf  # epoch 1 sets best_params: a non-finite val_loss raises
     n = x_learn.shape[0]
     for epoch in range(1, config.epochs + 1):
         order = rng_shuffle.permutation(n)
@@ -240,7 +239,7 @@ def train(ds, config: TrainConfig, sched: Schedule):
                     noise = rng_batch.standard_normal((idx.size, x_learn.shape[1]))
                     loss, grads = training_loss(params, x_learn[idx], c_learn[idx], sched,
                                                 steps, noise)
-                    params, state = nn.adam_step(config, state, params, grads)
+                    nn.adam_step(config, state, params, grads)
                     losses.append(loss)
                 params.validate()
                 val_loss, _ = training_loss(params, x_val, c_val, sched, val_steps, val_noise,

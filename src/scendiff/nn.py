@@ -243,30 +243,28 @@ class OptimizerState:
     step: int = 0
 
 
-def adam_step(config, state: OptimizerState, params: DenoiserParams,
-              grads: np.ndarray) -> tuple[DenoiserParams, OptimizerState]:
-    """One bias-corrected adaptive-moment update with config's lr (a
-    diffusion.TrainConfig) and the ADAM_* constants; returns new params and state.
-
-    Raises TrainingDivergenceError naming the layer if a gradient is non-finite.
+def adam_step(config, state: OptimizerState, params: DenoiserParams, grads: np.ndarray) -> None:
+    """One bias-corrected adaptive-moment update, in place on state.m, state.v,
+    state.step and params.vector, with config's lr (a diffusion.TrainConfig)
+    and the ADAM_* constants. A non-finite gradient raises
+    TrainingDivergenceError naming the layer before anything changes.
     """
     bad = _nonfinite_layer(params, grads)
     if bad is not None:
         raise TrainingDivergenceError(f"non-finite gradient in layer {bad}")
-    t = state.step + 1
-    c1 = 1.0 - ADAM_BETA1**t
-    c2 = 1.0 - ADAM_BETA2**t
-    # the textbook update, term for term (same bits), written in place: every
-    # vector-sized temporary is a fresh allocation whose pages fault on first use
-    m = ADAM_BETA1 * state.m
-    m += (1 - ADAM_BETA1) * grads
-    v = np.square(grads)
-    v *= 1 - ADAM_BETA2
-    v += ADAM_BETA2 * state.v
-    denom = v / c2
+    state.step += 1
+    # the textbook update, term for term (same bits), with two temporaries
+    step = np.multiply(1 - ADAM_BETA1, grads)
+    state.m *= ADAM_BETA1
+    state.m += step
+    denom = np.square(grads)
+    denom *= 1 - ADAM_BETA2
+    state.v *= ADAM_BETA2
+    state.v += denom
+    np.divide(state.v, 1.0 - ADAM_BETA2**state.step, out=denom)
     np.sqrt(denom, out=denom)
     denom += ADAM_EPS
-    step = m / c1
+    np.divide(state.m, 1.0 - ADAM_BETA1**state.step, out=step)
     step *= config.lr
     step /= denom
-    return replace(params, vector=params.vector - step), OptimizerState(m=m, v=v, step=t)
+    params.vector -= step

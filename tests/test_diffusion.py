@@ -300,6 +300,17 @@ def test_train_is_deterministic_and_logs_losses(pv_fitted, tiny_schedule, tiny_m
     assert la == lb
 
 
+def test_train_returns_its_best_validation_epoch(pv_fitted, tiny_schedule):
+    """The parameters of the epoch with the lowest validation loss, not the
+    last epoch's: a shorter run that stops at that epoch returns the same bits."""
+    cfg = dif.TrainConfig(epochs=3, batch_size=16, lr=1e-2, hidden=(8,), embed_dim=4, seed=2)
+    params, log = dif.train(pv_fitted, cfg, tiny_schedule)
+    best = min(log, key=lambda e: e["val_loss"])["epoch"]
+    assert best < cfg.epochs
+    short, _ = dif.train(pv_fitted, replace(cfg, epochs=best), tiny_schedule)
+    np.testing.assert_array_equal(params.vector, short.vector)
+
+
 def test_train_zero_epochs_returns_init(pv_fitted, tiny_schedule):
     cfg = dif.TrainConfig(epochs=0, hidden=(8,), embed_dim=4, seed=1)
     params, log = dif.train(pv_fitted, cfg, tiny_schedule)

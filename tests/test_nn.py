@@ -278,26 +278,30 @@ def test_adam_step_matches_reference_update():
         mhat = m_ref / (1 - 0.9**t)
         vhat = v_ref / (1 - 0.999**t)
         w_ref = w_ref - 0.01 * mhat / (math.sqrt(vhat) + 1e-8)
-        p, state = nn.adam_step(config, state, p, grads)
+        assert nn.adam_step(config, state, p, grads) is None
         assert state.step == t
     assert p.layers[0][0][0, 0] == pytest.approx(w_ref, abs=1e-12)
 
 
-def test_adam_step_is_functional_and_rejects_bad_grads():
+def test_adam_step_updates_in_place_and_a_refused_step_changes_nothing():
     p = nn.init_params((4,), sample_dim=2, embed_dim=2, cond_dim=0, seed=9)
     config, state = dif.TrainConfig(), _fresh_state(p)
+    vector, layers, m, v = p.vector, p.layers, state.m, state.v
     w_before = p.layers[0][0].copy()
     grads = np.ones_like(p.vector)
-    p2, state2 = nn.adam_step(config, state, p, grads)
-    np.testing.assert_array_equal(p.layers[0][0], w_before)  # input untouched
-    assert state.step == 0 and state2.step == 1
-    assert not np.array_equal(p2.layers[0][0], w_before)
+    assert nn.adam_step(config, state, p, grads) is None
+    assert state.step == 1
+    assert not np.array_equal(p.layers[0][0], w_before)
+    assert p.vector is vector and p.layers is layers and state.m is m and state.v is v
 
+    before = (p.vector.copy(), state.m.copy(), state.v.copy(), state.step)
     grad_layers = replace(p, vector=grads).layers  # views into grads
     grad_layers[1][0][...] = np.nan
     grad_layers[1][1][...] = 0.0
     with pytest.raises(TrainingDivergenceError, match="layer 1"):
         nn.adam_step(config, state, p, grads)
+    assert np.array_equal(p.vector, before[0]) and np.array_equal(state.m, before[1])
+    assert np.array_equal(state.v, before[2]) and state.step == before[3]
 
 
 def _reference_adam_step(layers, m, v, grads, t, lr, beta1, beta2, eps):
@@ -335,7 +339,7 @@ def test_adam_step_bits_match_per_layer_reference():
         per_layer = replace(p, vector=grads).layers
         layers, m, v = _reference_adam_step(layers, m, v, per_layer, t, config.lr,
                                             nn.ADAM_BETA1, nn.ADAM_BETA2, nn.ADAM_EPS)
-        p, state = nn.adam_step(config, state, p, grads)
+        nn.adam_step(config, state, p, grads)
     assert np.array_equal(p.vector, _flat(layers))
     assert np.array_equal(state.m, _flat(m))
     assert np.array_equal(state.v, _flat(v))
