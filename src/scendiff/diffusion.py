@@ -2,10 +2,10 @@
 
 The model is a denoising diffusion process over day profiles x in R^24:
 the forward chain adds Gaussian noise over n steps, the network predicts
-the injected noise, and ancestral sampling runs the chain backwards
-conditioned on the day's weather covariates. The network works in the space
-that data.Scaler maps to; train and sample_days, the one sampler, take and
-return physical units.
+the injected noise, and ancestral sampling runs the chain backwards over a
+sub-sequence of its steps, conditioned on the day's weather covariates. The
+network works in the space that data.Scaler maps to; train and sample_days,
+the one sampler, take and return physical units.
 """
 from __future__ import annotations
 
@@ -70,6 +70,17 @@ class Schedule:
     @property
     def n(self) -> int:
         return self.beta.size
+
+    def respace(self, k: int) -> tuple["Schedule", np.ndarray]:
+        """(chain, steps): the ancestral chain over K = min(k, n) steps tau_j = j + round((n - K)
+        ((j - 1)/(K - 1))^2), j = 1..K (Song et al. 2021, app. D.2), with beta'_j = 1 - abar_{tau_j}
+        / abar_{tau_{j-1}}, abar_{tau_0} = 1 (Nichol & Dhariwal 2021), or beta_{tau_j} at stride 1."""
+        k = min(k, self.n)
+        j = np.arange(1, k + 1)
+        steps = j + np.round((self.n - k) * ((j - 1) / (k - 1) if k > 1 else 1.0) ** 2).astype(int)
+        abar = np.concatenate(([1.0], self.alpha_bar[steps - 1]))
+        beta = np.where(np.diff(steps, prepend=0) == 1, self.beta[steps - 1], 1 - abar[1:] / abar[:-1])
+        return Schedule(self.kind, beta), steps
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "beta": self.beta.tolist()}
@@ -254,18 +265,19 @@ def train(ds, config: TrainConfig, sched: Schedule):
 
 
 NOISE_SLAB = 25  # reverse steps of z noise a chunk draws at once: 25 x 256 x 24 x 8 B = 1.2 MB
+SAMPLE_STEPS = 50  # steps of the chain sample_days runs (Schedule.respace)
 
 
 def _reverse_engine(bind, c_rows: np.ndarray, sched: Schedule,
                     seed_seqs, l: int, chunk: int = 256) -> np.ndarray:
     """Ancestral sampling for many (condition, stream) rows at once.
 
-    bind(c) takes one chunk's conditions (B, K) and returns the denoiser
-    step(x_noisy (B, l), i) -> eps_hat (B, l), which gets the step as a
-    scalar, the same for every row; nn.sampling_forward builds it. The chain
-    state, the update and the finiteness check stay float64.
+    `sched` is the chain's schedule (Schedule.respace). bind(c) takes one chunk's
+    conditions (B, C) and returns the denoiser step(x_noisy (B, l), i) ->
+    eps_hat (B, l) of chain step i, a scalar; sample_days builds it on
+    nn.sampling_forward. The chain state, update and finiteness check stay float64.
     Each row has its own RNG stream drawing, in order, the initial noise and
-    then one z vector per reverse step from n down to 2, so a row's draws
+    then one z vector per chain step from n down to 2, so a row's draws
     do not depend on `chunk` or on the other rows. Its bits do not either as
     long as BLAS rounds a row of a matrix product the same whatever the row
     count; OpenBLAS does not for products of a few rows (its small-matrix
@@ -321,12 +333,10 @@ def _reverse_engine(bind, c_rows: np.ndarray, sched: Schedule,
 
 
 def _reverse_chunk(step, sched: Schedule, seed_seqs, x: np.ndarray) -> None:
-    """Run the reverse chain for the rows of one chunk in place in `x`;
-    step(x, i) is the denoiser bound to the chunk's conditions.
-
-    Each row's generator draws its initial noise, then its z vectors
-    NOISE_SLAB steps at a time; the draws follow one another in the stream
-    exactly as one (n - 1, l) draw would, so every value is unchanged.
+    """Run the chain of `sched` (steps n to 1, with its beta, alpha_bar and
+    sigma) for one chunk's rows in place in `x`; step(x, i) is the denoiser.
+    Each row's generator draws its initial noise, then its z vectors NOISE_SLAB
+    steps at a time, in the stream order of one (n - 1, l) draw.
     """
     rows, l = x.shape
     rngs = [np.random.default_rng(s) for s in seed_seqs]
@@ -390,15 +400,16 @@ def _blas_threads():
 
 
 def sample_days(params: nn.DenoiserParams, conditions: np.ndarray, day_ids, sched: Schedule,
-                m: int, seed, scaler: Scaler) -> list[ScenarioSet]:
+                m: int, seed, scaler: Scaler, steps: int = SAMPLE_STEPS) -> list[ScenarioSet]:
     """Scenario sets for many days in one batched pass, in physical units.
 
     Row j of `conditions`, in physical units, is day_ids[j]'s weather and
     becomes its set's `condition`. `scaler` maps the rows into the network's
-    space and the samples back out (see data.Scaler.to_physical).
-    `seed` is SeedSequence entropy, an int or a list of ints: scenario k of
-    day j draws from SeedSequence(seed).spawn(D)[j].spawn(m)[k] for D days,
-    so a day's streams do not depend on the days after it.
+    space and the samples back out (see data.Scaler.to_physical). The chain
+    runs min(steps, n) of sched's n steps (Schedule.respace). `seed` is
+    SeedSequence entropy, an int or a list of ints: scenario k of day j draws
+    from SeedSequence(seed).spawn(D)[j].spawn(m)[k] for D days, so a day's
+    streams do not depend on the days after it.
     """
     conditions = np.atleast_2d(np.asarray(conditions, dtype=float))
     if len(day_ids) != conditions.shape[0]:
@@ -408,8 +419,10 @@ def sample_days(params: nn.DenoiserParams, conditions: np.ndarray, day_ids, sche
     seqs = [s for day_seq in np.random.SeedSequence(seed).spawn(len(day_ids))
             for s in day_seq.spawn(m)]
     c_rows = np.repeat(scaler.transform_cov(conditions), m, axis=0)
-    x = scaler.to_physical(
-        _reverse_engine(nn.sampling_forward(params, sched.n), c_rows, sched, seqs, HOURS))
+    chain, tau = sched.respace(steps)
+    bind = nn.sampling_forward(params, sched.n)  # chain step i runs the network at step tau_i
+    x = scaler.to_physical(_reverse_engine(lambda c: functools.partial(
+        lambda step, x, i: step(x, tau[i - 1]), bind(c)), c_rows, chain, seqs, HOURS))
     return [ScenarioSet(day_id=day_id, m=m, scenarios=x[j * m : (j + 1) * m],
                         condition=conditions[j].copy())
             for j, day_id in enumerate(day_ids)]

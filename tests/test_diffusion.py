@@ -136,6 +136,43 @@ def test_schedule_dict_round_trip():
     np.testing.assert_allclose(back.sigma, s.sigma, rtol=1e-12)
 
 
+@pytest.mark.parametrize("sched", [dif.make_schedule(), dif.make_schedule("cosine", n=30),
+                                   _linear(40, 0.01, 0.25)], ids=["linear200", "cosine30", "linear40"])
+def test_respace_at_or_above_n_is_the_schedule_bit_for_bit(sched):
+    for k in (sched.n, sched.n + 5):
+        chain, steps = sched.respace(k)
+        assert chain.kind == sched.kind and chain.n == sched.n
+        np.testing.assert_array_equal(steps, np.arange(1, sched.n + 1))
+        for name in ("beta", "alpha_bar", "sigma"):
+            assert getattr(chain, name).tobytes() == getattr(sched, name).tobytes()
+
+
+@pytest.mark.parametrize("n", [40, 200])
+def test_respace_visits_a_quadratic_sub_sequence(n):
+    """tau_j = j + round((n - K)((j - 1)/(K - 1))^2) strictly increases from 1
+    to n (K = 1: [n], pure noise), and the chain's step j has beta'_j = 1 -
+    abar_{tau_j}/abar_{tau_{j-1}}, so its alpha_bar is the schedule's at tau."""
+    sched = _linear(n, 1e-4, 0.05) if n == 200 else _linear(n, 0.01, 0.25)
+    for k in (1, 2, 3, 7, n - 1):
+        chain, steps = sched.respace(k)
+        want = [n] if k == 1 else [j + round((n - k) * ((j - 1) / (k - 1)) ** 2)
+                                   for j in range(1, k + 1)]
+        assert steps.tolist() == want and chain.n == k
+        assert np.all(np.diff(steps) > 0) and steps[-1] == n and (k == 1 or steps[0] == 1)
+        abar = np.concatenate(([1.0], sched.alpha_bar[steps - 1]))
+        np.testing.assert_allclose(chain.beta, 1 - abar[1:] / abar[:-1], rtol=1e-12)
+        np.testing.assert_allclose(chain.alpha_bar, sched.alpha_bar[steps - 1], rtol=1e-12)
+        np.testing.assert_array_equal(chain.sigma, np.sqrt(chain.beta))
+        # where the stride is 1 the chain keeps the schedule's own beta
+        unit = np.diff(steps, prepend=0) == 1
+        np.testing.assert_array_equal(chain.beta[unit], sched.beta[steps[unit] - 1])
+    # the default chain: 50 of 200 steps, dense where the signal is
+    _, steps = dif.make_schedule().respace(dif.SAMPLE_STEPS)
+    assert steps[:4].tolist() == [1, 2, 3, 5] and steps[-3:].tolist() == [186, 193, 200]
+    with pytest.raises(ParameterError, match="n >= 1 betas"):  # a chain of no steps
+        sched.respace(0)
+
+
 # ----------------------------------------------------------- forward process
 
 
@@ -641,7 +678,10 @@ def test_reverse_engine_raises_the_first_failing_chunks_error(monkeypatch):
 def test_reverse_sampler_matches_analytic_gaussian_law():
     """With the exact posterior-mean denoiser for x0 ~ N(mu0, 1), ancestral
     sampling has a closed-form Gaussian terminal law; a KS test checks the
-    sampler reproduces it (draw order, coefficients, final noiseless step)."""
+    sampler reproduces it (draw order, coefficients, final noiseless step).
+    The chain visits all n = 40 steps, then K = 7 of them (Schedule.respace),
+    with the denoiser at each chain step's step tau_i, as sample_days runs
+    it; the law is the same recursion over the chain's betas."""
     s = _linear(40, 0.01, 0.25)
     mu0 = 0.8
 
@@ -650,20 +690,23 @@ def test_reverse_sampler_matches_analytic_gaussian_law():
         abar = s.alpha_bar[i - 1]
         return math.sqrt(1 - abar) * (x - math.sqrt(abar) * mu0)
 
-    m_star, v_star = 0.0, 1.0
-    for i in range(s.n, 0, -1):
-        abar_prev = 1.0 if i == 1 else s.alpha_bar[i - 2]
-        alpha = 1 - s.beta[i - 1]
-        m_star = math.sqrt(alpha) * m_star + s.beta[i - 1] * math.sqrt(abar_prev) * mu0
-        v_star = alpha * v_star + (s.sigma[i - 1] ** 2 if i > 1 else 0.0)
+    for k in (s.n, 7):
+        chain, tau = s.respace(k)
+        m_star, v_star = 0.0, 1.0
+        for i in range(chain.n, 0, -1):
+            abar_prev = 1.0 if i == 1 else chain.alpha_bar[i - 2]
+            alpha = 1 - chain.beta[i - 1]
+            m_star = math.sqrt(alpha) * m_star + chain.beta[i - 1] * math.sqrt(abar_prev) * mu0
+            v_star = alpha * v_star + (chain.sigma[i - 1] ** 2 if i > 1 else 0.0)
 
-    seqs = np.random.SeedSequence(17).spawn(8000)
-    draws = dif._reverse_engine(_bound(oracle), np.zeros((8000, 0)), s, seqs, l=1).ravel()
-    assert abs(draws.mean() - m_star) < 4 * math.sqrt(v_star / draws.size)
-    stat, p = scipy.stats.kstest(draws, "norm", args=(m_star, math.sqrt(v_star)))
-    assert p > 0.01
-    # the terminal mean is within the schedule's leftover-signal bias of mu0
-    assert abs(m_star - mu0) < 2 * s.alpha_bar[-1] ** 0.5 * abs(mu0) + 1e-6
+        seqs = np.random.SeedSequence(17).spawn(8000)
+        draws = dif._reverse_engine(_bound(lambda x, i, c: oracle(x, tau[i - 1], c)),
+                                    np.zeros((8000, 0)), chain, seqs, l=1).ravel()
+        assert abs(draws.mean() - m_star) < 4 * math.sqrt(v_star / draws.size)
+        stat, p = scipy.stats.kstest(draws, "norm", args=(m_star, math.sqrt(v_star)))
+        assert p > 0.01, k
+        # the terminal mean is within the schedule's leftover-signal bias of mu0
+        assert abs(m_star - mu0) < 2 * s.alpha_bar[-1] ** 0.5 * abs(mu0) + 1e-6
 
 
 def test_sample_days_applies_scaler_and_clipping(tiny_model, tiny_schedule, pv_fitted):
@@ -731,6 +774,46 @@ def test_sample_days_scales_the_covariates_once(monkeypatch, tiny_schedule, pv_f
     assert len(seen) == tiny_schedule.n
     for cond in seen:
         np.testing.assert_array_equal(cond, want)
+
+
+def test_sample_days_runs_the_network_at_the_chain_steps(monkeypatch, tiny_model, tiny_schedule,
+                                                         pv_fitted):
+    """sample_days(steps=k) runs the engine over Schedule.respace(k)'s chain,
+    whose step i calls the network at tau_i, from tau_K = n down to tau_1; at
+    steps >= n it is the n-step chain bit for bit."""
+    params, _ = tiny_model
+    scaler = pv_fitted.scaler
+    _, c, days = pv_fitted.arrays(split="test", zone=1)
+    n = tiny_schedule.n
+    chain, tau = tiny_schedule.respace(7)
+    got = dif.sample_days(params, c[:2], days[:2], tiny_schedule, m=3, seed=4, scaler=scaler,
+                          steps=7)
+    bind = nn.sampling_forward(params, n)
+    raw = dif._reverse_engine(lambda cc: (lambda step: lambda x, i: step(x, tau[i - 1]))(bind(cc)),
+                              np.repeat(scaler.transform_cov(c[:2]), 3, axis=0), chain,
+                              [q for d in np.random.SeedSequence(4).spawn(2) for q in d.spawn(3)],
+                              l=24)
+    np.testing.assert_array_equal(np.concatenate([s.scenarios for s in got]),
+                                  scaler.to_physical(raw))
+    full = dif.sample_days(params, c[:2], days[:2], tiny_schedule, m=3, seed=4, scaler=scaler,
+                           steps=n)
+    for k in (n + 1, dif.SAMPLE_STEPS):
+        more = dif.sample_days(params, c[:2], days[:2], tiny_schedule, m=3, seed=4, scaler=scaler,
+                               steps=k)
+        for a, b in zip(more, full):
+            assert a.scenarios.tobytes() == b.scenarios.tobytes()
+
+    seen = []
+
+    def recording(x, steps, cond):
+        seen.append(int(steps))
+        return np.zeros_like(x)
+
+    _run_as_network(monkeypatch, recording)
+    for k, want in ((7, tau[::-1].tolist()), (1, [n]), (n + 3, list(range(n, 0, -1)))):
+        seen.clear()
+        dif.sample_days(None, c[:1], days[:1], tiny_schedule, m=2, seed=0, scaler=scaler, steps=k)
+        assert seen == want
 
 
 def test_sampling_divergence_is_reported_with_step():
