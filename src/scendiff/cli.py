@@ -41,7 +41,6 @@ DEFAULT_CONFIG = {
     "model": {"hidden": [256, 256, 256], "embed_dim": 32},
     "optimizer": {"epochs": 200, "batch_size": 64, "lr": 1e-3},
     "m_scenarios": 100,
-    "sample_steps": diffusion.SAMPLE_STEPS,
     "retailer": value.RetailerModel().to_dict(),
     "n_planner_scenarios": 5,
 }
@@ -169,9 +168,8 @@ def cmd_train(args) -> int:
 def cmd_generate(args) -> int:
     cfg = load_config(args.config, {"seed": args.seed, "out_dir": args.out,
                                     "m_scenarios": args.m})
-    for key in ("m_scenarios", "sample_steps"):
-        if cfg[key] < 1:
-            raise ParameterError(f"{key} must be >= 1, got {cfg[key]}")
+    if cfg["m_scenarios"] < 1:
+        raise ParameterError(f"m_scenarios must be >= 1, got {cfg['m_scenarios']}")
     out_dir = Path(cfg["out_dir"])
     raw = _load_dataset(cfg)
     checkpoints = ([Path(args.checkpoint)] if args.checkpoint
@@ -207,7 +205,7 @@ def cmd_generate(args) -> int:
         seed = [cfg["seed"], zone, data_mod.TRACKS.index(cfg["track"])]
         sets = diffusion.sample_days(params, np.stack([s.c for s in test]),
                                      [s.day_id for s in test], sched, cfg["m_scenarios"],
-                                     seed, scaler=scaler, steps=cfg["sample_steps"])
+                                     seed, scaler=scaler)
         scen_path = out_dir / f"scenarios_{cfg['track']}_z{zone}.csv"
         diffusion.write_scenarios(sets, scen_path)
         obs_path = out_dir / f"observations_{cfg['track']}_z{zone}.csv"

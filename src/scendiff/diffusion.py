@@ -269,13 +269,14 @@ SAMPLE_STEPS = 50  # steps of the chain sample_days runs (Schedule.respace)
 
 
 def _reverse_engine(bind, c_rows: np.ndarray, sched: Schedule,
-                    seed_seqs, l: int, chunk: int = 256) -> np.ndarray:
+                    seed_seqs, l: int, chunk: int = 256, tau=None) -> np.ndarray:
     """Ancestral sampling for many (condition, stream) rows at once.
 
-    `sched` is the chain's schedule (Schedule.respace). bind(c) takes one chunk's
-    conditions (B, C) and returns the denoiser step(x_noisy (B, l), i) ->
-    eps_hat (B, l) of chain step i, a scalar; sample_days builds it on
-    nn.sampling_forward. The chain state, update and finiteness check stay float64.
+    `sched` is the chain's schedule (Schedule.respace); its step i stands for schedule
+    step tau[i - 1] (default i), the step a SamplingDivergenceError names. bind(c) takes
+    one chunk's conditions (B, C) and returns the denoiser step(x_noisy (B, l), i) ->
+    eps_hat (B, l) of chain step i, a scalar; nn.sampling_forward builds it. The chain
+    state, update and finiteness check stay float64.
     Each row has its own RNG stream drawing, in order, the initial noise and
     then one z vector per chain step from n down to 2, so a row's draws
     do not depend on `chunk` or on the other rows. Its bits do not either as
@@ -303,7 +304,7 @@ def _reverse_engine(bind, c_rows: np.ndarray, sched: Schedule,
     def run(lo: int) -> None:
         hi = min(lo + chunk, r)
         with np.errstate(**errstate):
-            _reverse_chunk(bind(c_rows[lo:hi]), sched, seed_seqs[lo:hi], out[lo:hi])
+            _reverse_chunk(bind(c_rows[lo:hi]), sched, seed_seqs[lo:hi], out[lo:hi], tau)
 
     starts = range(0, r, chunk)
     workers = min(_cpu_count(), len(starts))
@@ -332,11 +333,11 @@ def _reverse_engine(bind, c_rows: np.ndarray, sched: Schedule,
     return out
 
 
-def _reverse_chunk(step, sched: Schedule, seed_seqs, x: np.ndarray) -> None:
+def _reverse_chunk(step, sched: Schedule, seed_seqs, x: np.ndarray, tau=None) -> None:
     """Run the chain of `sched` (steps n to 1, with its beta, alpha_bar and
-    sigma) for one chunk's rows in place in `x`; step(x, i) is the denoiser.
-    Each row's generator draws its initial noise, then its z vectors NOISE_SLAB
-    steps at a time, in the stream order of one (n - 1, l) draw.
+    sigma) for one chunk's rows in place in `x`; step(x, i) is the denoiser, tau as
+    in _reverse_engine. Each row's generator draws its initial noise, then its z
+    vectors NOISE_SLAB steps at a time, in the stream order of one (n - 1, l) draw.
     """
     rows, l = x.shape
     rngs = [np.random.default_rng(s) for s in seed_seqs]
@@ -355,7 +356,8 @@ def _reverse_chunk(step, sched: Schedule, seed_seqs, x: np.ndarray) -> None:
         if i > 1:
             x += sched.sigma[i - 1] * z[:, k]
         if not np.all(np.isfinite(x)):
-            raise SamplingDivergenceError(f"non-finite sample at step {i}")
+            raise SamplingDivergenceError(
+                f"non-finite sample at step {i if tau is None else tau[i - 1]}")
 
 
 def _cpu_count() -> int:
@@ -420,9 +422,8 @@ def sample_days(params: nn.DenoiserParams, conditions: np.ndarray, day_ids, sche
             for s in day_seq.spawn(m)]
     c_rows = np.repeat(scaler.transform_cov(conditions), m, axis=0)
     chain, tau = sched.respace(steps)
-    bind = nn.sampling_forward(params, sched.n)  # chain step i runs the network at step tau_i
-    x = scaler.to_physical(_reverse_engine(lambda c: functools.partial(
-        lambda step, x, i: step(x, tau[i - 1]), bind(c)), c_rows, chain, seqs, HOURS))
+    x = scaler.to_physical(_reverse_engine(nn.sampling_forward(params, tau), c_rows, chain,
+                                           seqs, HOURS, tau=tau))
     return [ScenarioSet(day_id=day_id, m=m, scenarios=x[j * m : (j + 1) * m],
                         condition=conditions[j].copy())
             for j, day_id in enumerate(day_ids)]

@@ -162,16 +162,17 @@ def forward_batch(params: DenoiserParams, x_noisy: np.ndarray, i, c: np.ndarray,
     return a
 
 
-def sampling_forward(params: DenoiserParams, n: int):
+def sampling_forward(params: DenoiserParams, steps: np.ndarray):
     """The denoiser as the reverse sampler runs it, in float32: a function
     bind(c) of one chunk's conditions (B, K) that returns step(x_noisy (B, L),
-    i) -> eps_hat (B, L) as float64, for steps i in 1..n.
+    i) -> eps_hat (B, L) as float64, the network at step steps[i - 1], for
+    i in 1..len(steps) (a chain of Schedule.respace).
 
     Layer 0's W splits into its x, embedding and condition column blocks.
     Only x changes from step to step, so the condition's projection is made
     once per bind and the embedding's, with b0, once here for every step, as
-    one n-row float64 product (a lone embedding row would take OpenBLAS's
-    small-matrix kernel). Both are then cast to float32, as are the weights;
+    one len(steps)-row float64 product (a lone embedding row would take
+    OpenBLAS's small-matrix kernel). Both are then cast to float32, as are the weights;
     per step only x @ W_x.T and the later layers run, in float32. Overflow
     and invalid results are left to the caller's finiteness check, and raise
     no warning.
@@ -181,7 +182,7 @@ def sampling_forward(params: DenoiserParams, n: int):
     w_c = w0[:, l + e :]
     with np.errstate(over="ignore", invalid="ignore"):
         w_x = w0[:, :l].astype(np.float32)
-        table = (timestep_embedding(np.arange(1, n + 1), e) @ w0[:, l : l + e].T + b0
+        table = (timestep_embedding(np.asarray(steps), e) @ w0[:, l : l + e].T + b0
                  ).astype(np.float32)
         layers = [(w.astype(np.float32), b.astype(np.float32)) for w, b in rest]
 

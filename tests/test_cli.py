@@ -171,31 +171,6 @@ def test_generate_m_override(tmp_path):
     assert all(v.shape[0] == 2 for v in scen.values())
 
 
-def test_generate_sample_steps(tmp_path, capsys):
-    """`sample_steps` sets the chain's length: above the schedule's n it
-    writes the bytes of sample_steps = n, a shorter chain other bytes, and
-    0 is refused (exit 2, one JSON line) before the output directory exists."""
-    scen_path, _ = _run_track(tmp_path, "sine_pv", "pv", seed=5)
-    data, ckpt = tmp_path / "pv.csv", tmp_path / "out_pv" / "model_pv_z1.ckpt"
-    n = TINY["schedule"]["n"]
-    written = {}
-    for steps in (n, n + 7, 5):
-        cfg = _write_config(tmp_path, "pv", data, name=f"k{steps}.json", sample_steps=steps)
-        out = tmp_path / f"k{steps}"
-        assert main(["generate", "--config", str(cfg), "--seed", "5", "--out", str(out),
-                     "--checkpoint", str(ckpt)]) == 0
-        written[steps] = (out / "scenarios_pv_z1.csv").read_bytes()
-    assert written[n + 7] == written[n] == scen_path.read_bytes()  # the default is 50 > n
-    assert written[5] != written[n]
-    cfg = _write_config(tmp_path, "pv", data, name="k0.json", sample_steps=0)
-    capsys.readouterr()
-    assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "k0"),
-                 "--checkpoint", str(ckpt)]) == 2
-    doc = _stderr_error(capsys)
-    assert doc == {"error": "ParameterError", "message": "sample_steps must be >= 1, got 0"}
-    assert not (tmp_path / "k0").exists()
-
-
 # ------------------------------------------------------------------ failures
 
 

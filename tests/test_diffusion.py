@@ -47,7 +47,8 @@ def _linear(n, beta_start, beta_end):
 def _run_as_network(monkeypatch, f):
     """Make sample_days sample with f(x, i, c) as its network; the params it
     is given are not read."""
-    monkeypatch.setattr(nn, "sampling_forward", lambda params, n: _bound(f))
+    monkeypatch.setattr(nn, "sampling_forward",
+                        lambda params, steps: _bound(lambda x, i, c: f(x, steps[i - 1], c)))
 
 
 # ----------------------------------------------------------------- schedules
@@ -137,7 +138,8 @@ def test_schedule_dict_round_trip():
 
 
 @pytest.mark.parametrize("sched", [dif.make_schedule(), dif.make_schedule("cosine", n=30),
-                                   _linear(40, 0.01, 0.25)], ids=["linear200", "cosine30", "linear40"])
+                                   _linear(40, 0.01, 0.25)],
+                         ids=["linear200", "cosine30", "linear40"])
 def test_respace_at_or_above_n_is_the_schedule_bit_for_bit(sched):
     for k in (sched.n, sched.n + 5):
         chain, steps = sched.respace(k)
@@ -416,7 +418,7 @@ def test_reverse_engine_is_deterministic_and_order_independent():
 
     def draw(m, seed):
         c_rows = np.repeat(c[None], m, axis=0)
-        return dif._reverse_engine(nn.sampling_forward(p, s.n), c_rows, s,
+        return dif._reverse_engine(nn.sampling_forward(p, np.arange(1, s.n + 1)), c_rows, s,
                                    np.random.SeedSequence(seed).spawn(m), l=2)
 
     a = draw(5, 7)
@@ -444,7 +446,7 @@ def test_reverse_engine_chunking_is_invisible():
     p = nn.init_params((128, 128), sample_dim=24, embed_dim=8, cond_dim=24, seed=4)
     c_rows = np.random.default_rng(6).uniform(0, 1, (600, 24))
     seqs = np.random.SeedSequence(8).spawn(600)
-    float32 = nn.sampling_forward(p, s.n)
+    float32 = nn.sampling_forward(p, np.arange(1, s.n + 1))
     default = dif._reverse_engine(float32, c_rows, s, seqs, l=24)
     for chunk in (128, 300, 1000):
         np.testing.assert_array_equal(
@@ -467,8 +469,8 @@ def test_float32_sampler_stays_near_the_float64_forward(tiny_model, tiny_schedul
     _, c, _ = pv_fitted.arrays(split="test", zone=1)
     c_rows = np.repeat(pv_fitted.scaler.transform_cov(c), 20, axis=0)
     seqs = np.random.SeedSequence(12).spawn(c_rows.shape[0])
-    got = dif._reverse_engine(nn.sampling_forward(params, tiny_schedule.n), c_rows,
-                              tiny_schedule, seqs, l=24)
+    got = dif._reverse_engine(nn.sampling_forward(params, np.arange(1, tiny_schedule.n + 1)),
+                              c_rows, tiny_schedule, seqs, l=24)
     ref = dif._reverse_engine(_bound(lambda x, i, c: nn.forward_batch(params, x, i, c)), c_rows,
                               tiny_schedule, seqs, l=24)
     assert not np.array_equal(got, ref)
@@ -550,7 +552,7 @@ def test_reverse_engine_matches_sequential_reference(monkeypatch, fast_switching
     pools = _counting_pools(monkeypatch)
     s = dif.make_schedule("cosine", n=n)
     p = nn.init_params((128, 128), sample_dim=24, embed_dim=8, cond_dim=24, seed=4)
-    forward = nn.sampling_forward(p, n)
+    forward = nn.sampling_forward(p, np.arange(1, n + 1))
     for rows in (1, 255, 256, 257, 600):
         c_rows = np.random.default_rng(rows).uniform(0, 1, (rows, 24))
         seqs = np.random.SeedSequence(rows).spawn(rows)
@@ -614,7 +616,7 @@ def test_reverse_engine_runs_inline_when_blas_threads_cannot_be_capped(monkeypat
     p = nn.init_params((16,), sample_dim=24, embed_dim=8, cond_dim=2, seed=1)
     c_rows = np.random.default_rng(0).uniform(0, 1, (600, 2))
     seqs = np.random.SeedSequence(3).spawn(600)
-    forward = nn.sampling_forward(p, s.n)
+    forward = nn.sampling_forward(p, np.arange(1, s.n + 1))
     got = dif._reverse_engine(forward, c_rows, s, seqs, l=24)
     assert pools == []
     np.testing.assert_array_equal(got, _sequential_engine(forward, c_rows, s, seqs, l=24))
@@ -722,7 +724,7 @@ def test_sample_days_applies_scaler_and_clipping(tiny_model, tiny_schedule, pv_f
     # the same streams straight from the engine stray below -1, that is
     # below zero, unclipped
     seqs = np.random.SeedSequence(3).spawn(1)[0].spawn(16)
-    raw = dif._reverse_engine(nn.sampling_forward(params, tiny_schedule.n),
+    raw = dif._reverse_engine(nn.sampling_forward(params, np.arange(1, tiny_schedule.n + 1)),
                               np.repeat(scaler.transform_cov(sample.c)[None], 16, axis=0),
                               tiny_schedule, seqs, l=24)
     assert raw.min() < -1.0
@@ -741,7 +743,7 @@ def test_sample_days_matches_standalone_calls(tiny_model, tiny_schedule, pv_fitt
     assert [s.day_id for s in sets] == list(days[:3])
     for j, s in enumerate(sets):
         seqs = np.random.SeedSequence(11).spawn(3)[j].spawn(4)
-        raw = dif._reverse_engine(nn.sampling_forward(params, tiny_schedule.n),
+        raw = dif._reverse_engine(nn.sampling_forward(params, np.arange(1, tiny_schedule.n + 1)),
                                   np.repeat(scaler.transform_cov(c[j : j + 1]), 4, axis=0),
                                   tiny_schedule, seqs, l=24)
         np.testing.assert_array_equal(s.scenarios, scaler.to_physical(raw))
@@ -788,8 +790,7 @@ def test_sample_days_runs_the_network_at_the_chain_steps(monkeypatch, tiny_model
     chain, tau = tiny_schedule.respace(7)
     got = dif.sample_days(params, c[:2], days[:2], tiny_schedule, m=3, seed=4, scaler=scaler,
                           steps=7)
-    bind = nn.sampling_forward(params, n)
-    raw = dif._reverse_engine(lambda cc: (lambda step: lambda x, i: step(x, tau[i - 1]))(bind(cc)),
+    raw = dif._reverse_engine(nn.sampling_forward(params, tau),
                               np.repeat(scaler.transform_cov(c[:2]), 3, axis=0), chain,
                               [q for d in np.random.SeedSequence(4).spawn(2) for q in d.spawn(3)],
                               l=24)
@@ -816,15 +817,27 @@ def test_sample_days_runs_the_network_at_the_chain_steps(monkeypatch, tiny_model
         assert seen == want
 
 
-def test_sampling_divergence_is_reported_with_step():
+def test_sampling_divergence_is_reported_with_step(monkeypatch, tiny_schedule, pv_fitted):
+    """The error names the step; on sample_days' respaced chain, the schedule
+    step tau_i at which the network ran, not the chain's own step number i."""
     s = _linear(4, 0.2, 0.5)
 
     def exploding(x, steps, c):
         return np.full_like(x, np.inf)
 
-    with pytest.raises(SamplingDivergenceError, match="step"):
+    with pytest.raises(SamplingDivergenceError, match="^non-finite sample at step 4$"):
         dif._reverse_engine(_bound(exploding), np.zeros((2, 0)), s,
                             np.random.SeedSequence(0).spawn(2), l=2)
+
+    _, c, days = pv_fitted.arrays(split="test", zone=1)
+    _, tau = tiny_schedule.respace(7)
+    assert tau[3] != 4
+    _run_as_network(monkeypatch,
+                    lambda x, steps, cond: np.full_like(x, np.inf if steps == tau[3] else 0.0))
+    with np.errstate(invalid="ignore"), pytest.raises(
+            SamplingDivergenceError, match=f"^non-finite sample at step {tau[3]}$"):
+        dif.sample_days(None, c[:1], days[:1], tiny_schedule, m=2, seed=0,
+                        scaler=pv_fitted.scaler, steps=7)
 
 
 # ----------------------------------------------------------------- checkpoint

@@ -170,17 +170,18 @@ def test_forward_rejects_wrong_dims():
 def test_sampling_forward_is_forward_batch_in_float32(hidden):
     """The split, float32 first layer and float32 hidden layers give
     forward_batch's output within float32 rounding (1e-5 relative to the
-    largest output), as float64, for every step and any chunk's rows; each
-    bind keeps its own conditions."""
+    largest output), as float64, for any chunk's rows; chain step i runs the
+    network at steps[i - 1], and each bind keeps its own conditions."""
     p = nn.init_params(hidden, sample_dim=24, embed_dim=8, cond_dim=48, seed=7)
     rng = np.random.default_rng(8)
     x = rng.standard_normal((40, 24)) * 3.0
     c1, c2 = rng.uniform(0, 1, (2, 40, 48))
-    forward = nn.sampling_forward(p, 50)
+    steps = np.array([1, 4, 17, 30, 50])
+    forward = nn.sampling_forward(p, steps)
     step1, step2 = forward(c1), forward(c2)
-    for i in (1, 17, 50):
+    for i in (1, 3, 5):
         for step, c in ((step1, c1), (step2, c2)):
-            got, ref = step(x, i), nn.forward_batch(p, x, i, c)
+            got, ref = step(x, i), nn.forward_batch(p, x, steps[i - 1], c)
             assert got.dtype == np.float64
             assert np.abs(got - ref).max() <= 1e-5 * max(1.0, np.abs(ref).max())
             assert not np.array_equal(got, ref)
@@ -197,7 +198,7 @@ def test_sampling_forward_reports_overflow_as_non_finite_values():
     p.vector[:] *= 1e300
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = nn.sampling_forward(p, 3)(np.ones((4, 1)))(np.ones((4, 2)), 2)
+        out = nn.sampling_forward(p, np.arange(1, 4))(np.ones((4, 1)))(np.ones((4, 2)), 2)
     assert out.shape == (4, 2) and not np.all(np.isfinite(out))
 
 
