@@ -13,7 +13,6 @@ import functools
 import hashlib
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
@@ -36,6 +35,7 @@ from .errors import (
     SchemaError,
     TrainingDivergenceError,
 )
+from .workers import fork_map
 
 TERMINAL_ALPHA_BAR = 0.01
 BETA_START = 1e-4  # a linear schedule's first variance increment
@@ -284,53 +284,20 @@ def _reverse_engine(bind, c_rows: np.ndarray, sched: Schedule,
     count; OpenBLAS does not for products of a few rows (its small-matrix
     kernel), where results move in the last bits.
 
-    Rows run in chunks: at 256 rows one hidden layer's activations
-    (256 x 128 x 4 B) stay in L2 cache. Chunks are independent, so they run
-    concurrently on a thread pool of min(CPUs this process may run on,
-    chunk count) threads; numpy's matrix products and large ufuncs release
-    the interpreter lock. While the pool runs, numpy's OpenBLAS runs each
-    product on one thread (see _blas_threads), so the workers' BLAS threads
-    do not contend for the cores; where its thread count can be neither set
-    nor seen pinned to 1, the chunks run in the calling thread, as do one
-    chunk or one CPU. Each worker samples under the caller's numpy error
-    state. Errors are those of the first failing chunk in row order, as if
-    the chunks ran one after another, and the chunks not yet started are
-    cancelled.
+    Rows run in 256-row chunks, whose hidden activations (256 x 128 x 4 B) stay in L2
+    cache. workers.fork_map runs the independent chunks on every usable CPU, in forked
+    processes that inherit the caller's numpy error state, where the process may fork
+    (on one OS thread, e.g. with numpy's OpenBLAS pinned to one), and one after another
+    otherwise. An error is the first failing chunk's in row order.
     """
     r = c_rows.shape[0]
-    out = np.empty((r, l))
-    errstate = dict(np.geterr(), call=np.geterrcall())
 
-    def run(lo: int) -> None:
-        hi = min(lo + chunk, r)
-        with np.errstate(**errstate):
-            _reverse_chunk(bind(c_rows[lo:hi]), sched, seed_seqs[lo:hi], out[lo:hi], tau)
+    def run(lo: int) -> np.ndarray:
+        x = np.empty((min(chunk, r - lo), l))
+        _reverse_chunk(bind(c_rows[lo:lo + len(x)]), sched, seed_seqs[lo:lo + len(x)], x, tau)
+        return x
 
-    starts = range(0, r, chunk)
-    workers = min(_cpu_count(), len(starts))
-    blas = _blas_threads() if workers > 1 else None
-    if blas is None and not any(os.environ.get(v) == "1" for v in _BLAS_THREAD_VARS):
-        workers = 1
-    if workers <= 1:
-        for lo in starts:
-            run(lo)
-        return out
-    # imported only for a pool: its modules add about 0.6 MB of RSS, which
-    # commands that never sample need not carry
-    from concurrent.futures import ThreadPoolExecutor
-
-    if blas:
-        threads = blas[0]()
-        blas[1](1)
-    pool = ThreadPoolExecutor(workers)
-    try:
-        for f in [pool.submit(run, lo) for lo in starts]:
-            f.result()
-    finally:
-        pool.shutdown(cancel_futures=True)
-        if blas:
-            blas[1](threads)
-    return out
+    return np.concatenate([np.empty((0, l)), *fork_map(run, range(0, r, chunk))])
 
 
 def _reverse_chunk(step, sched: Schedule, seed_seqs, x: np.ndarray, tau=None) -> None:
@@ -358,47 +325,6 @@ def _reverse_chunk(step, sched: Schedule, seed_seqs, x: np.ndarray, tau=None) ->
         if not np.all(np.isfinite(x)):
             raise SamplingDivergenceError(
                 f"non-finite sample at step {i if tau is None else tau[i - 1]}")
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on: its affinity set where the OS has one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-# environment variables that pin a BLAS library to one thread when read at load time
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-# (get, set) thread-count symbols of numpy's bundled OpenBLAS, newest wheel layout first
-_BLAS_THREAD_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
-
-
-@functools.cache
-def _blas_threads():
-    """(get, set): the thread-count functions get() -> int and set(int) of
-    the OpenBLAS that numpy's wheel bundles in numpy.libs/ (numpy/.dylibs/
-    on macOS), or None when no such library or function is found. Looked
-    up once, through ctypes."""
-    import ctypes
-
-    pkg = Path(np.__file__).parent
-    for lib in sorted([*pkg.parent.glob("numpy.libs/*openblas*"), *pkg.glob(".dylibs/*openblas*")]):
-        try:
-            handle = ctypes.CDLL(str(lib))
-        except OSError:
-            continue
-        for get_name, set_name in _BLAS_THREAD_SYMBOLS:
-            get, set_ = getattr(handle, get_name, None), getattr(handle, set_name, None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
-    return None
 
 
 def sample_days(params: nn.DenoiserParams, conditions: np.ndarray, day_ids, sched: Schedule,

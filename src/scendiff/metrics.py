@@ -30,6 +30,7 @@ from .errors import (
     InsufficientDataError,
     ParameterError,
 )
+from .workers import fork_map
 
 QUANTILE_LEVELS = np.arange(1, 100) / 100.0  # 0.01 .. 0.99
 
@@ -185,23 +186,25 @@ def variogram_score(scenarios: np.ndarray, y: np.ndarray, gamma: float = 0.5,
     ordered pairs; unit weights by default.
 
     The summand is symmetric in (t, t') and zero on the diagonal, so the sum
-    runs over the L(L-1)/2 unordered pairs with weight w_tt' + w_t't.
+    runs over the L(L-1)/2 unordered pairs with weight w_tt' + w_t't, which
+    is 2.0 for the unit weights (1 + 1 = 2 exactly).
     """
     scenarios, y = _check_pair(scenarios, y)
     if not 0 < gamma < np.inf:
         raise ParameterError(f"gamma must be positive and finite, got {gamma}")
     l = y.size
-    if weights is None:
-        weights = np.ones((l, l))
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (l, l):
-        raise DimensionError(f"weights shape {weights.shape} != ({l}, {l})")
-    if not np.all(np.isfinite(weights) & (weights >= 0)):
-        raise ParameterError("weights must be finite and non-negative")
     t, u = _pairs(l)
+    pair_weight = 2.0
+    if weights is not None:
+        weights = np.asarray(weights, dtype=float)
+        if weights.shape != (l, l):
+            raise DimensionError(f"weights shape {weights.shape} != ({l}, {l})")
+        if not np.all(np.isfinite(weights) & (weights >= 0)):
+            raise ParameterError("weights must be finite and non-negative")
+        pair_weight = weights[t, u] + weights[u, t]
     vy = np.abs(y[t] - y[u]) ** gamma
     vx = np.mean(np.abs(scenarios[:, t] - scenarios[:, u]) ** gamma, axis=0)
-    return float(np.sum((weights[t, u] + weights[u, t]) * (vy - vx) ** 2))
+    return float(np.sum(pair_weight * (vy - vx) ** 2))
 
 
 @dataclass
@@ -253,6 +256,8 @@ def evaluate(scenarios_by_day: dict, obs_by_day: dict, base: float = 1.0,
     percent, MAE-r is in percentage points, VS (gamma = 0.5) is computed on
     base-normalized values and left unitless. Day sets must match exactly, and
     every day must carry the same number of scenarios (DimensionError otherwise).
+    workers.fork_map scores the days on every usable CPU; an error is the first
+    failing day's in sorted order. reliability's seeded draws stay in this process.
     """
     if not 0 < base < np.inf:  # nan fails both comparisons
         raise ParameterError(f"base must be positive and finite, got {base}")
@@ -266,26 +271,24 @@ def evaluate(scenarios_by_day: dict, obs_by_day: dict, base: float = 1.0,
     if not scenarios_by_day:
         raise ParameterError("no days to evaluate")
     days = sorted(scenarios_by_day)
-    per_day = {}
+    m = np.shape(scenarios_by_day[days[0]])[:1]
+
+    def score(d) -> dict:  # a day is scaled only for CRPS, QS, ES and VS: ranks are unit-free
+        x = np.asarray(scenarios_by_day[d], dtype=float) / base
+        y = np.asarray(obs_by_day[d], dtype=float) / base
+        _, c = crps(x, y)
+        if x.shape[:1] != m:
+            raise DimensionError(f"day {d} has {x.shape[0]} scenarios, but day {days[0]} "
+                                 f"has {m[0]}; every day needs the same count")
+        scores = {"crps_pct": c * 100.0, "qs_pct": quantile_score(x, y) * 100.0,
+                  "es_pct": energy_score(x, y) * 100.0, "vs": variogram_score(x, y)}
+        if not np.isfinite(list(scores.values())).all():
+            raise ParameterError(f"day {d}: a score is not finite at base {base}; "
+                                 "its values over base leave the float range")
+        return scores
+
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite score is refused
-        for d in days:  # a day is scaled only for CRPS, QS, ES and VS: ranks are unit-free
-            x = np.asarray(scenarios_by_day[d], dtype=float) / base
-            y = np.asarray(obs_by_day[d], dtype=float) / base
-            _, c = crps(x, y)
-            if d == days[0]:
-                m = x.shape[0]
-            elif x.shape[0] != m:
-                raise DimensionError(f"day {d} has {x.shape[0]} scenarios, but day {days[0]} "
-                                     f"has {m}; every day needs the same count")
-            per_day[d] = {
-                "crps_pct": c * 100.0,
-                "qs_pct": quantile_score(x, y) * 100.0,
-                "es_pct": energy_score(x, y) * 100.0,
-                "vs": variogram_score(x, y),
-            }
-            if not np.isfinite(list(per_day[d].values())).all():
-                raise ParameterError(f"day {d}: a score is not finite at base {base}; "
-                                     "its values over base leave the float range")
+        per_day = dict(zip(days, fork_map(score, days)))
     curve, mae_r = reliability([scenarios_by_day[d] for d in days],
                                [obs_by_day[d] for d in days], seed=seed)
     report = QualityReport(
@@ -295,7 +298,7 @@ def evaluate(scenarios_by_day: dict, obs_by_day: dict, base: float = 1.0,
         es=float(np.mean([v["es_pct"] for v in per_day.values()])),
         vs=float(np.mean([v["vs"] for v in per_day.values()])),
         n_days=len(days),
-        m=m,
+        m=m[0],
         base=base,
         per_day=per_day,
         reliability_curve=curve.tolist(),

@@ -21,6 +21,7 @@ import numpy as np
 from .data import HOURS, _write_table, write_report_json
 from .errors import CoverageError, DimensionError, LPOverflowError, ParameterError
 from .simplex import LPProblem, LPSolution, simplex_solve
+from .workers import fork_map
 
 SOLVE_TOL = 1e-6
 
@@ -285,7 +286,8 @@ def run_value_benchmark(
     empty or when combinations are missing, and DimensionError for an array
     of another shape, naming its track, day and zone, before any LP is built.
     A net position that is not finite, or whose LPs overflow, raises
-    ParameterError naming the day and zones.
+    ParameterError naming the day and zones. workers.fork_map runs the combos
+    on every usable CPU; an error is the first failing combo's in this order.
     """
     if n_planner_scenarios < 1:
         raise ParameterError(f"n_planner_scenarios must be >= 1, got {n_planner_scenarios}")
@@ -312,35 +314,34 @@ def run_value_benchmark(
             f"{len(missing)} missing (day, zone) combinations, e.g. {missing[:5]}"
         )
 
-    rows = []
-    for day in days:
-        obs_l = np.asarray(observations["load"][(day, 1)], dtype=float)
-        s_l = np.asarray(scenarios["load"][(day, 1)], dtype=float)
-        for pz in pv_zones:
-            obs_p = np.asarray(observations["pv"][(day, pz)], dtype=float)
-            s_p = np.asarray(scenarios["pv"][(day, pz)], dtype=float)
-            for wz in wind_zones:
-                obs_w = np.asarray(observations["wind"][(day, wz)], dtype=float)
-                s_w = np.asarray(scenarios["wind"][(day, wz)], dtype=float)
-                s = min(n_planner_scenarios, s_w.shape[0], s_p.shape[0], s_l.shape[0])
-                with np.errstate(over="ignore", invalid="ignore"):  # refused below
-                    net = s_w[:s] + s_p[:s] - s_l[:s]
-                    observed = obs_w + obs_p - obs_l
-                if not (np.isfinite(net).all() and np.isfinite(observed).all()):
-                    raise ParameterError(f"day {day}, pv zone {pz}, wind zone {wz}: the net "
-                                         "position wind + pv - load is not finite")
-                try:  # finite net positions may still overflow the LPs' arithmetic
-                    with np.errstate(all="raise", under="ignore"):
-                        profit = {"oracle": oracle_profit(retailer, observed)}
-                        _, sol = solve_bidding(retailer, net)
-                        for model, bids in (("ddpm", extract_bids(sol)),
-                                            ("ddpm-det", deterministic_bids(retailer, net))):
-                            profit[model] = realtime_dispatch(retailer, bids, observed)
-                except (FloatingPointError, LPOverflowError) as e:
-                    raise ParameterError(f"day {day}, pv zone {pz}, wind zone {wz}: the "
-                                         f"bidding LPs' arithmetic fails: {e}") from None
-                rows += [{"model": model, "day": day, "pv_zone": pz, "wind_zone": wz,
-                          "profit": v} for model, v in profit.items()]
+    def simulate(combo) -> dict:
+        day, pz, wz = combo
+        obs, scen = ([np.asarray(given[t][(day, z)], dtype=float)
+                      for t, z in (("wind", wz), ("pv", pz), ("load", 1))]
+                     for given in (observations, scenarios))
+        s = min(n_planner_scenarios, *(x.shape[0] for x in scen))
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            net = scen[0][:s] + scen[1][:s] - scen[2][:s]
+            observed = obs[0] + obs[1] - obs[2]
+        if not (np.isfinite(net).all() and np.isfinite(observed).all()):
+            raise ParameterError(f"day {day}, pv zone {pz}, wind zone {wz}: the net "
+                                 "position wind + pv - load is not finite")
+        try:  # finite net positions may still overflow the LPs' arithmetic
+            with np.errstate(all="raise", under="ignore"):
+                profit = {"oracle": oracle_profit(retailer, observed)}
+                _, sol = solve_bidding(retailer, net)
+                for model, bids in (("ddpm", extract_bids(sol)),
+                                    ("ddpm-det", deterministic_bids(retailer, net))):
+                    profit[model] = realtime_dispatch(retailer, bids, observed)
+        except (FloatingPointError, LPOverflowError) as e:
+            raise ParameterError(f"day {day}, pv zone {pz}, wind zone {wz}: the "
+                                 f"bidding LPs' arithmetic fails: {e}") from None
+        return profit
+
+    combos = [(day, pz, wz) for day in days for pz in pv_zones for wz in wind_zones]
+    rows = [{"model": model, "day": day, "pv_zone": pz, "wind_zone": wz, "profit": v}
+            for (day, pz, wz), profit in zip(combos, fork_map(simulate, combos))
+            for model, v in profit.items()]
 
     aggregate: dict[str, float] = {}
     for r in rows:

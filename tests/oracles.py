@@ -3,7 +3,8 @@
 Each is the plain textbook form of something the package computes another
 way, or a law and a baseline that no command needs:
 
-- the step-by-step forward noising chain (gate 2);
+- the step-by-step forward noising chain (gate 2), and the reverse sampler
+  run one chunk after another with each row's noise drawn up front;
 - one pinball term (the quantile-score tests);
 - a manifest reader (the manifest round trip) and the sorted days of one split;
 - the closed-form conditional mean of a synthetic day, read off the
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from scendiff.data import Dataset, Scaler, _profile_law
-from scendiff.errors import InsufficientDataError
+from scendiff.errors import InsufficientDataError, SamplingDivergenceError
 
 
 def chain_forward(x0: np.ndarray, sched, rng: np.random.Generator) -> np.ndarray:
@@ -99,3 +100,33 @@ def climatology_scenarios(ds: Dataset, m: int, seed: int, zone: int = 1) -> np.n
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, len(learn), size=m)
     return np.stack([learn[i].x for i in idx])
+
+
+def sequential_engine(bind, c_rows, sched, seed_seqs, l, chunk=256):
+    """The reverse sampler as it was before its chunks ran concurrently: one
+    chunk after another, each drawing every row's whole (n - 1, l) z block
+    up front. diffusion._reverse_engine must reproduce its bytes, inline or
+    forked."""
+    r = c_rows.shape[0]
+    out = np.empty((r, l))
+    for lo in range(0, r, chunk):
+        hi = min(lo + chunk, r)
+        rows = hi - lo
+        x = np.empty((rows, l))
+        z = np.empty((rows, max(sched.n - 1, 0), l))
+        for j in range(rows):
+            rng = np.random.default_rng(seed_seqs[lo + j])
+            x[j] = rng.standard_normal(l)
+            if sched.n > 1:
+                z[j] = rng.standard_normal((sched.n - 1, l))
+        step = bind(c_rows[lo:hi])
+        for i in range(sched.n, 0, -1):
+            eps_hat = step(x, i)
+            x -= sched.beta[i - 1] / math.sqrt(1.0 - sched.alpha_bar[i - 1]) * eps_hat
+            x /= math.sqrt(1.0 - sched.beta[i - 1])
+            if i > 1:
+                x += sched.sigma[i - 1] * z[:, sched.n - i]
+            if not np.all(np.isfinite(x)):
+                raise SamplingDivergenceError(f"non-finite sample at step {i}")
+        out[lo:hi] = x
+    return out

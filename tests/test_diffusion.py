@@ -1,10 +1,7 @@
 """Schedules, forward/reverse processes, training loop, and checkpoints."""
-import concurrent.futures
 import json
 import math
-import sys
 import threading
-import time
 import warnings
 from dataclasses import replace
 from datetime import date
@@ -15,7 +12,7 @@ import scipy.stats
 
 from scendiff import data as dmod
 from scendiff import diffusion as dif
-from scendiff import nn
+from scendiff import nn, workers
 from scendiff.errors import (
     DimensionError,
     InsufficientDataError,
@@ -27,7 +24,8 @@ from scendiff.errors import (
     ScheduleTooShortError,
     TrainingDivergenceError,
 )
-from oracles import chain_forward, split_days
+from forking import run_pinned
+from oracles import chain_forward, sequential_engine, split_days
 
 
 def _zero_denoiser(x, steps, c):
@@ -477,149 +475,88 @@ def test_float32_sampler_stays_near_the_float64_forward(tiny_model, tiny_schedul
     assert np.abs(got - ref).max() <= 1e-5 * max(1.0, np.abs(ref).max())
 
 
-def _sequential_engine(bind, c_rows, sched, seed_seqs, l, chunk=256):
-    """The reverse engine as it was before chunks ran on a thread pool: one
-    chunk after another, each drawing every row's whole (n - 1, l) z block
-    up front. The threaded engine must reproduce its bytes."""
-    r = c_rows.shape[0]
-    out = np.empty((r, l))
-    for lo in range(0, r, chunk):
-        hi = min(lo + chunk, r)
-        rows = hi - lo
-        x = np.empty((rows, l))
-        z = np.empty((rows, max(sched.n - 1, 0), l))
-        for j in range(rows):
-            rng = np.random.default_rng(seed_seqs[lo + j])
-            x[j] = rng.standard_normal(l)
-            if sched.n > 1:
-                z[j] = rng.standard_normal((sched.n - 1, l))
-        step = bind(c_rows[lo:hi])
-        for i in range(sched.n, 0, -1):
-            eps_hat = step(x, i)
-            x -= sched.beta[i - 1] / math.sqrt(1.0 - sched.alpha_bar[i - 1]) * eps_hat
-            x /= math.sqrt(1.0 - sched.beta[i - 1])
-            if i > 1:
-                x += sched.sigma[i - 1] * z[:, sched.n - i]
-            if not np.all(np.isfinite(x)):
-                raise SamplingDivergenceError(f"non-finite sample at step {i}")
-        out[lo:hi] = x
-    return out
-
-
 def _set_cpus(monkeypatch, cpus):
-    """Make the engine see `cpus` CPUs in its affinity set, and BLAS pinned
-    to one thread, so that it starts a pool even where it finds no BLAS
-    thread setter."""
-    monkeypatch.setattr(dif.os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                        raising=False)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    """Make workers.fork_map see `cpus` usable CPUs."""
+    monkeypatch.setattr(workers.os, "sched_getaffinity", lambda pid: set(range(cpus)))
 
 
-def _counting_pools(monkeypatch):
-    """Record the worker count of every thread pool the engine starts."""
-    sizes = []
-
-    real = concurrent.futures.ThreadPoolExecutor
-
-    def pool(workers):
-        sizes.append(workers)
-        return real(workers)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", pool)
-    return sizes
-
-
-@pytest.fixture
-def fast_switching():
-    """Switch threads far more often than usual, so that state shared by
-    the sampler's workers would show as changed bytes."""
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        yield
-    finally:
-        sys.setswitchinterval(interval)
+def _counting_forks(monkeypatch):
+    """Record every fork the engine makes."""
+    forks = []
+    fork = workers.os.fork
+    monkeypatch.setattr(workers.os, "fork", lambda: forks.append(1) or fork())
+    return forks
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 8])
 @pytest.mark.parametrize("n", [1, 2, 6, 27])
-def test_reverse_engine_matches_sequential_reference(monkeypatch, fast_switching, cpus, n):
+def test_reverse_engine_matches_sequential_reference(monkeypatch, cpus, n):
     """Same bytes as the sequential engine whatever the CPU count (8 can
-    mean more threads than cores), including chain lengths whose n - 1 z
-    vectors are not a whole number of noise slabs, and no more threads than
-    chunks: none for one chunk or one CPU."""
+    mean more workers than cores), including chain lengths whose n - 1 z
+    vectors are not a whole number of noise slabs, and no more workers than
+    chunks: no fork for one chunk or one CPU. This process forks only on one
+    OS thread (BLAS pinned); test_reverse_engine_forks_with_the_same_bytes
+    runs the fork path in a fresh process."""
     _set_cpus(monkeypatch, cpus)
-    pools = _counting_pools(monkeypatch)
+    forks = _counting_forks(monkeypatch)
     s = dif.make_schedule("cosine", n=n)
     p = nn.init_params((128, 128), sample_dim=24, embed_dim=8, cond_dim=24, seed=4)
     forward = nn.sampling_forward(p, np.arange(1, n + 1))
     for rows in (1, 255, 256, 257, 600):
         c_rows = np.random.default_rng(rows).uniform(0, 1, (rows, 24))
         seqs = np.random.SeedSequence(rows).spawn(rows)
-        threads = set()
-
-        def net(x, i, c):
-            threads.add(threading.get_ident())
-            return forward(c)(x, i)
-
-        pools.clear()
-        got = dif._reverse_engine(_bound(net), c_rows, s, seqs, l=24)
-        np.testing.assert_array_equal(got, _sequential_engine(forward, c_rows, s, seqs, l=24))
-        chunks = -(-rows // 256)
-        workers = min(cpus, chunks)
-        assert pools == ([workers] if workers > 1 else [])
-        assert len(threads) <= workers
-        if workers == 1:
-            assert threads == {threading.get_ident()}
+        forks.clear()
+        got = dif._reverse_engine(forward, c_rows, s, seqs, l=24)
+        np.testing.assert_array_equal(got, sequential_engine(forward, c_rows, s, seqs, l=24))
+        shares = min(cpus, -(-rows // 256)) if workers.can_fork() else 1
+        assert len(forks) == shares - 1
 
 
-def test_reverse_engine_caps_blas_threads_while_the_pool_runs(monkeypatch):
-    """Pool workers see numpy's OpenBLAS at one thread; the caller's count
-    is back afterwards, also when a chunk raises."""
-    blas = dif._blas_threads()
-    if blas is None:
-        pytest.skip("no OpenBLAS thread setter found")
-    get, set_ = blas
+def test_reverse_engine_forks_with_the_same_bytes():
+    """In a process that forks: the sequential engine's bytes and one worker
+    per share after the first, for every chain length, row count and CPU
+    count of test_reverse_engine_matches_sequential_reference."""
+    run_pinned("""
+        from oracles import sequential_engine
+        from scendiff import diffusion as dif, nn
+
+        p = nn.init_params((128, 128), sample_dim=24, embed_dim=8, cond_dim=24, seed=4)
+        for cpus in (2, 8):
+            use_cpus(cpus)
+            for n in (1, 2, 6, 27):
+                s = dif.make_schedule("cosine", n=n)
+                forward = nn.sampling_forward(p, np.arange(1, n + 1))
+                for rows in (1, 255, 256, 257, 600):
+                    c_rows = np.random.default_rng(rows).uniform(0, 1, (rows, 24))
+                    seqs = np.random.SeedSequence(rows).spawn(rows)
+                    FORKS.clear()
+                    got = dif._reverse_engine(forward, c_rows, s, seqs, l=24)
+                    assert np.array_equal(got, sequential_engine(forward, c_rows, s, seqs, l=24))
+                    assert len(FORKS) == min(cpus, -(-rows // 256)) - 1
+        assert reaped()
+    """)
+
+
+def test_reverse_engine_runs_inline_in_a_process_with_another_thread(monkeypatch):
+    """A process with a second OS thread may not fork: the chunks run one
+    after another in it, with the sequential engine's bytes."""
     _set_cpus(monkeypatch, 2)
-    s = dif.make_schedule("cosine", n=5)
-    seqs = np.random.SeedSequence(1).spawn(600)
-    seen = []
-
-    def denoiser(x, i, c):
-        seen.append(get())
-        if c.shape[1] and i == 3:
-            raise SamplingDivergenceError("chunk failed")
-        return np.zeros_like(x)
-
-    old = get()
-    set_(2)
-    try:
-        dif._reverse_engine(_bound(denoiser), np.zeros((600, 0)), s, seqs, l=3)
-        assert seen and set(seen) == {1}
-        assert get() == 2
-        with pytest.raises(SamplingDivergenceError, match="chunk failed"):
-            dif._reverse_engine(_bound(denoiser), np.zeros((600, 1)), s, seqs, l=3)
-        assert get() == 2
-    finally:
-        set_(old)
-
-
-def test_reverse_engine_runs_inline_when_blas_threads_cannot_be_capped(monkeypatch):
-    """With no BLAS thread setter and no BLAS pinned by the environment, the
-    chunks run one after another in the calling thread."""
-    _set_cpus(monkeypatch, 2)
-    for var in dif._BLAS_THREAD_VARS:
-        monkeypatch.delenv(var, raising=False)
-    monkeypatch.setattr(dif, "_blas_threads", lambda: None)
-    pools = _counting_pools(monkeypatch)
+    forks = _counting_forks(monkeypatch)
     s = dif.make_schedule("cosine", n=6)
     p = nn.init_params((16,), sample_dim=24, embed_dim=8, cond_dim=2, seed=1)
     c_rows = np.random.default_rng(0).uniform(0, 1, (600, 2))
     seqs = np.random.SeedSequence(3).spawn(600)
     forward = nn.sampling_forward(p, np.arange(1, s.n + 1))
-    got = dif._reverse_engine(forward, c_rows, s, seqs, l=24)
-    assert pools == []
-    np.testing.assert_array_equal(got, _sequential_engine(forward, c_rows, s, seqs, l=24))
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        got = dif._reverse_engine(forward, c_rows, s, seqs, l=24)
+    finally:
+        stop.set()
+        thread.join()
+    assert forks == []
+    np.testing.assert_array_equal(got, sequential_engine(forward, c_rows, s, seqs, l=24))
 
 
 def _overflowing(x, i, c):
@@ -628,9 +565,10 @@ def _overflowing(x, i, c):
 
 @pytest.mark.parametrize("rows", [200, 600])
 def test_reverse_engine_keeps_the_callers_numpy_error_state(monkeypatch, rows):
-    """Workers sample under the caller's np.errstate: an overflow raises under
+    """Chunks sample under the caller's np.errstate: an overflow raises under
     "raise" and passes silently to the finiteness check under "ignore", for
-    one chunk in the calling thread and for several on the pool."""
+    one chunk and for several; forked workers inherit it (checked in a fresh
+    process at 600 rows)."""
     _set_cpus(monkeypatch, 2)
     s = dif.make_schedule("cosine", n=5)
     c_rows = np.zeros((rows, 0))
@@ -641,40 +579,73 @@ def test_reverse_engine_keeps_the_callers_numpy_error_state(monkeypatch, rows):
         warnings.simplefilter("error")
         with pytest.raises(SamplingDivergenceError, match="^non-finite sample at step 5$"):
             dif._reverse_engine(_bound(_overflowing), c_rows, s, seqs, l=3)
+    if rows == 600:
+        assert run_pinned("""
+            import warnings
+            from scendiff import diffusion as dif
+            from scendiff.errors import SamplingDivergenceError
+
+            use_cpus(2)
+            s = dif.make_schedule("cosine", n=5)
+            seqs = np.random.SeedSequence(1).spawn(600)
+            step = lambda c: lambda x, i: np.full_like(x, 1e300) * 1e300
+            for state, error in (("raise", FloatingPointError), ("ignore", SamplingDivergenceError)):
+                with warnings.catch_warnings(), np.errstate(all=state):
+                    warnings.simplefilter("error")
+                    try:
+                        dif._reverse_engine(step, np.zeros((600, 0)), s, seqs, l=3)
+                    except error as e:
+                        print(e)
+            assert len(FORKS) == 2 and reaped()
+        """).splitlines() == ["overflow encountered in multiply", "non-finite sample at step 5"]
 
 
-def test_reverse_engine_raises_the_first_failing_chunks_error(monkeypatch):
-    """Chunk 3 diverges first in time and chunk 1 later, at another step: the
-    error is chunk 1's, as in a sequential run, and the chunks not started by
-    then are cancelled."""
-    _set_cpus(monkeypatch, 2)
-    s = dif.make_schedule("cosine", n=10)
-    chunk, n_chunks = 4, 10
-    c_rows = np.repeat(np.arange(n_chunks, dtype=float), chunk)[:, None]
-    seqs = np.random.SeedSequence(0).spawn(chunk * n_chunks)
-    diverged = {1: threading.Event(), 3: threading.Event()}
-    started = set()
+def test_reverse_engine_raises_the_first_failing_chunks_error(tmp_path):
+    """Forked, chunk 7 (in the worker's share) diverges first in time and chunk 1
+    (in the caller's) later, at another step: the error is chunk 1's, as in a
+    sequential run, and neither share starts a chunk after its failing one.
+    With chunk 1 sound, chunk 7's error crosses from the worker."""
+    out = run_pinned(f"""
+        import time
+        from scendiff import diffusion as dif
+        from scendiff.errors import SamplingDivergenceError
 
-    def denoiser(x, i, c):
-        k = int(c[0, 0])
-        started.add(k)
-        if k == 1 and i == 3:
-            assert diverged[3].wait(10), "chunk 3 never diverged"
-            diverged[1].set()
-            return np.full_like(x, np.inf)
-        if k == 3 and i == 9:
-            diverged[3].set()
-            return np.full_like(x, np.inf)
-        if k > 3:
-            diverged[1].wait(10)
-            time.sleep(0.02)
-        return np.zeros_like(x)
+        log = {str(tmp_path / "started")!r}
+        use_cpus(2)  # chunks 0-4 in the caller, 5-9 in the worker
+        s = dif.make_schedule("cosine", n=10)
+        chunk, n_chunks = 4, 10
+        c_rows = np.repeat(np.arange(n_chunks, dtype=float), chunk)[:, None]
+        seqs = np.random.SeedSequence(0).spawn(chunk * n_chunks)
 
-    with np.errstate(invalid="ignore"), \
-            pytest.raises(SamplingDivergenceError, match="^non-finite sample at step 3$"):
-        dif._reverse_engine(_bound(denoiser), c_rows, s, seqs, l=2, chunk=chunk)
-    # the two workers may each start one more chunk before the error is read
-    assert {0, 1, 2, 3} <= started <= {0, 1, 2, 3, 4, 5}
+        def sample(failing):
+            open(log, "w").close()
+
+            def bind(c):
+                k = int(c[0, 0])
+                with open(log, "a") as f:
+                    f.write(f"{{k}}\\n")
+
+                def step(x, i):
+                    if k == 1 and i == 3 and k in failing:
+                        time.sleep(0.3)
+                        return np.full_like(x, np.inf)
+                    if k == 7 and i == 9 and k in failing:
+                        return np.full_like(x, np.inf)
+                    return np.zeros_like(x)
+                return step
+
+            try:
+                dif._reverse_engine(bind, c_rows, s, seqs, l=2, chunk=chunk)
+            except SamplingDivergenceError as e:
+                print(e, sorted(int(k) for k in open(log)))
+            assert reaped()
+
+        with np.errstate(invalid="ignore"):
+            sample({{1, 7}})
+            sample({{7}})
+    """)
+    assert out.splitlines() == ["non-finite sample at step 3 [0, 1, 5, 6, 7]",
+                                "non-finite sample at step 9 [0, 1, 2, 3, 4, 5, 6, 7]"]
 
 
 def test_reverse_sampler_matches_analytic_gaussian_law():

@@ -15,6 +15,7 @@ from scendiff.errors import (
     InsufficientDataError,
     ParameterError,
 )
+from forking import run_pinned
 from oracles import pinball
 
 
@@ -89,6 +90,17 @@ def test_variogram_score_hand_value():
     assert met.variogram_score(scens, np.array([1.0, 0.0])) == pytest.approx(0.0, abs=1e-12)
     want = 2.0 * (math.sqrt(2.0) - 1.0) ** 2
     assert met.variogram_score(scens, np.array([2.0, 0.0])) == pytest.approx(want, abs=1e-9)
+
+
+def test_variogram_default_weights_equal_explicit_unit_weights():
+    """Without weights each unordered hour pair weighs 2.0, which is
+    w_tt' + w_t't for unit weights, so the score keeps its bits."""
+    rng = np.random.default_rng(11)
+    for m in (1, 2, 100):
+        scens, y = rng.uniform(0, 1, (m, 24)), rng.uniform(0, 1, 24)
+        for gamma in (0.5, 1.0, 2.0):
+            assert met.variogram_score(scens, y, gamma) == met.variogram_score(
+                scens, y, gamma, weights=np.ones((24, 24)))
 
 
 def test_pinball_hand_values():
@@ -356,6 +368,39 @@ def test_evaluate_aggregates_per_day_means():
     assert rep.n_days == 12 and rep.m == 8
     assert len(rep.per_day) == 12
     assert len(rep.reliability_curve) == 99
+
+
+def test_evaluate_raises_the_first_failing_days_error(monkeypatch):
+    """Days fail in sorted order, inline or forked: a non-finite score on an
+    earlier day wins over a wrong scenario count on a later one, and the
+    other way round."""
+    scen, obs = _toy_days(n_days=20)
+    days = sorted(scen)
+    for bad_m, huge in ((days[15], days[3]), (days[3], days[15])):
+        s = {**scen, bad_m: scen[bad_m][:5], huge: scen[huge] * 1e300}
+        first = min(bad_m, huge)
+        error = DimensionError if first == bad_m else ParameterError
+        with pytest.raises(error, match=f"^day {first}[ :]"):
+            met.evaluate(s, obs)
+    out = run_pinned("""
+        from datetime import date
+        from scendiff import metrics
+
+        use_cpus(4)  # five days per share: day 4 in the caller's, day 16 in worker 3's
+        rng = np.random.default_rng(0)
+        days = [date(2013, 1, 1 + i) for i in range(20)]
+        obs = {d: rng.uniform(0, 1, 24) for d in days}
+        scen = {d: rng.uniform(0, 1, (8, 24)) for d in days}
+        for bad_m, huge in ((days[15], days[3]), (days[3], days[15])):
+            s = {**scen, bad_m: scen[bad_m][:5], huge: scen[huge] * 1e300}
+            try:
+                metrics.evaluate(s, obs)
+            except Exception as e:
+                print(type(e).__name__, str(e)[:14])
+        assert len(FORKS) == 6 and reaped()
+    """)
+    assert out.splitlines() == ["ParameterError day 2013-01-04",
+                                "DimensionError day 2013-01-04"]
 
 
 def test_evaluate_base_scaling():
