@@ -264,7 +264,6 @@ def train(ds, config: TrainConfig, sched: Schedule):
     return best_params, log
 
 
-NOISE_SLAB = 25  # reverse steps of z noise a chunk draws at once: 25 x 256 x 24 x 8 B = 1.2 MB
 SAMPLE_STEPS = 50  # steps of the chain sample_days runs (Schedule.respace)
 
 
@@ -278,7 +277,8 @@ def _reverse_engine(bind, c_rows: np.ndarray, sched: Schedule,
     eps_hat (B, l) of chain step i, a scalar; nn.sampling_forward builds it. The chain
     state, update and finiteness check stay float64.
     Each row has its own RNG stream drawing, in order, the initial noise and
-    then one z vector per chain step from n down to 2, so a row's draws
+    then its (n - 1, l) block of z vectors, one per chain step from n down to 2
+    (256 x 49 x 24 x 8 B = 2.4 MB per chunk at SAMPLE_STEPS), so a row's draws
     do not depend on `chunk` or on the other rows. Its bits do not either as
     long as BLAS rounds a row of a matrix product the same whatever the row
     count; OpenBLAS does not for products of a few rows (its small-matrix
@@ -293,38 +293,26 @@ def _reverse_engine(bind, c_rows: np.ndarray, sched: Schedule,
     r = c_rows.shape[0]
 
     def run(lo: int) -> np.ndarray:
-        x = np.empty((min(chunk, r - lo), l))
-        _reverse_chunk(bind(c_rows[lo:lo + len(x)]), sched, seed_seqs[lo:lo + len(x)], x, tau)
+        rows = min(chunk, r - lo)
+        step = bind(c_rows[lo:lo + rows])
+        x = np.empty((rows, l))
+        z = np.empty((rows, max(sched.n - 1, 0), l))
+        for j in range(rows):
+            rng = np.random.default_rng(seed_seqs[lo + j])
+            rng.standard_normal(out=x[j])
+            rng.standard_normal(out=z[j])
+        for i in range(sched.n, 0, -1):
+            eps_hat = step(x, i)
+            x -= sched.beta[i - 1] / math.sqrt(1.0 - sched.alpha_bar[i - 1]) * eps_hat
+            x /= math.sqrt(1.0 - sched.beta[i - 1])
+            if i > 1:
+                x += sched.sigma[i - 1] * z[:, sched.n - i]
+            if not np.all(np.isfinite(x)):
+                raise SamplingDivergenceError(
+                    f"non-finite sample at step {i if tau is None else tau[i - 1]}")
         return x
 
     return np.concatenate([np.empty((0, l)), *fork_map(run, range(0, r, chunk))])
-
-
-def _reverse_chunk(step, sched: Schedule, seed_seqs, x: np.ndarray, tau=None) -> None:
-    """Run the chain of `sched` (steps n to 1, with its beta, alpha_bar and
-    sigma) for one chunk's rows in place in `x`; step(x, i) is the denoiser, tau as
-    in _reverse_engine. Each row's generator draws its initial noise, then its z
-    vectors NOISE_SLAB steps at a time, in the stream order of one (n - 1, l) draw.
-    """
-    rows, l = x.shape
-    rngs = [np.random.default_rng(s) for s in seed_seqs]
-    for j, rng in enumerate(rngs):
-        rng.standard_normal(out=x[j])
-    z = np.empty((rows, min(NOISE_SLAB, max(sched.n - 1, 0)), l))
-    for i in range(sched.n, 0, -1):
-        k = (sched.n - i) % NOISE_SLAB  # step i's z vector within its slab
-        if i > 1 and k == 0:
-            steps = min(NOISE_SLAB, i - 1)
-            for j, rng in enumerate(rngs):
-                rng.standard_normal(out=z[j, :steps])
-        eps_hat = step(x, i)
-        x -= sched.beta[i - 1] / math.sqrt(1.0 - sched.alpha_bar[i - 1]) * eps_hat
-        x /= math.sqrt(1.0 - sched.beta[i - 1])
-        if i > 1:
-            x += sched.sigma[i - 1] * z[:, k]
-        if not np.all(np.isfinite(x)):
-            raise SamplingDivergenceError(
-                f"non-finite sample at step {i if tau is None else tau[i - 1]}")
 
 
 def sample_days(params: nn.DenoiserParams, conditions: np.ndarray, day_ids, sched: Schedule,

@@ -4,7 +4,8 @@ Each is the plain textbook form of something the package computes another
 way, or a law and a baseline that no command needs:
 
 - the step-by-step forward noising chain (gate 2), and the reverse sampler
-  run one chunk after another with each row's noise drawn up front;
+  run unforked, one chunk after another, with each row's noise drawn up
+  front;
 - one pinball term (the quantile-score tests);
 - a manifest reader (the manifest round trip) and the sorted days of one split;
 - the closed-form conditional mean of a synthetic day, read off the
@@ -103,10 +104,9 @@ def climatology_scenarios(ds: Dataset, m: int, seed: int, zone: int = 1) -> np.n
 
 
 def sequential_engine(bind, c_rows, sched, seed_seqs, l, chunk=256):
-    """The reverse sampler as it was before its chunks ran concurrently: one
-    chunk after another, each drawing every row's whole (n - 1, l) z block
-    up front. diffusion._reverse_engine must reproduce its bytes, inline or
-    forked."""
+    """The unforked reference reverse sampler: one chunk after another, each
+    drawing every row's initial noise and whole (n - 1, l) z block up front.
+    diffusion._reverse_engine must reproduce its bytes, inline or forked."""
     r = c_rows.shape[0]
     out = np.empty((r, l))
     for lo in range(0, r, chunk):

@@ -492,8 +492,8 @@ def _counting_forks(monkeypatch):
 @pytest.mark.parametrize("n", [1, 2, 6, 27])
 def test_reverse_engine_matches_sequential_reference(monkeypatch, cpus, n):
     """Same bytes as the sequential engine whatever the CPU count (8 can
-    mean more workers than cores), including chain lengths whose n - 1 z
-    vectors are not a whole number of noise slabs, and no more workers than
+    mean more workers than cores), for chains of 1 step (no z vectors) to
+    27 steps (a 26-vector z block per row), and no more workers than
     chunks: no fork for one chunk or one CPU. This process forks only on one
     OS thread (BLAS pinned); test_reverse_engine_forks_with_the_same_bytes
     runs the fork path in a fresh process."""

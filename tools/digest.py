@@ -6,9 +6,10 @@ itself or with the first tree.
 
 Each run works in a fresh temporary directory, with `<tree>/src` first on the
 path: `synth` for the three profiles, `train` and `generate` per track with a
-tiny model, `evaluate` per track at `--base` 1 and 2.5, `value` over the three
-tracks, and `value` again with state-of-charge targets 2 -> 8, so that every
-bidding LP runs phase 1. One JSON line per tree gives each file's hash, plus
+tiny model on the default 200-step schedule (so `generate` runs its default
+respaced 50-step chain), `evaluate` per track at `--base` 1 and 2.5, `value`
+over the three tracks, and `value` again with state-of-charge targets 2 -> 8,
+so that every bidding LP runs phase 1. One JSON line per tree gives each file's hash, plus
 CRPS (%), MAE-r (pp) and the value aggregates (EUR). Hashes depend on numpy's
 BLAS kernels, so compare trees on one machine.
 """
@@ -22,8 +23,8 @@ import tempfile
 from pathlib import Path
 
 TRACKS = {"pv": "sine_pv", "wind": "ramp_wind", "load": "bimodal_load"}
-TINY = {"schedule": {"n": 20, "beta_end": 0.5}, "model": {"hidden": [16], "embed_dim": 8},
-        "optimizer": {"epochs": 2}, "m_scenarios": 10}
+TINY = {"model": {"hidden": [16], "embed_dim": 8}, "optimizer": {"epochs": 2},
+        "m_scenarios": 10}
 UNEQUAL_SOC = {"retailer": {"soc_start": 2.0, "soc_end": 8.0}}
 
 
